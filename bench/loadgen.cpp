@@ -1,60 +1,30 @@
 // Closed-loop load generator for the concurrent runtime (src/rt) --
-// memtier-style CLI over rt::run_loadgen.
+// memtier-style CLI over the one load driver, rt::run_driver. The flag
+// table is bench/loadgen_cli.hpp and usage() prints it; a flag the
+// selected mode does not read exits 2. Every mode prints the one CSV
+// schema of rt::driver_csv_header(); EXPERIMENTS.md ("Concurrent
+// runtime loadgen") describes the modes and which columns each fills.
 //
-// With no arguments it runs the thread-scaling sweep from EXPERIMENTS.md
-// ("Concurrent runtime"): the same total op count at 1, 2, 4 and 8
-// client+server threads over 16 shards with a 200us simulated
-// remote-access service time per op (the latency-bound regime a
-// disaggregated deployment lives in), prints one CSV row per point, and
-// reports the 8-vs-1-thread speedup on stderr. A single run with
-// explicit parameters:
-//
-//   loadgen --threads N [--server-threads N] [--shards N] [--ops N]
-//           [--batch N] [--value-size BYTES] [--get-ratio F] [--del-ratio F]
-//           [--skew THETA] [--keys N] [--service-us U] [--seed S]
-//
-// --qos runs the multi-tenant adversarial isolation scenario instead
-// (DESIGN.md §12): N small under-quota tenants plus one abusive tenant,
-// run once without and once with the abuser. Prints one per-tenant CSV
-// row per scenario (rt::qos_csv_header()), a summary on stderr, and
-// exits 1 if isolation breaks: small-tenant p99 degrades past
-// --isolation-factor, the abuser is shed by queue-full rejections
-// instead of Errc::overloaded, or any accounting invariant trips.
-//
-//   loadgen --qos [--tenants N] [--seed S] [--isolation-factor F]
-//
-// --net replays the same seed-deterministic streams over loopback TCP
-// against an rt::TcpServer (DESIGN.md §13) instead of calling into the
-// runtime in-process: N client threads x M pipelined connections each,
-// with request-id accounting. It runs --seeds S seeds (default 3),
-// prints one net CSV row per seed, and exits 1 if any response is lost
-// or duplicated, any transport error occurs, or throughput lands under
-// --min-ops-per-sec.
-//
-//   loadgen --net [--threads N] [--connections M] [--reactors R]
-//           [--ops N] [--seeds S] [--min-ops-per-sec F] [...stream flags]
-//
-// --netchaos runs the network chaos soak (DESIGN.md §15): the same
-// streams through a netio::ChaosProxy injecting resets, blackholes,
-// torn frames, corruption and delays, replayed by resilient clients.
-// Per seed it runs a faulted arm and a clean arm (proxy in the path,
-// faults off) and exits 1 if any acked op is lost or duplicated, any
-// read escapes the possibility model, accounting breaks, the clean
-// arm's digest differs from the in-process replay, or the faulted arm
-// injected no faults at all (a vacuous pass).
-//
-//   loadgen --netchaos [--threads N] [--ops N] [--seeds S] [--seed S]
-//
-// CSV schema: see rt::loadgen_csv_header(), rt::net_loadgen_csv_header(),
-// rt::net_chaos_csv_header() and EXPERIMENTS.md.
+//   (no mode flag)  thread-scaling sweep: 16384 ops at 1, 2, 4 and 8
+//                   client+server threads with a 200us service time per
+//                   op; prints the 8-vs-1 speedup. With --threads N,
+//                   one in-process run instead.
+//   --qos           adversarial isolation (DESIGN.md §12); exits 1 if a
+//                   small tenant's p99 degrades past --isolation-factor,
+//                   the abuser is not shed via Errc::overloaded, or the
+//                   accounting breaks.
+//   --net           socket transport (DESIGN.md §13), --seeds seeds;
+//                   exits 1 on a lost or duplicated response, a
+//                   transport error, or throughput under
+//                   --min-ops-per-sec.
+//   --netchaos      chaos transport (DESIGN.md §15), a faulted and a
+//                   clean arm per seed; exits 1 if rt::chaos_verdict
+//                   fails an arm or a faulted arm injected no faults.
+#include <cinttypes>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 
-#include "rt/loadgen.hpp"
-#include "rt/net_chaos.hpp"
-#include "rt/net_loadgen.hpp"
+#include "bench/loadgen_cli.hpp"
 
 using namespace memfss;
 
@@ -62,126 +32,104 @@ namespace {
 
 void usage(const char* argv0) {
   std::fprintf(stderr,
-               "usage: %s [--threads N] [--server-threads N] [--shards N]\n"
-               "          [--ops N] [--batch N] [--value-size BYTES]\n"
-               "          [--get-ratio F] [--del-ratio F] [--skew THETA]\n"
-               "          [--keys N] [--service-us U] [--seed S]\n"
-               "       %s --qos [--tenants N] [--seed S] [--isolation-factor F]\n"
-               "       %s --net [--connections M] [--reactors R] [--seeds S]\n"
-               "          [--min-ops-per-sec F] [...single-run flags]\n"
-               "       %s --netchaos [--threads N] [--ops N] [--seeds S] [--seed S]\n"
-               "With no arguments: thread-scaling sweep (1,2,4,8).\n",
-               argv0, argv0, argv0, argv0);
-}
-
-int run_net(rt::NetLoadgenOptions opt, std::size_t seeds,
-            double min_ops_per_sec) {
-  std::printf("%s\n", rt::net_loadgen_csv_header().c_str());
-  bool ok = true;
-  for (std::size_t s = 0; s < seeds; ++s) {
-    rt::NetLoadgenOptions o = opt;
-    o.base.seed = opt.base.seed + s;
-    const auto r = rt::run_net_loadgen(o);
-    std::printf("%s\n", rt::net_loadgen_csv_row(r).c_str());
-    std::fflush(stdout);
-    const std::uint64_t total = static_cast<std::uint64_t>(
-        o.base.client_threads) * o.base.ops_per_thread;
-    if (r.lost != 0 || r.duplicated != 0 || r.transport_errors != 0 ||
-        r.responses != total) {
-      std::fprintf(stderr,
-                   "net: FAIL seed %llu accounting: %llu/%llu answered, "
-                   "%llu lost, %llu duplicated, %llu transport errors\n",
-                   static_cast<unsigned long long>(o.base.seed),
-                   static_cast<unsigned long long>(r.responses),
-                   static_cast<unsigned long long>(total),
-                   static_cast<unsigned long long>(r.lost),
-                   static_cast<unsigned long long>(r.duplicated),
-                   static_cast<unsigned long long>(r.transport_errors));
-      ok = false;
-    }
-    if (min_ops_per_sec > 0.0 && r.ops_per_sec < min_ops_per_sec) {
-      std::fprintf(stderr, "net: FAIL seed %llu throughput %.0f < floor %.0f\n",
-                   static_cast<unsigned long long>(o.base.seed),
-                   r.ops_per_sec, min_ops_per_sec);
-      ok = false;
-    }
+               "usage: %s [--qos|--net|--netchaos] [--flag value]...\n"
+               "No mode flag: the in-process thread-scaling sweep (1,2,4,8);\n"
+               "with --threads, one in-process run. Flags, and the modes "
+               "that read them:\n",
+               argv0);
+  const char* modes[] = {"sweep", "single", "net", "netchaos", "qos"};
+  for (const loadgen::Flag& f : loadgen::kFlags) {
+    std::fprintf(stderr, "  %-20s", f.name);
+    for (unsigned m = 0; m < 5; ++m)
+      if (f.modes & (1u << m)) std::fprintf(stderr, " %s", modes[m]);
+    std::fprintf(stderr, "\n");
   }
-  if (ok)
-    std::fprintf(stderr, "net: OK (%zu seeds, zero lost/duplicated)\n", seeds);
-  return ok ? 0 : 1;
 }
 
-int run_netchaos(rt::NetChaosOptions base, std::size_t seeds) {
-  std::printf("%s\n", rt::net_chaos_csv_header().c_str());
+void print_rows(const char* scenario, const rt::DriverResult& r) {
+  for (std::size_t t = 0; t < r.tenants.size(); ++t)
+    std::printf("%s\n", rt::driver_csv_row(scenario, r, t).c_str());
+  std::fflush(stdout);
+}
+
+/// --net's checks: every request answered exactly once, no transport
+/// error, throughput over the floor. "" when the seed passed.
+std::string net_verdict(const loadgen::Cli& cli, rt::DriverResult& r) {
+  const rt::TenantResult& t = r.total;
+  char why[160] = "";
+  if (t.unanswered != 0 || r.duplicated != 0 || r.transport_errors != 0)
+    std::snprintf(why, sizeof(why),
+                  "accounting: %" PRIu64 "/%" PRIu64 " answered, %" PRIu64
+                  " lost, %" PRIu64 " duplicated, %" PRIu64 " transport errors",
+                  t.submitted - t.unanswered, t.submitted, t.unanswered,
+                  r.duplicated, r.transport_errors);
+  else if (cli.min_ops_per_sec > 0.0 && t.ops_per_sec < cli.min_ops_per_sec)
+    std::snprintf(why, sizeof(why), "throughput %.0f < floor %.0f",
+                  t.ops_per_sec, cli.min_ops_per_sec);
+  r.passed = why[0] == '\0';
+  return why;
+}
+
+/// --net (one run per seed) and --netchaos (a faulted and a clean arm
+/// per seed): exit 1 if any run fails its checks.
+int run_seeds(const loadgen::Cli& cli) {
+  const bool chaos = cli.mode == loadgen::kChaos;
+  const char* mode = chaos ? "netchaos" : "net";
   bool ok = true;
-  for (std::size_t s = 0; s < seeds; ++s) {
+  for (std::size_t s = 0; s < cli.seeds; ++s) {
     for (const bool faults : {true, false}) {
-      rt::NetChaosOptions o = base;
-      o.seed = base.seed + s;
+      if (!faults && !chaos) continue;
+      rt::DriverOptions o = cli.opt;
+      o.seed = cli.opt.seed + s;
       o.faults = faults;
-      o.plan = netio::ChaosPlan::faulty(o.seed);
-      const auto r = rt::run_net_chaos(o);
-      std::printf("%s\n", rt::net_chaos_csv_row(r).c_str());
-      std::fflush(stdout);
-      const char* arm = faults ? "faulted" : "clean";
-      if (!r.passed) {
-        std::fprintf(stderr, "netchaos: FAIL seed %llu (%s arm): %s\n",
-                     static_cast<unsigned long long>(o.seed), arm,
-                     r.fail_reason.c_str());
+      rt::DriverResult r = rt::run_driver(o);
+      const std::string why =
+          chaos ? rt::chaos_verdict(o, r) : net_verdict(cli, r);
+      print_rows(mode, r);
+      const char* arm = !chaos ? "" : faults ? " (faulted arm)" : " (clean arm)";
+      if (!why.empty()) {
+        std::fprintf(stderr, "%s: FAIL seed %" PRIu64 "%s: %s\n", mode, o.seed,
+                     arm, why.c_str());
         ok = false;
       }
+      if (!chaos) continue;
       // A faulted arm that injected nothing proves nothing.
-      const std::uint64_t injected = r.chaos.resets_injected +
-                                     r.chaos.blackholed +
-                                     r.chaos.chunks_corrupted +
-                                     r.chaos.chunks_torn;
+      const netio::ChaosStats& x = r.chaos;
+      const std::uint64_t injected = x.resets_injected + x.blackholed +
+                                     x.chunks_corrupted + x.chunks_torn;
       if (faults && injected == 0) {
         std::fprintf(stderr,
-                     "netchaos: FAIL seed %llu: no faults fired (vacuous)\n",
-                     static_cast<unsigned long long>(o.seed));
+                     "netchaos: FAIL seed %" PRIu64 ": no faults fired (vacuous)\n",
+                     o.seed);
         ok = false;
       }
       std::fprintf(stderr,
-                   "netchaos: seed %llu %s: %llu/%llu acked, %llu retries, "
-                   "%llu reconnects, %llu resets, %llu corrupt, p99 %.2fms\n",
-                   static_cast<unsigned long long>(o.seed), arm,
-                   static_cast<unsigned long long>(r.acked),
-                   static_cast<unsigned long long>(r.calls),
-                   static_cast<unsigned long long>(r.retries),
-                   static_cast<unsigned long long>(r.reconnects),
-                   static_cast<unsigned long long>(r.chaos.resets_injected),
-                   static_cast<unsigned long long>(r.chaos.chunks_corrupted),
-                   r.call_latency.p99 * 1e3);
+                   "netchaos: seed %" PRIu64 "%s: %" PRIu64 "/%" PRIu64
+                   " acked, %" PRIu64 " retries, %" PRIu64 " reconnects, %" PRIu64
+                   " resets, %" PRIu64 " corrupt, p99 %.2fms\n",
+                   o.seed, arm, r.total.submitted - r.total.unanswered,
+                   r.total.submitted, r.client.retries, r.client.reconnects,
+                   x.resets_injected, x.chunks_corrupted,
+                   r.total.latency.p99 * 1e3);
     }
   }
-  if (ok)
+  if (ok && chaos)
     std::fprintf(stderr,
                  "netchaos: OK (%zu seeds x 2 arms, zero lost/duplicated "
                  "acked ops)\n",
-                 seeds);
+                 cli.seeds);
+  if (ok && !chaos)
+    std::fprintf(stderr, "net: OK (%zu seeds, zero lost/duplicated)\n",
+                 cli.seeds);
   return ok ? 0 : 1;
 }
 
-int run_qos(std::size_t tenants, std::uint64_t seed, double factor) {
-  const auto opt = rt::default_qos_options(tenants, seed);
-  const auto sc = rt::run_qos_adversarial(opt);
-
-  std::printf("%s\n", rt::qos_csv_header().c_str());
-  for (const auto& tr : sc.baseline.tenants)
-    std::printf("%s\n", rt::qos_csv_row("baseline", tr).c_str());
-  for (const auto& tr : sc.adversarial.tenants) {
-    double iso = 0.0;
-    for (const auto& base : sc.baseline.tenants)
-      if (base.name == tr.name && base.latency.p99 > 0.0)
-        iso = tr.latency.p99 / base.latency.p99;
-    std::printf("%s\n", rt::qos_csv_row("adversarial", tr, iso).c_str());
-  }
-  std::fflush(stdout);
-
+int run_qos(const loadgen::Cli& cli) {
+  auto sc = rt::run_qos_adversarial(cli.opt);
   bool ok = true;
   std::fprintf(stderr, "qos: worst small-tenant p99 isolation: %.2fx (limit %.2fx)\n",
-               sc.worst_isolation, factor);
-  if (sc.worst_isolation > factor) {
+               sc.worst_isolation, cli.isolation_factor);
+  if (sc.worst_isolation > cli.isolation_factor) {
     std::fprintf(stderr, "qos: FAIL isolation factor exceeded\n");
     ok = false;
   }
@@ -195,104 +143,49 @@ int run_qos(std::size_t tenants, std::uint64_t seed, double factor) {
                    run->accounting_msg.c_str());
       ok = false;
     }
+  sc.baseline.passed = sc.adversarial.passed = ok;
+  print_rows("baseline", sc.baseline);
+  print_rows("adversarial", sc.adversarial);
   if (ok) std::fprintf(stderr, "qos: OK\n");
   return ok ? 0 : 1;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  rt::LoadgenOptions opt;
-  opt.service_time_us = 200;
-  opt.value_size = 1024;
-  opt.get_fraction = 0.5;
-  bool single = false;
-  bool qos = false;
-  bool net = false;
-  bool netchaos = false;
-  std::size_t qos_tenants = 8;
-  double isolation_factor = 5.0;
-  std::size_t net_connections = 2;
-  std::size_t net_reactors = 2;
-  std::size_t net_seeds = 3;
-  double min_ops_per_sec = 0.0;
-
-  for (int i = 1; i < argc; ++i) {
-    auto want = [&](const char* flag) {
-      if (std::strcmp(argv[i], flag) != 0) return false;
-      if (i + 1 >= argc) { usage(argv[0]); std::exit(2); }
-      return true;
-    };
-    if (std::strcmp(argv[i], "--qos") == 0) { qos = true; }
-    else if (std::strcmp(argv[i], "--net") == 0) { net = true; }
-    else if (std::strcmp(argv[i], "--netchaos") == 0) { netchaos = true; }
-    else if (want("--connections")) { net_connections = std::strtoul(argv[++i], nullptr, 10); }
-    else if (want("--reactors")) { net_reactors = std::strtoul(argv[++i], nullptr, 10); }
-    else if (want("--seeds")) { net_seeds = std::strtoul(argv[++i], nullptr, 10); }
-    else if (want("--min-ops-per-sec")) { min_ops_per_sec = std::strtod(argv[++i], nullptr); }
-    else if (want("--tenants")) { qos_tenants = std::strtoul(argv[++i], nullptr, 10); }
-    else if (want("--isolation-factor")) { isolation_factor = std::strtod(argv[++i], nullptr); }
-    else if (want("--threads")) { opt.client_threads = std::strtoul(argv[++i], nullptr, 10); opt.server_threads = opt.client_threads; single = true; }
-    else if (want("--server-threads")) { opt.server_threads = std::strtoul(argv[++i], nullptr, 10); }
-    else if (want("--shards")) { opt.shards = std::strtoul(argv[++i], nullptr, 10); }
-    else if (want("--ops")) { opt.ops_per_thread = std::strtoul(argv[++i], nullptr, 10); }
-    else if (want("--batch")) { opt.batch = std::strtoul(argv[++i], nullptr, 10); }
-    else if (want("--value-size")) { opt.value_size = std::strtoull(argv[++i], nullptr, 10); }
-    else if (want("--get-ratio")) { opt.get_fraction = std::strtod(argv[++i], nullptr); }
-    else if (want("--del-ratio")) { opt.del_fraction = std::strtod(argv[++i], nullptr); }
-    else if (want("--skew")) { opt.zipf_theta = std::strtod(argv[++i], nullptr); }
-    else if (want("--keys")) { opt.key_space = std::strtoul(argv[++i], nullptr, 10); }
-    else if (want("--service-us")) { opt.service_time_us = static_cast<std::uint32_t>(std::strtoul(argv[++i], nullptr, 10)); }
-    else if (want("--seed")) { opt.seed = std::strtoull(argv[++i], nullptr, 10); }
-    else { usage(argv[0]); return 2; }
-  }
-
-  if (qos) return run_qos(qos_tenants, opt.seed, isolation_factor);
-  if (netchaos) {
-    rt::NetChaosOptions copt;
-    copt.seed = opt.seed;
-    if (single) {
-      copt.client_threads = opt.client_threads;
-      copt.server_threads = opt.server_threads;
-    }
-    if (opt.ops_per_thread != rt::LoadgenOptions{}.ops_per_thread)
-      copt.ops_per_thread = opt.ops_per_thread;
-    copt.reactors = net_reactors;
-    return run_netchaos(copt, net_seeds);
-  }
-  if (net) {
-    rt::NetLoadgenOptions nopt;
-    nopt.base = opt;
-    nopt.connections_per_thread = net_connections;
-    nopt.reactors = net_reactors;
-    return run_net(nopt, net_seeds, min_ops_per_sec);
-  }
-
-  std::printf("%s\n", rt::loadgen_csv_header().c_str());
-
-  if (single) {
-    const auto r = rt::run_loadgen(opt);
-    std::printf("%s\n", rt::loadgen_csv_row(r).c_str());
-    return 0;
-  }
-
-  // Sweep: fixed total work (16k ops) redistributed over the thread
-  // counts so every point does the same job.
+// Sweep: fixed total work (16k ops) redistributed over the thread
+// counts so every point does the same job.
+int run_sweep(const loadgen::Cli& cli) {
   const std::size_t total_ops = 16384;
   double ops_1 = 0.0, ops_8 = 0.0;
   for (const std::size_t n : {1u, 2u, 4u, 8u}) {
-    rt::LoadgenOptions o = opt;
-    o.client_threads = n;
+    rt::DriverOptions o = cli.opt;
+    o.tenants[0].client_threads = n;
     o.server_threads = n;
-    o.ops_per_thread = total_ops / n;
-    const auto r = rt::run_loadgen(o);
-    std::printf("%s\n", rt::loadgen_csv_row(r).c_str());
-    std::fflush(stdout);
-    if (n == 1) ops_1 = r.ops_per_sec;
-    if (n == 8) ops_8 = r.ops_per_sec;
+    o.tenants[0].ops_per_thread = total_ops / n;
+    const auto r = rt::run_driver(o);
+    print_rows("loadgen", r);
+    if (n == 1) ops_1 = r.total.ops_per_sec;
+    if (n == 8) ops_8 = r.total.ops_per_sec;
   }
   const double speedup = ops_1 > 0.0 ? ops_8 / ops_1 : 0.0;
   std::fprintf(stderr, "loadgen: 8-thread vs 1-thread throughput: %.2fx\n",
                speedup);
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  loadgen::Cli cli;
+  if (!loadgen::parse_cli(argc, argv, cli)) {
+    usage(argv[0]);
+    return 2;
+  }
+  std::printf("%s\n", rt::driver_csv_header().c_str());
+  switch (cli.mode) {
+    case loadgen::kQos: return run_qos(cli);
+    case loadgen::kChaos:
+    case loadgen::kNet: return run_seeds(cli);
+    case loadgen::kSingle: print_rows("loadgen", rt::run_driver(cli.opt)); return 0;
+    case loadgen::kSweep: return run_sweep(cli);
+  }
+  return 2;
 }

@@ -74,31 +74,28 @@
 # build/.
 set -euo pipefail
 
-run_plain=1
-run_san=1
-run_cov=0
-run_perf=0
-run_chaos=0
-run_tsan=0
-run_qos=0
-run_net=0
-run_netchaos=0
-run_tier=0
-case "${1:-}" in
-  --plain-only) run_san=0 ;;
-  --sanitize-only) run_plain=0 ;;
-  --coverage) run_plain=0; run_san=0; run_cov=1 ;;
-  --perf) run_plain=0; run_san=0; run_perf=1 ;;
-  --chaos) run_plain=0; run_san=0; run_chaos=1 ;;
-  --tsan) run_plain=0; run_san=0; run_tsan=1 ;;
-  --qos) run_plain=0; run_san=0; run_qos=1 ;;
-  --net) run_plain=0; run_san=0; run_net=1 ;;
-  --netchaos) run_plain=0; run_san=0; run_netchaos=1 ;;
-  --tier) run_plain=0; run_san=0; run_tier=1 ;;
-  "") ;;
-  *) echo "usage: $0 [--plain-only|--sanitize-only|--coverage|--perf|--chaos|--tsan|--qos|--net|--netchaos|--tier]" >&2
-     exit 2 ;;
-esac
+# One row per mode: the phase it runs, as "function|phase name". With
+# no argument the plain and sanitized phases run, in that order.
+declare -A modes=(
+  [--plain-only]="do_plain|plain build + tests"
+  [--sanitize-only]="do_san|sanitized (address,undefined)"
+  [--coverage]="do_cov|coverage (gcov)"
+  [--perf]="do_perf|perf check (Release)"
+  [--tsan]="do_tsan|thread-sanitized concurrency suite"
+  [--net]="do_net|tcp serving path (--net)"
+  [--netchaos]="do_netchaos|network chaos soak (--netchaos)"
+  [--qos]="do_qos|qos adversarial isolation"
+  [--tier]="do_tier|tiered memory suite (--tier)"
+  [--chaos]="do_chaos|chaos soak (sanitized)"
+)
+if [[ $# -eq 0 ]]; then
+  selected=(--plain-only --sanitize-only)
+elif [[ -n ${modes[$1]+x} ]]; then
+  selected=("$1")
+else
+  echo "usage: $0 [--plain-only|--sanitize-only|--coverage|--perf|--chaos|--tsan|--qos|--net|--netchaos|--tier]" >&2
+  exit 2
+fi
 
 # Phase bookkeeping: every mode runs through phase(), and the EXIT trap
 # prints one PASS/FAIL line per attempted phase whatever happens (a
@@ -300,14 +297,7 @@ do_chaos() {
     ./build-san/bench/chaos_soak 1 2 3
 }
 
-[[ $run_plain -eq 1 ]] && phase "plain build + tests" do_plain
-[[ $run_san -eq 1 ]] && phase "sanitized (address,undefined)" do_san
-[[ $run_cov -eq 1 ]] && phase "coverage (gcov)" do_cov
-[[ $run_perf -eq 1 ]] && phase "perf check (Release)" do_perf
-[[ $run_tsan -eq 1 ]] && phase "thread-sanitized concurrency suite" do_tsan
-[[ $run_net -eq 1 ]] && phase "tcp serving path (--net)" do_net
-[[ $run_netchaos -eq 1 ]] && phase "network chaos soak (--netchaos)" do_netchaos
-[[ $run_qos -eq 1 ]] && phase "qos adversarial isolation" do_qos
-[[ $run_tier -eq 1 ]] && phase "tiered memory suite (--tier)" do_tier
-[[ $run_chaos -eq 1 ]] && phase "chaos soak (sanitized)" do_chaos
+for mode in "${selected[@]}"; do
+  phase "${modes[$mode]#*|}" "${modes[$mode]%%|*}"
+done
 true

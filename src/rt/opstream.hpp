@@ -1,12 +1,11 @@
-// Seed-deterministic op streams, factored out of the loadgen so every
-// harness that replays a workload -- the in-process closed loop
-// (rt::run_loadgen), the socket client (rt::run_net_loadgen), and the
-// sharded-store stress test -- generates the *identical* stream from
-// the same (seed, thread) pair. The result-digest folding lives here
-// too, so the in-process and over-the-wire replays of one stream can
-// be compared digest-for-digest: with one client thread, one worker,
-// and one connection, both paths must produce the same
-// `result_digest`.
+// Seed-deterministic op streams, shared by every harness that replays
+// a workload -- the load driver (rt::run_driver) over any of its
+// transports, and the sharded-store stress test -- so each generates
+// the *identical* stream from the same (seed, thread) pair. The
+// result-digest folding lives here too, so replays of one stream over
+// different transports can be compared digest-for-digest: with one
+// client thread, one worker, and one connection, the in-process and
+// socket runs must produce the same `result_digest`.
 //
 // Everything here is a pure function of its arguments: no clocks, no
 // globals, no platform-dependent iteration order.
@@ -30,8 +29,9 @@ struct GenOp {
   std::uint32_t key_index = 0;
 };
 
-/// The knobs that shape a stream -- a strict subset of LoadgenOptions,
-/// so the generator can be shared without dragging in server sizing.
+/// The knobs that shape a stream -- the stream-shaping subset of
+/// rt::DriverOptions, so the generator can be shared without dragging
+/// in server sizing.
 struct StreamOptions {
   std::uint64_t seed = 1;
   std::size_t ops_per_thread = 20000;
@@ -56,7 +56,7 @@ kvstore::Blob stream_value(Bytes size, std::uint32_t key_index,
                            std::size_t op_index);
 
 /// Fold one (op, result) pair into a running FNV-1a digest -- the
-/// digest contract shared by the in-process and socket replay paths:
+/// digest contract shared by every transport of the load driver:
 /// op type, key index, result code, and (for successful gets) the
 /// value checksum, in submission order.
 inline std::uint64_t fold_result(std::uint64_t digest, const GenOp& g,
@@ -69,8 +69,8 @@ inline std::uint64_t fold_result(std::uint64_t digest, const GenOp& g,
   return digest;
 }
 
-/// Combine per-thread digests in thread order (the final fold both
-/// replay paths report as `result_digest`).
+/// Combine per-thread digests in thread order (the final fold the load
+/// driver reports as `result_digest`).
 inline std::uint64_t combine_digests(const std::vector<std::uint64_t>& per_thread) {
   std::uint64_t digest = hash::fnv1a_seed();
   for (const std::uint64_t d : per_thread)

@@ -1,5 +1,6 @@
 #include "rt/tcp_server.hpp"
 
+#include <fcntl.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <sys/epoll.h>
@@ -134,6 +135,9 @@ struct TcpServer::Reactor {
   std::size_t index = 0;
   int epfd = -1;
   int listen_fd = -1;
+  /// Held open so an EMFILE/ENFILE accept can free one descriptor to
+  /// accept and drop the pending connection (see handle_accept).
+  int spare_fd = -1;
   std::shared_ptr<CompletionQueue> completions;
   std::unordered_map<std::uint64_t, std::unique_ptr<Conn>> conns;
   std::uint64_t next_conn_id = kFirstConnId;
@@ -145,6 +149,7 @@ struct TcpServer::Reactor {
 
   ~Reactor() {
     if (listen_fd >= 0) ::close(listen_fd);
+    if (spare_fd >= 0) ::close(spare_fd);
     if (epfd >= 0) ::close(epfd);
   }
 
@@ -335,7 +340,21 @@ struct TcpServer::Reactor {
           ::accept4(listen_fd, nullptr, nullptr, SOCK_NONBLOCK | SOCK_CLOEXEC);
       if (fd < 0) {
         if (errno == EINTR) continue;
-        return;  // EAGAIN or transient accept error: try again on epoll
+        if (errno != EMFILE && errno != ENFILE)
+          return;  // EAGAIN or transient accept error: try again on epoll
+        // Out of descriptors with connections still queued: the
+        // level-triggered listener would fire again at once and spin
+        // the reactor. Spend the spare fd to accept the oldest pending
+        // connection and close it, then take the spare back.
+        metrics().count("rt.net.accept_errors");
+        if (spare_fd < 0) spare_fd = ::open("/dev/null", O_RDONLY | O_CLOEXEC);
+        if (spare_fd < 0) return;
+        ::close(spare_fd);
+        const int dropped = ::accept4(listen_fd, nullptr, nullptr, SOCK_CLOEXEC);
+        if (dropped >= 0) ::close(dropped);
+        spare_fd = ::open("/dev/null", O_RDONLY | O_CLOEXEC);
+        if (dropped < 0) return;
+        continue;
       }
       int one = 1;
       ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
@@ -505,6 +524,7 @@ TcpServer::TcpServer(RuntimeServer& server, Options opt)
     r->index = i;
     r->listen_fd = make_listen_socket(port_, &port_, &err);
     if (r->listen_fd < 0) throw std::runtime_error("TcpServer: " + err);
+    r->spare_fd = ::open("/dev/null", O_RDONLY | O_CLOEXEC);
     r->epfd = ::epoll_create1(EPOLL_CLOEXEC);
     if (r->epfd < 0) throw std::runtime_error("TcpServer: epoll_create1");
     r->completions = std::make_shared<CompletionQueue>();

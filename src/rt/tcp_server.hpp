@@ -31,6 +31,13 @@
 // protocol-error frame (status invalid_argument, kFlagProtocolError)
 // and the connection is closed after it flushes.
 //
+// Descriptor exhaustion: when accept fails with EMFILE/ENFILE, the
+// reactor closes a spare descriptor it keeps for the purpose, accepts
+// the pending connection and closes it at once, then reopens the
+// spare. A full backlog is shed this way instead of leaving the
+// level-triggered listener readable, which would spin the reactor at
+// full CPU. Each failed accept counts in rt.net.accept_errors.
+//
 // Shutdown drains: stop accepting, keep serving until every connection
 // has zero in-flight ops and an empty write buffer (responses for
 // frames already on the wire still go out), then close; connections

@@ -1,5 +1,5 @@
-// Tests for the network chaos soak harness (rt::run_net_chaos,
-// DESIGN.md §15): the clean arm must be bit-identical to the in-process
+// Tests for the network chaos soak (the load driver's chaos transport
+// plus rt::chaos_verdict, DESIGN.md §15): the clean arm must be bit-identical to the in-process
 // replay, the faulted arm must hold its acked-op invariants while real
 // faults fire, and the CSV surface must stay consistent with its
 // header.
@@ -8,18 +8,15 @@
 #include <sstream>
 #include <string>
 
-#include "rt/net_chaos.hpp"
+#include "rt/driver.hpp"
 
 namespace memfss::rt {
 namespace {
 
-NetChaosOptions small_options(std::uint64_t seed, bool faults) {
-  NetChaosOptions opt;
-  opt.seed = seed;
-  opt.faults = faults;
-  opt.plan = netio::ChaosPlan::faulty(seed);
-  opt.client_threads = 2;
-  opt.ops_per_thread = 250;
+DriverOptions small_options(std::uint64_t seed, bool faults) {
+  DriverOptions opt = chaos_options(seed, faults);
+  opt.tenants[0].client_threads = 2;
+  opt.tenants[0].ops_per_thread = 250;
   opt.key_space = 48;
   return opt;
 }
@@ -33,13 +30,17 @@ std::size_t count_columns(const std::string& csv) {
 
 TEST(RtNetChaos, CleanArmReproducesInProcessDigest) {
   for (const std::uint64_t seed : {1ull, 2ull}) {
-    const NetChaosResult r = run_net_chaos(small_options(seed, false));
-    EXPECT_TRUE(r.passed) << "seed " << seed << ": " << r.fail_reason;
-    EXPECT_EQ(r.failed_calls, 0u) << "seed " << seed;
-    EXPECT_EQ(r.acked, r.calls) << "seed " << seed;
-    EXPECT_TRUE(r.digest_ok)
-        << "seed " << seed << ": wire digest " << r.read_digest
-        << " != oracle " << r.oracle_digest;
+    const DriverOptions opt = small_options(seed, false);
+    DriverResult r = run_driver(opt);
+    const std::string why = chaos_verdict(opt, r);
+    EXPECT_TRUE(why.empty()) << "seed " << seed << ": " << why;
+    EXPECT_EQ(r.total.unanswered, 0u) << "seed " << seed;  // failed calls
+    EXPECT_EQ(r.total.submitted - r.total.unanswered, r.total.submitted)
+        << "seed " << seed;  // acked == calls
+    ASSERT_TRUE(r.oracle_digest.has_value());
+    EXPECT_EQ(r.result_digest, *r.oracle_digest)
+        << "seed " << seed << ": wire digest " << r.result_digest
+        << " != oracle " << *r.oracle_digest;
     EXPECT_EQ(r.lost_acks, 0u);
     EXPECT_EQ(r.duplicated_acks, 0u);
     EXPECT_EQ(r.consistency_violations, 0u);
@@ -51,10 +52,12 @@ TEST(RtNetChaos, CleanArmReproducesInProcessDigest) {
 }
 
 TEST(RtNetChaos, FaultedRunHoldsAckedOpInvariants) {
-  const NetChaosResult r = run_net_chaos(small_options(1, true));
-  EXPECT_TRUE(r.passed) << r.fail_reason;
-  EXPECT_EQ(r.calls, 500u);
-  EXPECT_GT(r.acked, 0u);
+  const DriverOptions opt = small_options(1, true);
+  DriverResult r = run_driver(opt);
+  const std::string why = chaos_verdict(opt, r);
+  EXPECT_TRUE(why.empty()) << why;
+  EXPECT_EQ(r.total.submitted, 500u);  // calls
+  EXPECT_GT(r.total.submitted - r.total.unanswered, 0u);  // acked
   EXPECT_EQ(r.lost_acks, 0u);
   EXPECT_EQ(r.duplicated_acks, 0u);
   EXPECT_EQ(r.consistency_violations, 0u);
@@ -62,18 +65,22 @@ TEST(RtNetChaos, FaultedRunHoldsAckedOpInvariants) {
   // Integrity failures are allowed to *happen* under corruption -- they
   // must surface as retries/fatal calls, never as wrong data, which the
   // invariants above already pin down.
-  EXPECT_EQ(r.mismatched_ids, 0u);
-  EXPECT_EQ(r.value_checksum_failures, 0u);
+  EXPECT_EQ(r.client.mismatched_ids, 0u);
+  EXPECT_EQ(r.client.value_checksum_failures, 0u);
 }
 
 TEST(RtNetChaos, CsvRowMatchesHeader) {
-  const std::string header = net_chaos_csv_header();
-  const NetChaosResult r = run_net_chaos(small_options(4, false));
-  const std::string row = net_chaos_csv_row(r);
+  const std::string header = driver_csv_header();
+  const DriverOptions opt = small_options(4, false);
+  DriverResult r = run_driver(opt);
+  chaos_verdict(opt, r);
+  const std::string row = driver_csv_row("netchaos", r, 0);
   EXPECT_EQ(count_columns(row), count_columns(header));
-  std::istringstream first(row);
-  std::string seed;
-  std::getline(first, seed, ',');
+  // The seed column carries the arm's seed.
+  std::istringstream hs(header), rs(row);
+  std::string h, v, seed;
+  while (std::getline(hs, h, ',') && std::getline(rs, v, ','))
+    if (h == "seed") seed = v;
   EXPECT_EQ(seed, "4");
   EXPECT_NE(header.find("lost_acks"), std::string::npos);
   EXPECT_NE(header.find("digest_ok"), std::string::npos);

@@ -12,7 +12,7 @@
 #include <vector>
 
 #include "netio/client.hpp"
-#include "rt/loadgen.hpp"
+#include "rt/driver.hpp"
 #include "rt/server.hpp"
 #include "rt/tcp_server.hpp"
 #include "rt/tenant_registry.hpp"
@@ -549,24 +549,24 @@ TEST(QosShutdown, QueuedOpsFromEveryTenantResolveOnShutdown) {
 // --- End-to-end adversarial scenario (small) ------------------------------
 
 TEST(QosScenario, AbuserIsShedAndAccountingHolds) {
-  QosOptions opt = default_qos_options(2, 7);
+  DriverOptions opt = qos_options(2, 7);
   // Shrink to test size: a few hundred ops per tenant.
   for (auto& t : opt.tenants) {
     t.ops_per_thread = t.abusive ? 400 : 150;
     if (!t.abusive) t.pace_us = 300;
   }
   opt.service_time_us = 100;
-  const auto run = run_qos_scenario(opt);
+  const auto run = run_driver(opt);
   EXPECT_TRUE(run.accounting_ok) << run.accounting_msg;
   ASSERT_EQ(run.tenants.size(), opt.tenants.size());
   for (std::size_t i = 0; i < run.tenants.size(); ++i) {
     const auto& tr = run.tenants[i];
-    EXPECT_EQ(tr.submitted, tr.ok + tr.not_found + tr.rejected +
+    EXPECT_EQ(tr.submitted, tr.ok() + tr.not_found + tr.rejected +
                                 tr.overloaded + tr.errors)
         << tr.name;
     EXPECT_EQ(tr.errors, 0u) << tr.name;
     EXPECT_EQ(static_cast<std::uint64_t>(tr.latency.count),
-              tr.ok + tr.not_found)
+              tr.ok() + tr.not_found)
         << tr.name;  // shed ops stay out of the histogram
   }
   // The abuser offered far past its ops/s bucket: most of its traffic

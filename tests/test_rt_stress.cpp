@@ -15,8 +15,8 @@
 // closes shards mid-run so the eviction/unavailable paths race the
 // writers too.
 // Op streams come from the shared seed-deterministic generator
-// (rt/opstream.hpp) -- the same one the in-process loadgen and the
-// socket replay client use -- so the put/get/del mix here is the same
+// (rt/opstream.hpp) -- the same one the load driver replays over every
+// transport -- so the put/get/del mix here is the same
 // reproducible stream family every other harness replays; only the
 // evict/clear/close chaos stays locally randomized.
 #include <gtest/gtest.h>
@@ -42,7 +42,7 @@ constexpr Bytes kMaxValue = 512;
 constexpr Bytes kCap =
     kKeySpace * (kMaxValue + kvstore::Store::kPerKeyOverhead) / 3;
 
-/// Stream shape shared with the loadgen/socket harnesses: the put/get/
+/// Stream shape shared with the load driver: the put/get/
 /// del mix and key popularity are a pure function of (seed, thread).
 StreamOptions stress_stream(std::size_t ops) {
   StreamOptions s;

@@ -17,14 +17,22 @@
 //     response-kind frames is treated the same; AUTH gates ops.
 #include <gtest/gtest.h>
 
+#include <arpa/inet.h>
+#include <netinet/in.h>
+#include <sys/resource.h>
+#include <sys/socket.h>
+#include <sys/wait.h>
+#include <unistd.h>
+
 #include <atomic>
+#include <chrono>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "netio/client.hpp"
 #include "netio/frame.hpp"
-#include "rt/net_loadgen.hpp"
+#include "rt/driver.hpp"
 #include "rt/sharded_store.hpp"
 #include "rt/server.hpp"
 #include "rt/tcp_server.hpp"
@@ -122,25 +130,27 @@ TEST(RtTcp, AuthGatesOpsAndTokenSticksToConnection) {
 // The tentpole accounting property, in-test: multithreaded pipelined
 // clients over several reactors, every request answered exactly once.
 TEST(RtTcp, PipelinedMultithreadedClientsLoseNothing) {
-  NetLoadgenOptions opt;
-  opt.base.client_threads = 4;
-  opt.base.server_threads = 2;
-  opt.base.ops_per_thread = 3000;
-  opt.base.batch = 24;
-  opt.base.value_size = 256;
-  opt.base.del_fraction = 0.1;
-  opt.base.key_space = 512;
-  opt.base.seed = 42;
+  DriverOptions opt;
+  opt.transport = TransportKind::socket;
+  opt.tenants[0].client_threads = 4;
+  opt.server_threads = 2;
+  opt.tenants[0].ops_per_thread = 3000;
+  opt.tenants[0].batch = 24;
+  opt.value_size = 256;
+  opt.del_fraction = 0.1;
+  opt.key_space = 512;
+  opt.seed = 42;
   opt.connections_per_thread = 3;
   opt.reactors = 2;
-  const auto r = run_net_loadgen(opt);
+  const auto r = run_driver(opt);
+  const TenantResult& t = r.total;
   const std::uint64_t total = 4u * 3000u;
-  EXPECT_EQ(r.responses, total);
-  EXPECT_EQ(r.lost, 0u);
+  EXPECT_EQ(t.submitted - t.unanswered, total);  // responses
+  EXPECT_EQ(t.unanswered, 0u);                   // lost
   EXPECT_EQ(r.duplicated, 0u);
   EXPECT_EQ(r.transport_errors, 0u);
-  EXPECT_EQ(r.puts + r.gets + r.dels + r.not_found + r.rejected +
-                r.overloaded + r.errors,
+  EXPECT_EQ(t.puts + t.gets + t.dels + t.not_found + t.rejected +
+                t.overloaded + t.errors,
             total);
   EXPECT_GT(r.bytes_in, 0u);
   EXPECT_GT(r.bytes_out, 0u);
@@ -150,29 +160,29 @@ TEST(RtTcp, PipelinedMultithreadedClientsLoseNothing) {
 // connection -- the socket path must produce bit-identical results to
 // the in-process path for the same seed-deterministic stream.
 TEST(RtTcp, SingleThreadSocketReplayMatchesInProcessDigest) {
-  LoadgenOptions base;
-  base.client_threads = 1;
+  DriverOptions base;
+  base.tenants[0].client_threads = 1;
   base.server_threads = 1;
-  base.ops_per_thread = 4000;
-  base.batch = 16;
+  base.tenants[0].ops_per_thread = 4000;
+  base.tenants[0].batch = 16;
   base.value_size = 128;
   base.del_fraction = 0.15;
   base.key_space = 1024;
   for (const std::uint64_t seed : {3u, 17u}) {
     base.seed = seed;
-    const auto inproc = run_loadgen(base);
-    NetLoadgenOptions nopt;
-    nopt.base = base;
+    const auto inproc = run_driver(base);
+    DriverOptions nopt = base;
+    nopt.transport = TransportKind::socket;
     nopt.connections_per_thread = 1;
     nopt.reactors = 1;
-    const auto net = run_net_loadgen(nopt);
-    EXPECT_EQ(net.lost, 0u) << "seed " << seed;
+    const auto net = run_driver(nopt);
+    EXPECT_EQ(net.total.unanswered, 0u) << "seed " << seed;
     EXPECT_EQ(net.duplicated, 0u) << "seed " << seed;
     EXPECT_EQ(net.result_digest, inproc.result_digest) << "seed " << seed;
-    EXPECT_EQ(net.puts, inproc.puts) << "seed " << seed;
-    EXPECT_EQ(net.gets, inproc.gets) << "seed " << seed;
-    EXPECT_EQ(net.dels, inproc.dels) << "seed " << seed;
-    EXPECT_EQ(net.not_found, inproc.not_found) << "seed " << seed;
+    EXPECT_EQ(net.total.puts, inproc.total.puts) << "seed " << seed;
+    EXPECT_EQ(net.total.gets, inproc.total.gets) << "seed " << seed;
+    EXPECT_EQ(net.total.dels, inproc.total.dels) << "seed " << seed;
+    EXPECT_EQ(net.total.not_found, inproc.total.not_found) << "seed " << seed;
   }
 }
 
@@ -440,6 +450,83 @@ TEST(RtTcp, AbortedClientCountsAsReset) {
   ASSERT_TRUE(c2.connect(fx.tcp.port()).ok());
   ASSERT_TRUE(c2.set_recv_timeout(5.0).ok());
   auth_ok(c2);
+}
+
+// fd exhaustion: with RLIMIT_NOFILE=64 and a backlog of 200 pending
+// connections, accept4 fails with EMFILE while the level-triggered
+// listener stays readable. An idle server must not spin on it. The
+// server runs in a forked child so the lowered limit stays there; the
+// connections come from this process, whose limit is untouched.
+TEST(RtTcp, FdExhaustionDoesNotSpinTheReactor) {
+  int port_pipe[2], go_pipe[2], report_pipe[2];
+  ASSERT_EQ(::pipe(port_pipe), 0);
+  ASSERT_EQ(::pipe(go_pipe), 0);
+  ASSERT_EQ(::pipe(report_pipe), 0);
+  const pid_t pid = ::fork();
+  ASSERT_GE(pid, 0);
+  if (pid == 0) {
+    const rlimit lim{64, 64};
+    if (::setrlimit(RLIMIT_NOFILE, &lim) != 0) ::_exit(3);
+    ShardedStore store({4, 64u << 20, "rt"});
+    RuntimeServer server(store, {});
+    TcpServer tcp(server, {});
+    const std::uint16_t port = tcp.port();
+    char go = 0;
+    if (::write(port_pipe[1], &port, sizeof(port)) != sizeof(port) ||
+        ::read(go_pipe[0], &go, 1) != 1)
+      ::_exit(4);
+    // Let the server take what it can of the backlog, then measure an
+    // idle window.
+    std::this_thread::sleep_for(std::chrono::milliseconds(200));
+    auto cpu_s = [] {
+      rusage u{};
+      ::getrusage(RUSAGE_SELF, &u);
+      return static_cast<double>(u.ru_utime.tv_sec + u.ru_stime.tv_sec) +
+             static_cast<double>(u.ru_utime.tv_usec + u.ru_stime.tv_usec) *
+                 1e-6;
+    };
+    const double cpu0 = cpu_s();
+    const auto t0 = std::chrono::steady_clock::now();
+    std::this_thread::sleep_for(std::chrono::seconds(1));
+    const double wall = std::chrono::duration<double>(
+                            std::chrono::steady_clock::now() - t0)
+                            .count();
+    const double report[2] = {
+        (cpu_s() - cpu0) / wall,
+        static_cast<double>(
+            server.metrics().counter_value("rt.net.accept_errors"))};
+    const bool sent = ::write(report_pipe[1], report, sizeof(report)) ==
+                      static_cast<ssize_t>(sizeof(report));
+    ::_exit(sent ? 0 : 5);  // skip teardown: the limit makes it noisy
+  }
+  std::uint16_t port = 0;
+  ASSERT_EQ(::read(port_pipe[0], &port, sizeof(port)),
+            static_cast<ssize_t>(sizeof(port)));
+  std::vector<int> fds;
+  for (int i = 0; i < 200; ++i) {
+    const int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK, 0);
+    ASSERT_GE(fd, 0);
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_port = htons(port);
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    ::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr));
+    fds.push_back(fd);
+  }
+  ASSERT_EQ(::write(go_pipe[1], "g", 1), 1);
+  double report[2] = {1.0, 0.0};
+  const ssize_t got = ::read(report_pipe[0], report, sizeof(report));
+  int status = 0;
+  ASSERT_EQ(::waitpid(pid, &status, 0), pid);
+  for (const int fd : fds) ::close(fd);
+  for (const int* p : {port_pipe, go_pipe, report_pipe}) {
+    ::close(p[0]);
+    ::close(p[1]);
+  }
+  ASSERT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0) << status;
+  ASSERT_EQ(got, static_cast<ssize_t>(sizeof(report)));
+  EXPECT_LT(report[0], 0.05) << "server CPU share of wall time while idle";
+  EXPECT_GT(report[1], 0.0) << "rt.net.accept_errors";
 }
 
 }  // namespace
