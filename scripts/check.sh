@@ -16,8 +16,9 @@
 # data placement, so both stay fully tested.
 #
 # --perf builds Release in build-perf/, runs bench/perf_hotpath, and
-# fails if sim events/sec or the SIMD byte-pump rows (erasure GB/s, batch
-# hash MB/s) regress more than 20% against the committed
+# fails if sim events/sec, the SIMD byte-pump rows (erasure GB/s, batch
+# hash MB/s) or the netio codec rows (frame checksum MB/s, 1 KiB PUT
+# round-trips/s) regress more than 20% against the committed
 # BENCH_hotpath.json, or if RS(8,3) encode falls under 5x the committed
 # pre-SIMD scalar baseline (erasure_prepr) while a SIMD kernel is
 # selected. Only meaningful on the machine that produced the committed
@@ -177,7 +178,8 @@ do_perf() {
   fresh=$(mktemp)
   ./build-perf/bench/perf_hotpath "$fresh"
   # Compare the scalars least prone to run-to-run noise: event-loop
-  # throughput plus the byte-pump rows (coding GB/s, batch-hash MB/s).
+  # throughput, the byte-pump rows (coding GB/s, batch-hash MB/s) and
+  # the netio codec rows (checksum MB/s, 1 KiB PUT round-trips/s).
   # A >20% drop against any committed number is a regression, and the
   # SIMD encode path must hold >= 5x the committed pre-SIMD scalar
   # baseline whenever a vector kernel is active.
@@ -193,7 +195,9 @@ failures = []
 for bench, metric in [("sim", "events_per_sec"),
                       ("erasure", "rs_encode_GBps"),
                       ("erasure", "rs_decode_loss_GBps"),
-                      ("hash", "fnv_batch_MBps")]:
+                      ("hash", "fnv_batch_MBps"),
+                      ("netio", "checksum_1k_MBps"),
+                      ("netio", "codec_roundtrip_1k_per_sec")]:
     fresh = row(fresh_path, bench, metric)
     committed = row(committed_path, bench, metric)
     ratio = fresh / committed

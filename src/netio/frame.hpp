@@ -112,8 +112,9 @@ inline constexpr std::size_t kChecksumOffset = 2;
 
 /// The body integrity checksum: sum of `body[0..n)` with the two
 /// checksum bytes read as zero, mod 65521, 0 mapped to 0xFFFF (so a
-/// valid encoder never emits 0). Exposed for tests and for tools that
-/// patch frames in place.
+/// valid encoder never emits 0). One wide sum over every byte, minus
+/// the checksum field, reduced once. Exposed for tests and for tools
+/// that patch frames in place.
 std::uint16_t body_checksum(const std::uint8_t* body, std::size_t n);
 
 /// Serialize `f` (using the fields of its kind) and append to `out`.

@@ -117,6 +117,7 @@ struct Conn {
   std::vector<std::uint8_t> wbuf;
   std::size_t woff = 0;      ///< flushed prefix of wbuf
   std::size_t pending = 0;   ///< ops submitted, response not yet queued
+  std::size_t drain_frames = 0;  ///< responses appended by this drain
   std::string token;         ///< set by AUTH, used by every later op
   bool want_write = false;   ///< EPOLLOUT currently armed
   bool read_open = true;     ///< still accepting request frames
@@ -139,6 +140,10 @@ struct TcpServer::Reactor {
   /// accept and drop the pending connection (see handle_accept).
   int spare_fd = -1;
   std::shared_ptr<CompletionQueue> completions;
+  /// drain_completions scratch, kept to reuse capacity: the swapped-out
+  /// queue, and the connections that received responses this drain.
+  std::vector<std::pair<std::uint64_t, std::vector<std::uint8_t>>> drained;
+  std::vector<Conn*> touched;
   std::unordered_map<std::uint64_t, std::unique_ptr<Conn>> conns;
   std::uint64_t next_conn_id = kFirstConnId;
   std::atomic<bool> stopping{false};
@@ -183,6 +188,7 @@ struct TcpServer::Reactor {
       if (w > 0) {
         c.woff += static_cast<std::size_t>(w);
         c.last_activity = Clock::now();
+        metrics().count("rt.net.send_calls");
         metrics().count("rt.net.bytes_out", static_cast<std::uint64_t>(w));
         continue;
       }
@@ -382,23 +388,34 @@ struct TcpServer::Reactor {
     }
   }
 
+  /// Two passes so a connection gets one send() per drain, not one per
+  /// response: first append every completed response to its
+  /// connection's write buffer, then flush each touched connection once.
   void drain_completions() {
-    std::vector<std::pair<std::uint64_t, std::vector<std::uint8_t>>> items;
     {
       std::lock_guard lk(completions->mu);
-      items.swap(completions->items);
+      drained.swap(completions->items);
       std::uint64_t n = 0;
       [[maybe_unused]] const ssize_t r =
           ::read(completions->wake_fd, &n, sizeof(n));
     }
-    for (auto& [conn_id, bytes] : items) {
+    for (auto& [conn_id, bytes] : drained) {
       const auto it = conns.find(conn_id);
       if (it == conns.end()) continue;  // connection already gone
       Conn& c = *it->second;
       if (c.pending > 0) --c.pending;
-      c.last_activity = Clock::now();
+      if (c.drain_frames++ == 0) touched.push_back(&c);
       c.wbuf.insert(c.wbuf.end(), bytes.begin(), bytes.end());
-      metrics().count("rt.net.frames_out");
+    }
+    drained.clear();
+    // Closing one connection never frees another, so the pointers stay
+    // valid through this pass.
+    const auto now = Clock::now();
+    for (Conn* cp : touched) {
+      Conn& c = *cp;
+      metrics().count("rt.net.frames_out", c.drain_frames);
+      c.drain_frames = 0;
+      c.last_activity = now;
       if (!try_flush(c)) continue;
       // A client that pipelines requests but never drains responses
       // gets cut off -- its buffered responses must not pin memory.
@@ -409,6 +426,7 @@ struct TcpServer::Reactor {
       }
       maybe_close(c);
     }
+    touched.clear();
   }
 
   /// Close connections that have been silent past the idle timeout. A

@@ -12,6 +12,9 @@
 //      the decoder must always return need_more/frame/error and never
 //      read out of bounds (ASan is the referee) or allocate from a
 //      length prefix beyond its bound.
+//   4. Checksum equivalence: the wide-sum body_checksum equals a
+//      byte-at-a-time reference on every length and at the body bound,
+//      and one request and one response frame encode to pinned bytes.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -301,6 +304,94 @@ TEST(NetioCodec, SingleBitFlipNeverYieldsAFrame) {
   }
   EXPECT_GT(body_flips, 0u);
   EXPECT_GT(header_errors, 0u);
+}
+
+// The byte-at-a-time checksum the wire format was defined with: skip
+// the checksum field, sum, reduce whenever the u32 nears overflow. The
+// library computes one wide sum instead and must agree on every input.
+std::uint16_t reference_checksum(const std::uint8_t* body, std::size_t n) {
+  std::uint32_t sum = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    if (i == kChecksumOffset || i == kChecksumOffset + 1) continue;
+    sum += body[i];
+    if (sum >= 0xfff00000u) sum %= 65521u;
+  }
+  sum %= 65521u;
+  return sum == 0 ? 0xffffu : static_cast<std::uint16_t>(sum);
+}
+
+TEST(NetioCodec, ChecksumMatchesByteAtATimeReference) {
+  Rng rng(8);
+  // Random bodies of every length 0..4096, at every start alignment
+  // mod 8, so each vector-loop prologue and tail is covered.
+  std::vector<std::uint8_t> buf(4096 + 8);
+  for (std::size_t n = 0; n <= 4096; ++n) {
+    for (auto& b : buf) b = static_cast<std::uint8_t>(rng.next_u64());
+    const std::uint8_t* body = buf.data() + n % 8;
+    ASSERT_EQ(body_checksum(body, n), reference_checksum(body, n))
+        << "length " << n;
+  }
+  // Lengths 0-3 end inside (or before) the checksum field.
+  const std::uint8_t ff[4] = {0xff, 0xff, 0xff, 0xff};
+  for (std::size_t n = 0; n <= 3; ++n)
+    EXPECT_EQ(body_checksum(ff, n), reference_checksum(ff, n)) << n;
+  EXPECT_EQ(body_checksum(ff, 0), 0xffffu);  // empty sum maps to 0xFFFF
+  EXPECT_EQ(body_checksum(ff, 3), 510u);     // byte 2 is the field
+  // A sum that is an exact multiple of 65521 maps to 0xFFFF, not 0.
+  std::vector<std::uint8_t> ones(65521 + 2, 1);
+  ones[kChecksumOffset] = ones[kChecksumOffset + 1] = 0xab;
+  EXPECT_EQ(body_checksum(ones.data(), ones.size()), 0xffffu);
+  // All-0xFF at the decoder's body bound: the largest sum a frame can
+  // carry, far past the reference's u32 reduction point.
+  const std::vector<std::uint8_t> big(kDefaultMaxBody, 0xff);
+  EXPECT_EQ(body_checksum(big.data(), big.size()),
+            reference_checksum(big.data(), big.size()));
+}
+
+// The exact wire bytes of one request and one response frame. Any
+// change to the layout, the magics or the checksum value breaks this.
+TEST(NetioCodec, WireBytesArePinned) {
+  Frame q;
+  q.kind = Frame::Kind::request;
+  q.opcode = static_cast<std::uint8_t>(Opcode::put);
+  q.tenant = 7;
+  q.request_id = 0x0102030405060708ull;
+  q.key = "key-1";
+  q.value = {0xde, 0xad, 0xbe, 0xef};
+  const std::vector<std::uint8_t> q_wire = {
+      0x4d, 0x46, 0x51, 0x31, 0x21, 0x00, 0x00, 0x00, 0x01, 0x00, 0x14, 0x05,
+      0x07, 0x00, 0x00, 0x00, 0x08, 0x07, 0x06, 0x05, 0x04, 0x03, 0x02, 0x01,
+      0x05, 0x00, 0x00, 0x00, 0x04, 0x00, 0x00, 0x00, 0x6b, 0x65, 0x79, 0x2d,
+      0x31, 0xde, 0xad, 0xbe, 0xef};
+
+  Frame s;
+  s.kind = Frame::Kind::response;
+  s.status = 0;
+  s.flags = kFlagFound | kFlagHasSeq;
+  s.retry_after_us = 250;
+  s.request_id = 42;
+  s.seq = 9;
+  s.checksum = 0x1122334455667788ull;
+  s.value = {1, 2, 3};
+  s.value_size = 3;
+  const std::vector<std::uint8_t> s_wire = {
+      0x4d, 0x46, 0x53, 0x31, 0x2b, 0x00, 0x00, 0x00, 0x00, 0x03, 0xa0, 0x03,
+      0xfa, 0x00, 0x00, 0x00, 0x2a, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+      0x09, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x88, 0x77, 0x66, 0x55,
+      0x44, 0x33, 0x22, 0x11, 0x03, 0x00, 0x00, 0x00, 0x03, 0x00, 0x00, 0x00,
+      0x01, 0x02, 0x03};
+
+  EXPECT_EQ(encode(q), q_wire);
+  EXPECT_EQ(encode(s), s_wire);
+  FrameDecoder dec;
+  dec.feed(q_wire);
+  dec.feed(s_wire);
+  Frame out;
+  ASSERT_EQ(dec.next(out), Decode::frame);
+  EXPECT_EQ(out, q);
+  ASSERT_EQ(dec.next(out), Decode::frame);
+  EXPECT_EQ(out, s);
+  EXPECT_EQ(dec.next(out), Decode::need_more);
 }
 
 }  // namespace

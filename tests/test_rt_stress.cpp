@@ -11,14 +11,18 @@
 //      surviving keys.
 //
 // The cap is sized so out_of_memory rejections fire constantly
-// (exercising the reserve/release path), and a chaos thread clears and
-// closes shards mid-run so the eviction/unavailable paths race the
-// writers too.
+// (exercising the reserve/release path), and shards are cleared and
+// one is closed mid-run so the eviction/unavailable paths race the
+// writers too. That chaos is paced by total mutator progress -- the op
+// that brings the shared count to a multiple of kOpsPerClear clears a
+// shard, op kCloseAtOp closes one -- not by how often a separate thread
+// gets scheduled, so the clear-to-op ratio, and with it the cap
+// pressure, is the same under any thread timing, sanitizers included.
 // Op streams come from the shared seed-deterministic generator
 // (rt/opstream.hpp) -- the same one the load driver replays over every
 // transport -- so the put/get/del mix here is the same
 // reproducible stream family every other harness replays; only the
-// evict/clear/close chaos stays locally randomized.
+// value sizes and the evict interleave stay locally randomized.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -41,6 +45,9 @@ constexpr Bytes kMaxValue = 512;
 // Roughly a third of the worst-case live set: ooms are routine.
 constexpr Bytes kCap =
     kKeySpace * (kMaxValue + kvstore::Store::kPerKeyOverhead) / 3;
+// Chaos pacing, in ops counted across all mutator threads.
+constexpr std::uint64_t kOpsPerClear = 256;
+constexpr std::uint64_t kCloseAtOp = kThreads * kOpsPerThread / 4;
 
 /// Stream shape shared with the load driver: the put/get/
 /// del mix and key popularity are a pure function of (seed, thread).
@@ -58,6 +65,7 @@ TEST(RtStress, AccountingInvariantsUnderRacingMutators) {
   ShardedStore store({kShards, kCap, ""});
   std::atomic<std::uint64_t> cap_violations{0};
   std::atomic<std::uint64_t> ooms{0};
+  std::atomic<std::uint64_t> progress{0};  // mutator ops completed
 
   auto sample = [&] {
     // Relaxed sample mid-race: an underflow wraps Bytes to ~2^64 and an
@@ -84,32 +92,19 @@ TEST(RtStress, AccountingInvariantsUnderRacingMutators) {
         default: break;
       }
       if (rng.chance(0.10)) (void)store.evict(key);
-      sample();
-    }
-  };
-
-  std::atomic<bool> done{false};
-  auto chaos = [&] {
-    Rng rng(99);
-    std::size_t round = 0;
-    while (!done.load()) {
-      const auto victim = rng.uniform_u64(0, kShards - 1);
-      if (round % 3 == 0) (void)store.clear_shard(victim);
-      sample();
-      std::this_thread::yield();
-      ++round;
+      const std::uint64_t n = progress.fetch_add(1) + 1;
+      if (n % kOpsPerClear == 0)
+        (void)store.clear_shard((n / kOpsPerClear) % kShards);
       // One shard goes down for good mid-run; ops on it must fail
       // unavailable without disturbing anyone's accounting.
-      if (round == 50) store.close_shard(rng.uniform_u64(0, kShards - 1));
+      if (n == kCloseAtOp) store.close_shard(n % kShards);
+      sample();
     }
   };
 
   std::vector<std::thread> threads;
   for (std::size_t t = 0; t < kThreads; ++t) threads.emplace_back(mutator, t);
-  std::thread chaos_thread(chaos);
   for (auto& th : threads) th.join();
-  done.store(true);
-  chaos_thread.join();
 
   EXPECT_EQ(cap_violations.load(), 0u);
   EXPECT_GT(ooms.load(), 0u) << "cap never bound; stress has no teeth";

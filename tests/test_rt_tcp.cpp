@@ -10,6 +10,8 @@
 //   - slow-client eviction: a client that pipelines requests but never
 //     reads responses is disconnected once the server-side write
 //     buffer passes its bound;
+//   - write coalescing: responses completed together leave in one
+//     send(), so rt.net.send_calls stays below rt.net.frames_out;
 //   - graceful drain: shutdown() with frames in flight answers every
 //     one of them before the connection closes;
 //   - negative paths: malformed magic and oversized length prefixes
@@ -230,6 +232,48 @@ TEST(RtTcp, SlowClientIsEvicted) {
     if (!r.ok()) disconnected = true;
   }
   EXPECT_TRUE(disconnected);
+}
+
+// 1024 GETs pipelined in one write against one worker: every response
+// arrives exactly once, and the reactor hands responses that completed
+// together to one send() -- fewer send calls than frames out.
+TEST(RtTcp, PipelinedResponsesCoalesceIntoFewerSends) {
+  RuntimeServer::Options sopt;
+  sopt.threads = 1;
+  Fixture fx(sopt);
+  NetClient c;
+  ASSERT_TRUE(c.connect(fx.tcp.port()).ok());
+  ASSERT_TRUE(c.set_recv_timeout(30.0).ok());
+  auth_ok(c);
+  const std::vector<std::uint8_t> payload{7, 8, 9};
+  ASSERT_TRUE(c.send(NetClient::make_put(2, 0, "k", payload)).ok());
+  ASSERT_EQ(expect_recv(c).status, static_cast<std::uint8_t>(Errc::ok));
+
+  constexpr std::uint64_t kGets = 1024;
+  std::vector<std::uint8_t> wire;
+  for (std::uint64_t i = 0; i < kGets; ++i)
+    netio::encode_frame(NetClient::make_get(100 + i, 0, "k"), wire);
+  ASSERT_TRUE(c.send_raw(wire).ok());
+  std::vector<bool> answered(kGets, false);
+  for (std::uint64_t i = 0; i < kGets; ++i) {
+    auto r = c.recv();
+    ASSERT_TRUE(r.ok()) << "response " << i << " lost";
+    const Frame& f = r.value();
+    ASSERT_GE(f.request_id, 100u);
+    ASSERT_LT(f.request_id, 100u + kGets);
+    EXPECT_FALSE(answered[f.request_id - 100]) << "duplicated response";
+    answered[f.request_id - 100] = true;
+    EXPECT_EQ(f.status, static_cast<std::uint8_t>(Errc::ok));
+    EXPECT_EQ(f.value, payload);
+  }
+  // Stop the reactor so both counters are final before reading them.
+  fx.tcp.shutdown();
+  const auto& m = fx.server.metrics();
+  const std::uint64_t frames = m.counter_value("rt.net.frames_out");
+  const std::uint64_t sends = m.counter_value("rt.net.send_calls");
+  EXPECT_EQ(frames, kGets + 2);  // + AUTH and PUT
+  EXPECT_LE(sends, frames);
+  EXPECT_LT(sends, frames) << "no drain coalesced two responses";
 }
 
 // shutdown() with pipelined frames in flight: every submitted frame is
