@@ -29,6 +29,13 @@
 //   - netio.codec_roundtrip_1k_per_sec: encode one 1 KiB PUT frame and
 //     decode it back through a FrameDecoder.
 //
+// Erasure-coded store benches (DESIGN.md §14):
+//   - ec.put_64k_per_sec / get_64k_per_sec: rt::ec::put and get of
+//     64 KiB values, RS(4,2) over a ShardedStore, no sibling missing.
+//
+// Every byte-pump, codec and EC row is the best of five trials
+// (best_calls_per_sec): on a shared host single trials swing 30-50%.
+//
 // Output: BENCH_hotpath.json (or $MEMFSS_BENCH_OUT) with rows of
 //   {"bench", "metric", "value", "unit", "seed"}
 // -- the schema scripts/bench_perf.sh commits at the repo root so future
@@ -53,6 +60,8 @@
 #include "hash/hashes.hpp"
 #include "net/fabric.hpp"
 #include "netio/frame.hpp"
+#include "rt/ec.hpp"
+#include "rt/sharded_store.hpp"
 #include "sim/simulator.hpp"
 
 using namespace memfss;
@@ -182,6 +191,26 @@ void bench_simulator() {
        static_cast<double>(sim.executed_events()) / dt, "event/s");
 }
 
+/// Calls per second of `op(r)`: the best of five trials of at least
+/// 0.1 s each. Calls on a shared host are easily disturbed by other
+/// load; the fastest trial is the least disturbed.
+template <class Op>
+double best_calls_per_sec(Op&& op) {
+  std::size_t reps = 1;
+  double best = 0.0;
+  for (int trial = 0; trial < 5; ++trial) {
+    double dt = 0.0;
+    do {  // the first trial grows reps until the sample is long enough
+      if (trial == 0) reps *= 2;
+      const double t0 = now_sec();
+      for (std::size_t r = 0; r < reps; ++r) op(r);
+      dt = now_sec() - t0;
+    } while (trial == 0 && dt < 0.1);
+    best = std::max(best, static_cast<double>(reps) / dt);
+  }
+  return best;
+}
+
 // --- erasure: Reed-Solomon stripe coding GB/s --------------------------------
 
 void bench_erasure_kernel(const char* suffix,
@@ -192,24 +221,17 @@ void bench_erasure_kernel(const char* suffix,
   std::vector<std::uint8_t> data(1 << 20);
   for (auto& b : data) b = std::uint8_t(rng.next_u64());
 
-  // Encode into a caller-owned arena: the shape ec::put uses, so the
-  // number is pure coding cost, not allocator traffic.
+  // Encode into caller-owned buffers, as ec::put does, so the number
+  // is pure coding cost, not allocator traffic.
   const std::size_t ss = rs.shard_size(data.size());
   std::vector<std::uint8_t> arena((k + m) * ss);
   std::vector<std::uint8_t*> ptrs(k + m);
   for (std::size_t i = 0; i < k + m; ++i) ptrs[i] = arena.data() + i * ss;
-  std::size_t reps = 4;
-  double dt = 0.0;
-  do {  // grow reps until the sample is long enough to trust
-    reps *= 2;
-    const double t0 = now_sec();
-    for (std::size_t r = 0; r < reps; ++r)
-      if (!rs.encode_into(data, ptrs.data(), ss).ok()) std::exit(1);
-    dt = now_sec() - t0;
-  } while (dt < 0.2);
+  const double encodes = best_calls_per_sec([&](std::size_t) {
+    if (!rs.encode_into(data, ptrs.data(), ss).ok()) std::exit(1);
+  });
   emit("erasure", std::string("rs_encode") + suffix + "_GBps",
-       static_cast<double>(reps) * static_cast<double>(data.size()) / dt / 1e9,
-       "GB/s");
+       encodes * static_cast<double>(data.size()) / 1e9, "GB/s");
 
   // Decode with losses straddling data and parity: shards 0 and 2 (data)
   // and 9 (parity) gone, the worst-case repair read.
@@ -217,19 +239,11 @@ void bench_erasure_kernel(const char* suffix,
   lossy[0].clear();
   lossy[2].clear();
   lossy[9].clear();
-  reps = 2;
-  do {
-    reps *= 2;
-    const double t0 = now_sec();
-    for (std::size_t r = 0; r < reps; ++r) {
-      auto dec = rs.decode(lossy, data.size());
-      if (!dec.ok()) std::exit(1);
-    }
-    dt = now_sec() - t0;
-  } while (dt < 0.2);
+  const double decodes = best_calls_per_sec([&](std::size_t) {
+    if (!rs.decode(lossy, data.size()).ok()) std::exit(1);
+  });
   emit("erasure", std::string("rs_decode_loss") + suffix + "_GBps",
-       static_cast<double>(reps) * static_cast<double>(data.size()) / dt / 1e9,
-       "GB/s");
+       decodes * static_cast<double>(data.size()) / 1e9, "GB/s");
 }
 
 void bench_erasure() {
@@ -252,54 +266,21 @@ void bench_hash_batch() {
   std::vector<std::string_view> views(keys.begin(), keys.end());
   std::vector<std::uint64_t> out(n);
 
-  std::size_t reps = 8;
-  double dt = 0.0;
-  do {
-    reps *= 2;
-    const double t0 = now_sec();
-    for (std::size_t r = 0; r < reps; ++r) hash::fnv1a_many(views, out);
-    dt = now_sec() - t0;
-  } while (dt < 0.2);
+  const double batches =
+      best_calls_per_sec([&](std::size_t) { hash::fnv1a_many(views, out); });
   emit("hash", "fnv_batch_MBps",
-       static_cast<double>(reps) * static_cast<double>(bytes) / dt / 1e6,
-       "MB/s");
+       batches * static_cast<double>(bytes) / 1e6, "MB/s");
 
-  reps = 8;
-  do {
-    reps *= 2;
-    const double t0 = now_sec();
-    for (std::size_t r = 0; r < reps; ++r)
-      for (std::size_t i = 0; i < n; ++i) out[i] = hash::fnv1a(views[i]);
-    dt = now_sec() - t0;
-  } while (dt < 0.2);
+  const double loops = best_calls_per_sec([&](std::size_t) {
+    for (std::size_t i = 0; i < n; ++i) out[i] = hash::fnv1a(views[i]);
+  });
   volatile std::uint64_t sink = out[n - 1];
   (void)sink;
   emit("hash", "fnv_scalar_MBps",
-       static_cast<double>(reps) * static_cast<double>(bytes) / dt / 1e6,
-       "MB/s");
+       loops * static_cast<double>(bytes) / 1e6, "MB/s");
 }
 
 // --- netio: frame checksum MB/s and 1 KiB PUT codec round-trips -------------
-
-/// Calls per second of `op(r)`: the best of five trials of at least
-/// 0.1 s each. Sub-microsecond calls on a shared host are easily
-/// disturbed by other load; the fastest trial is the least disturbed.
-template <class Op>
-double best_calls_per_sec(Op&& op) {
-  std::size_t reps = 512;
-  double best = 0.0;
-  for (int trial = 0; trial < 5; ++trial) {
-    double dt = 0.0;
-    do {  // the first trial grows reps until the sample is long enough
-      if (trial == 0) reps *= 2;
-      const double t0 = now_sec();
-      for (std::size_t r = 0; r < reps; ++r) op(r);
-      dt = now_sec() - t0;
-    } while (trial == 0 && dt < 0.1);
-    best = std::max(best, static_cast<double>(reps) / dt);
-  }
-  return best;
-}
 
 void bench_netio() {
   Rng rng(kSeed);
@@ -331,6 +312,43 @@ void bench_netio() {
          if (dec.next(out) != netio::Decode::frame) std::exit(1);
        }),
        "frame/s");
+}
+
+// --- ec: erasure-coded put/get of 64 KiB values --------------------------
+
+void bench_ec() {
+  // RS(4,2) over a 16-shard ShardedStore: 64 keys preloaded, then puts
+  // rewrite them with pool payloads and gets read them back (the
+  // inproc_ec_64k value shape, with every sibling resident).
+  constexpr std::size_t kKeys = 64, kValue = 64 * 1024;
+  const std::string token = "perf";
+  const erasure::ReedSolomon rs(4, 2);
+  rt::ShardedStore store({16, 256 * units::MiB, token});
+  Rng rng(kSeed);
+  std::vector<kvstore::Blob> pool;
+  for (std::size_t i = 0; i < 8; ++i) {
+    std::vector<std::uint8_t> v(kValue);
+    for (auto& b : v) b = std::uint8_t(rng.next_u64());
+    pool.push_back(kvstore::Blob::materialized(std::move(v)));
+  }
+  std::vector<std::string> keys;
+  for (std::size_t k = 0; k < kKeys; ++k) {
+    keys.push_back("k" + std::to_string(k));
+    if (!rt::ec::put(store, token, keys[k], pool[k % pool.size()], rs).ok())
+      std::exit(1);
+  }
+  emit("ec", "put_64k_per_sec", best_calls_per_sec([&](std::size_t r) {
+         if (!rt::ec::put(store, token, keys[r % kKeys],
+                          pool[r % pool.size()], rs)
+                  .ok())
+           std::exit(1);
+       }),
+       "put/s");
+  emit("ec", "get_64k_per_sec", best_calls_per_sec([&](std::size_t r) {
+         auto got = rt::ec::get(store, token, keys[r % kKeys]);
+         if (!got.ok() || got.value().size() != kValue) std::exit(1);
+       }),
+       "get/s");
 }
 
 // --- macro: fig2-shaped dd bag -----------------------------------------------
@@ -382,6 +400,7 @@ int main(int argc, char** argv) {
   bench_erasure();
   bench_hash_batch();
   bench_netio();
+  bench_ec();
   bench_fig2_ddbag();
   write_json(out);
   return 0;

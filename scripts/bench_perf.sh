@@ -4,8 +4,8 @@
 #
 # The committed file holds two kinds of rows:
 #   - live rows (bench: "fabric", "placement", "sim", "erasure", "hash",
-#     "netio", "fig2_ddbag"): rewritten by this script from a fresh run on this
-#     machine;
+#     "netio", "ec", "fig2_ddbag"): rewritten by this script from a fresh
+#     run on this machine;
 #   - baseline rows (bench suffixed "_prepr"): the pre-optimization
 #     numbers captured when the hot-path work landed. They are *preserved*
 #     verbatim so the speedup over the original implementation stays

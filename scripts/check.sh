@@ -17,8 +17,9 @@
 #
 # --perf builds Release in build-perf/, runs bench/perf_hotpath, and
 # fails if sim events/sec, the SIMD byte-pump rows (erasure GB/s, batch
-# hash MB/s) or the netio codec rows (frame checksum MB/s, 1 KiB PUT
-# round-trips/s) regress more than 20% against the committed
+# hash MB/s), the netio codec rows (frame checksum MB/s, 1 KiB PUT
+# round-trips/s) or the EC rows (64 KiB RS(4,2) puts/s and gets/s)
+# regress more than 20% against the committed
 # BENCH_hotpath.json, or if RS(8,3) encode falls under 5x the committed
 # pre-SIMD scalar baseline (erasure_prepr) while a SIMD kernel is
 # selected. Only meaningful on the machine that produced the committed
@@ -178,8 +179,9 @@ do_perf() {
   fresh=$(mktemp)
   ./build-perf/bench/perf_hotpath "$fresh"
   # Compare the scalars least prone to run-to-run noise: event-loop
-  # throughput, the byte-pump rows (coding GB/s, batch-hash MB/s) and
-  # the netio codec rows (checksum MB/s, 1 KiB PUT round-trips/s).
+  # throughput, the byte-pump rows (coding GB/s, batch-hash MB/s), the
+  # netio codec rows (checksum MB/s, 1 KiB PUT round-trips/s) and the
+  # EC rows (64 KiB RS(4,2) puts/s and gets/s).
   # A >20% drop against any committed number is a regression, and the
   # SIMD encode path must hold >= 5x the committed pre-SIMD scalar
   # baseline whenever a vector kernel is active.
@@ -197,7 +199,9 @@ for bench, metric in [("sim", "events_per_sec"),
                       ("erasure", "rs_decode_loss_GBps"),
                       ("hash", "fnv_batch_MBps"),
                       ("netio", "checksum_1k_MBps"),
-                      ("netio", "codec_roundtrip_1k_per_sec")]:
+                      ("netio", "codec_roundtrip_1k_per_sec"),
+                      ("ec", "put_64k_per_sec"),
+                      ("ec", "get_64k_per_sec")]:
     fresh = row(fresh_path, bench, metric)
     committed = row(committed_path, bench, metric)
     ratio = fresh / committed

@@ -54,7 +54,7 @@ class ReedSolomon {
   /// bytes (disjoint from `data` and from each other). Data shards get
   /// the payload slices (zero-padded); parity shards are coded in one
   /// row pass each. This is the path the rt write path uses so a put
-  /// can code straight into its shard arena.
+  /// can code straight into its k+m sibling buffers.
   Status encode_into(std::span<const std::uint8_t> data,
                      std::uint8_t* const* shards, std::size_t ss) const;
 

@@ -32,42 +32,51 @@ std::uint64_t fnv1a(std::string_view bytes) {
 
 std::uint64_t key_digest(std::string_view key) { return fnv1a(key); }
 
+namespace {
+
+/// FNV-1a of `N` keys advanced in lockstep: each iteration advances N
+/// *independent* serial dependency chains one byte, so the multiplies
+/// pipeline instead of waiting on each other.
+template <std::size_t N>
+void fnv1a_lanes(const std::string_view* keys, std::uint64_t* out) {
+  constexpr std::uint64_t kPrime = 0x100000001b3ull;
+  std::uint64_t h[N];
+  std::size_t common = keys[0].size();
+#pragma GCC unroll 4
+  for (std::size_t j = 0; j < N; ++j) {
+    h[j] = fnv1a_seed();
+    common = std::min(common, keys[j].size());
+  }
+  for (std::size_t i = 0; i < common; ++i) {
+#pragma GCC unroll 4
+    for (std::size_t j = 0; j < N; ++j)
+      h[j] = (h[j] ^ static_cast<unsigned char>(keys[j][i])) * kPrime;
+  }
+  // Uneven tails finish serially (stripe/sibling keys in one batch
+  // share a prefix shape, so the common run covers nearly everything).
+#pragma GCC unroll 4
+  for (std::size_t j = 0; j < N; ++j) {
+    for (std::size_t i = common; i < keys[j].size(); ++i)
+      h[j] = (h[j] ^ static_cast<unsigned char>(keys[j][i])) * kPrime;
+    out[j] = h[j];
+  }
+}
+
+}  // namespace
+
 void fnv1a_many(std::span<const std::string_view> keys,
                 std::span<std::uint64_t> out) {
   assert(out.size() >= keys.size());
-  constexpr std::uint64_t kSeed = 0xcbf29ce484222325ull;
-  constexpr std::uint64_t kPrime = 0x100000001b3ull;
   std::size_t g = 0;
-  // Four interleaved chains: each iteration advances four *independent*
-  // serial dependency chains one byte, so the multiplies pipeline.
-  for (; g + 4 <= keys.size(); g += 4) {
-    const std::string_view k0 = keys[g], k1 = keys[g + 1];
-    const std::string_view k2 = keys[g + 2], k3 = keys[g + 3];
-    std::uint64_t h0 = kSeed, h1 = kSeed, h2 = kSeed, h3 = kSeed;
-    const std::size_t common =
-        std::min(std::min(k0.size(), k1.size()), std::min(k2.size(), k3.size()));
-    for (std::size_t i = 0; i < common; ++i) {
-      h0 = (h0 ^ static_cast<unsigned char>(k0[i])) * kPrime;
-      h1 = (h1 ^ static_cast<unsigned char>(k1[i])) * kPrime;
-      h2 = (h2 ^ static_cast<unsigned char>(k2[i])) * kPrime;
-      h3 = (h3 ^ static_cast<unsigned char>(k3[i])) * kPrime;
-    }
-    // Uneven tails finish serially (stripe/sibling keys in one batch
-    // share a prefix shape, so the common run covers nearly everything).
-    for (std::size_t i = common; i < k0.size(); ++i)
-      h0 = (h0 ^ static_cast<unsigned char>(k0[i])) * kPrime;
-    for (std::size_t i = common; i < k1.size(); ++i)
-      h1 = (h1 ^ static_cast<unsigned char>(k1[i])) * kPrime;
-    for (std::size_t i = common; i < k2.size(); ++i)
-      h2 = (h2 ^ static_cast<unsigned char>(k2[i])) * kPrime;
-    for (std::size_t i = common; i < k3.size(); ++i)
-      h3 = (h3 ^ static_cast<unsigned char>(k3[i])) * kPrime;
-    out[g] = h0;
-    out[g + 1] = h1;
-    out[g + 2] = h2;
-    out[g + 3] = h3;
+  for (; g + 4 <= keys.size(); g += 4) fnv1a_lanes<4>(&keys[g], &out[g]);
+  // The leftover group interleaves too: an RS(4,2) stripe is one group
+  // of four shards and one of two.
+  switch (keys.size() - g) {
+    case 3: fnv1a_lanes<3>(&keys[g], &out[g]); break;
+    case 2: fnv1a_lanes<2>(&keys[g], &out[g]); break;
+    case 1: out[g] = fnv1a(keys[g]); break;
+    default: break;
   }
-  for (; g < keys.size(); ++g) out[g] = fnv1a(keys[g]);
 }
 
 std::uint64_t fnv1a_decimal(std::uint64_t h, std::uint64_t value) {

@@ -31,9 +31,11 @@ std::uint64_t fnv1a(std::string_view bytes);
 /// the one-at-a-time call. Four independent hash chains are advanced in
 /// lockstep so the 64-bit multiply latency of one chain hides behind
 /// the other three -- FNV's byte-serial dependency chain is the
-/// throughput limiter, not memory. Requires out.size() >= keys.size().
+/// throughput limiter, not memory. A leftover group of two or three
+/// keys is interleaved the same way. Requires out.size() >= keys.size().
 /// This is the per-stripe-key digest path batched: hashing many sibling
-/// /stripe keys per call instead of one per lookup (DESIGN.md §14).
+/// /stripe keys per call instead of one per lookup, and the k+m shards
+/// of one erasure-coded put in one call (DESIGN.md §14).
 void fnv1a_many(std::span<const std::string_view> keys,
                 std::span<std::uint64_t> out);
 

@@ -3,6 +3,11 @@
 // accounting, used by cluster experiments where simulated datasets reach
 // hundreds of GB and holding real payloads would be absurd). Both kinds
 // carry a checksum so corruption tests work uniformly.
+//
+// A materialized blob's checksum is FNV-1a of its bytes, computed once
+// where the payload is born; copies carry it along, so later layers
+// (the erasure-coded manifest, DESIGN.md §14) reuse it instead of
+// hashing the bytes again.
 #pragma once
 
 #include <cstdint>
@@ -20,6 +25,11 @@ class Blob {
   /// A blob backed by real bytes.
   static Blob materialized(std::vector<std::uint8_t> bytes);
 
+  /// materialized() of every part, with the checksums computed in one
+  /// interleaved hash::fnv1a_many call (the k+m shards of a stripe).
+  static std::vector<Blob> materialized_many(
+      std::vector<std::vector<std::uint8_t>> parts);
+
   /// A size-only blob; `tag` stands in for the content (checksummed).
   static Blob ghost(Bytes size, std::uint64_t tag = 0);
 
@@ -31,6 +41,13 @@ class Blob {
   bool operator==(const Blob& o) const {
     return size_ == o.size_ && checksum_ == o.checksum_ && data_ == o.data_;
   }
+
+  /// Take `next`'s content into this blob's own buffer when both are
+  /// materialized and the same size, and return true; otherwise leave
+  /// this blob unchanged and return false (the caller then moves
+  /// `next` in). A store overwrite uses it so the resident buffer stays
+  /// where it was allocated (DESIGN.md §11).
+  bool overwrite_same_size(const Blob& next);
 
   /// Whether the stored checksum still matches the content. Ghost blobs
   /// are checksum-carrying only (nothing to recompute), so they always

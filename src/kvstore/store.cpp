@@ -17,6 +17,23 @@ Blob Blob::materialized(std::vector<std::uint8_t> bytes) {
   return b;
 }
 
+std::vector<Blob> Blob::materialized_many(
+    std::vector<std::vector<std::uint8_t>> parts) {
+  std::vector<std::string_view> views;
+  views.reserve(parts.size());
+  for (const auto& p : parts)
+    views.emplace_back(reinterpret_cast<const char*>(p.data()), p.size());
+  std::vector<std::uint64_t> sums(parts.size());
+  memfss::hash::fnv1a_many(views, sums);
+  std::vector<Blob> out(parts.size());
+  for (std::size_t i = 0; i < parts.size(); ++i) {
+    out[i].size_ = parts[i].size();
+    out[i].checksum_ = sums[i];
+    out[i].data_ = std::move(parts[i]);
+  }
+  return out;
+}
+
 Blob Blob::ghost(Bytes size, std::uint64_t tag) {
   Blob b;
   b.size_ = size;
@@ -29,6 +46,14 @@ bool Blob::verify() const {
   const auto actual = memfss::hash::fnv1a(
       {reinterpret_cast<const char*>(data_.data()), data_.size()});
   return actual == checksum_ && !corrupted_;
+}
+
+bool Blob::overwrite_same_size(const Blob& next) {
+  if (data_.empty() || next.data_.size() != data_.size()) return false;
+  std::copy(next.data_.begin(), next.data_.end(), data_.begin());
+  checksum_ = next.checksum_;
+  corrupted_ = next.corrupted_;
+  return true;
 }
 
 void Blob::corrupt_for_test() {
@@ -61,8 +86,15 @@ Status Store::put(std::string_view token, std::string_view key, Blob value) {
     return {Errc::out_of_memory, "store capacity exceeded"};
   stats_.bytes_in += value.size();
   used_ = used_ - outgoing + incoming;
-  map_[std::string(key)] = std::move(value);
+  assign(it, key, std::move(value));
   return {};
+}
+
+void Store::assign(Map::iterator it, std::string_view key, Blob value) {
+  if (it == map_.end())
+    map_.emplace(std::string(key), std::move(value));
+  else if (!it->second.overwrite_same_size(value))
+    it->second = std::move(value);
 }
 
 Result<Blob> Store::get(std::string_view token, std::string_view key) {
@@ -201,7 +233,7 @@ Status Store::restore(std::string_view key, Blob value) {
   if (used_ - outgoing + incoming > capacity_)
     return {Errc::out_of_memory, "store capacity exceeded"};
   used_ = used_ - outgoing + incoming;
-  map_[std::string(key)] = std::move(value);
+  assign(it, key, std::move(value));
   return {};
 }
 

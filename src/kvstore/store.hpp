@@ -53,7 +53,11 @@ class Store {
   bool closed() const { return closed_; }
 
   /// Store/overwrite a value. Fails with out_of_memory past the cap and
-  /// permission on a bad token.
+  /// permission on a bad token. A same-size overwrite of a materialized
+  /// value by a materialized value copies the bytes into the resident
+  /// buffer instead of replacing it (Blob::overwrite_same_size), so a
+  /// rewrite on another thread never frees the buffer into one malloc
+  /// arena and allocates its successor in another (DESIGN.md §11).
   Status put(std::string_view token, std::string_view key, Blob value);
 
   /// Fetch a value.
@@ -129,7 +133,12 @@ class Store {
   static constexpr Bytes kPerKeyOverhead = 64;
 
  private:
+  using Map = std::unordered_map<std::string, Blob>;
+
   Status check(std::string_view token) const;
+  /// Insert `value` at `it` (map_.end() = new key), overwriting in
+  /// place when the resident buffer can be reused.
+  void assign(Map::iterator it, std::string_view key, Blob value);
 
   struct HeatEntry {
     std::uint64_t counter = 0;  ///< decayed-to-`epoch` heat value
@@ -146,7 +155,7 @@ class Store {
   std::string token_;
   bool closed_ = false;
   Bytes used_ = 0;
-  std::unordered_map<std::string, Blob> map_;
+  Map map_;
   std::unordered_map<std::string, HeatEntry> heat_;
   std::uint64_t heat_seq_ = 0;
   mutable StoreStats stats_;

@@ -97,16 +97,18 @@ Status put(ShardedStore& store, std::string_view token, std::string_view key,
   }
 
   if (!bytes.empty()) {
-    // Code the whole stripe in one pass into a contiguous arena, then
-    // hand each shard slice to its own sibling key.
-    std::vector<std::uint8_t> arena(total * ss);
+    // Code straight into the k+m sibling buffers, checksum them in one
+    // interleaved pass, and move each into its own sibling key.
+    std::vector<std::vector<std::uint8_t>> parts(total);
     std::vector<std::uint8_t*> ptrs(total);
-    for (std::size_t i = 0; i < total; ++i) ptrs[i] = arena.data() + i * ss;
-    if (auto st = rs.encode_into(bytes, ptrs.data(), ss); !st.ok()) return st;
     for (std::size_t i = 0; i < total; ++i) {
-      std::vector<std::uint8_t> shard(ptrs[i], ptrs[i] + ss);
-      auto st = store.put(token, shard_key(key, i),
-                          kvstore::Blob::materialized(std::move(shard)),
+      parts[i].resize(ss);
+      ptrs[i] = parts[i].data();
+    }
+    if (auto st = rs.encode_into(bytes, ptrs.data(), ss); !st.ok()) return st;
+    auto shards = kvstore::Blob::materialized_many(std::move(parts));
+    for (std::size_t i = 0; i < total; ++i) {
+      auto st = store.put(token, shard_key(key, i), std::move(shards[i]),
                           nullptr, tenant);
       if (!st.ok()) {
         // Never leave a half-written stripe readable: roll this
@@ -117,8 +119,11 @@ Status put(ShardedStore& store, std::string_view token, std::string_view key,
     }
   }
 
+  // The manifest records the value's own checksum, computed where the
+  // payload was born, so a put hashes no payload bytes itself. A value
+  // whose bytes no longer match it reads back as corruption.
   const Manifest mf{rs.data_shards(), rs.parity_shards(), bytes.size(),
-                    payload_fnv(bytes)};
+                    bytes.empty() ? payload_fnv(bytes) : value.checksum()};
   if (auto st = store.put(token, manifest_key(key), encode_manifest(mf), seq,
                           tenant);
       !st.ok()) {
@@ -156,23 +161,21 @@ Result<kvstore::Blob> get(ShardedStore& store, std::string_view token,
 
     const std::size_t total = mf->k + mf->m;
     const std::size_t ss = (mf->len + mf->k - 1) / mf->k;
-    std::vector<std::vector<std::uint8_t>> shards(total);
+    std::vector<std::optional<kvstore::Blob>> shards(total);
     std::size_t data_present = 0;
     auto fetch = [&](std::size_t i) -> Errc {
       auto r = store.get(token, shard_key(key, i));
       if (r.code() == Errc::permission) return Errc::permission;
-      if (r.ok()) {
-        const auto b = r.value().bytes();
-        // A wrong-size sibling is a torn write: treat it as missing so
-        // it cannot poison the decode.
-        if (b.size() == ss) shards[i].assign(b.begin(), b.end());
-      }
+      // A wrong-size sibling is a torn write: treat it as missing so
+      // it cannot poison the decode.
+      if (r.ok() && r.value().bytes().size() == ss)
+        shards[i] = std::move(r).value();
       return Errc::ok;
     };
     for (std::size_t i = 0; i < mf->k; ++i) {
       if (fetch(i) == Errc::permission)
         return Error{Errc::permission, "bad token"};
-      if (!shards[i].empty()) ++data_present;
+      if (shards[i]) ++data_present;
     }
 
     std::vector<std::uint8_t> payload;
@@ -180,18 +183,24 @@ Result<kvstore::Blob> get(ShardedStore& store, std::string_view token,
       // Fast path: every data sibling survived; concatenate and trim.
       payload.reserve(mf->len);
       for (std::size_t i = 0; i < mf->k && payload.size() < mf->len; ++i) {
+        const auto b = shards[i]->bytes();
         const std::size_t n =
             std::min(ss, static_cast<std::size_t>(mf->len) - payload.size());
-        payload.insert(payload.end(), shards[i].begin(),
-                       shards[i].begin() + static_cast<std::ptrdiff_t>(n));
+        payload.insert(payload.end(), b.begin(),
+                       b.begin() + static_cast<std::ptrdiff_t>(n));
       }
     } else {
       // Slow path: pull in parity and reconstruct from any k survivors.
       for (std::size_t i = mf->k; i < total; ++i)
         if (fetch(i) == Errc::permission)
           return Error{Errc::permission, "bad token"};
+      std::vector<std::vector<std::uint8_t>> present(total);
+      for (std::size_t i = 0; i < total; ++i)
+        if (shards[i])
+          present[i].assign(shards[i]->bytes().begin(),
+                            shards[i]->bytes().end());
       const erasure::ReedSolomon coder(mf->k, mf->m);
-      auto dec = coder.decode(shards, mf->len);
+      auto dec = coder.decode(present, mf->len);
       if (!dec.ok()) {
         last = dec.error();
         continue;
@@ -200,8 +209,10 @@ Result<kvstore::Blob> get(ShardedStore& store, std::string_view token,
       if (reconstructed) *reconstructed = true;
     }
 
-    if (payload_fnv(payload) == mf->checksum)
-      return kvstore::Blob::materialized(std::move(payload));
+    // The one hash of the payload: materialized() computes it, and it
+    // must match the manifest's.
+    auto out = kvstore::Blob::materialized(std::move(payload));
+    if (out.checksum() == mf->checksum) return out;
     last = {Errc::corruption, "stripe checksum mismatch"};
   }
   return last.error();

@@ -17,13 +17,21 @@
 // data siblings and, when some were evicted or their shard closed,
 // reconstructs them from any k surviving siblings.
 //
+// Checksums: the manifest carries the value's own checksum
+// (Blob::checksum(), the FNV-1a computed where the payload was born), so
+// put() hashes no payload bytes itself; it codes straight into the k+m
+// sibling buffers and checksums them in one interleaved
+// Blob::materialized_many call. get() hashes the reassembled payload
+// exactly once, via Blob::materialized, and compares that with the
+// manifest on both the fast and the reconstruct path.
+//
 // Concurrency: one EC op issues several store ops, so composite ops are
-// not atomic. The manifest carries the payload's FNV-1a checksum and
-// get() verifies it after reassembly (retrying a torn read a couple of
-// times before reporting corruption); last-writer-wins applies at the
-// manifest. Concurrent writers to the *same* logical key can strand
-// stale siblings -- same-key write races are the caller's problem, as
-// they already are for plain puts.
+// not atomic. get() verifies the manifest checksum after reassembly
+// (retrying a torn read a couple of times before reporting
+// corruption); last-writer-wins applies at the manifest. Concurrent
+// writers to the *same* logical key can strand stale siblings --
+// same-key write races are the caller's problem, as they already are
+// for plain puts.
 #pragma once
 
 #include <cstdint>
@@ -56,6 +64,8 @@ kvstore::Blob encode_manifest(const Manifest& mf);
 std::optional<Manifest> parse_manifest(std::span<const std::uint8_t> bytes);
 
 /// Encode `value` (materialized) into k+m shard siblings + manifest.
+/// The manifest checksum is value.checksum(); a value whose bytes no
+/// longer match its checksum is stored, but reads back as corruption.
 /// On any sibling-put failure (tenant quota, aggregate cap, closed
 /// shard) the already-written siblings of this attempt are deleted and
 /// the error returned, so a failed put never leaves a readable

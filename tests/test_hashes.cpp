@@ -100,6 +100,48 @@ TEST(Fnv1aMany, MatchesSingleShotLargeUniformBatch) {
     ASSERT_EQ(out[i], fnv1a(views[i])) << i;
 }
 
+// The erasure-coded put checksums its k+m shards in one call: equal
+// 16 KiB inputs, from one key up to two full groups of four.
+TEST(Fnv1aMany, MatchesSingleShotEqualLengthShards) {
+  std::vector<std::string> shards(8, std::string(16 * 1024, '\0'));
+  for (std::size_t s = 0; s < shards.size(); ++s)
+    for (std::size_t i = 0; i < shards[s].size(); ++i)
+      shards[s][i] = char((i * 131 + s * 7919) ^ (i >> 9));
+  for (std::size_t n = 1; n <= shards.size(); ++n) {
+    std::vector<std::string_view> views(shards.begin(),
+                                        shards.begin() + std::ptrdiff_t(n));
+    std::vector<std::uint64_t> out(n, 0xDEAD);
+    fnv1a_many(views, out);
+    for (std::size_t i = 0; i < n; ++i)
+      ASSERT_EQ(out[i], fnv1a(views[i])) << "n=" << n << " i=" << i;
+  }
+}
+
+// Leftover groups of one, two and three keys after a full group, with
+// lengths that differ so every lane also runs a serial tail.
+TEST(Fnv1aMany, MatchesSingleShotMixedLengthTails) {
+  std::vector<std::string> pool;
+  for (std::size_t len : {4096u, 17u, 1000u, 3u, 2048u, 0u, 777u})
+    pool.push_back(std::string(len, char('a' + len % 26)) +
+                   std::to_string(len * 65537));
+  for (std::size_t tail = 1; tail <= 3; ++tail) {
+    const std::size_t n = 4 + tail;
+    std::vector<std::string_view> views(pool.begin(),
+                                        pool.begin() + std::ptrdiff_t(n));
+    std::vector<std::uint64_t> out(n, 0xDEAD);
+    fnv1a_many(views, out);
+    for (std::size_t i = 0; i < n; ++i)
+      ASSERT_EQ(out[i], fnv1a(views[i])) << "tail=" << tail << " i=" << i;
+    // The same tail on its own, with no full group in front.
+    std::vector<std::string_view> alone(views.end() - std::ptrdiff_t(tail),
+                                        views.end());
+    std::vector<std::uint64_t> out_alone(tail, 0xDEAD);
+    fnv1a_many(alone, out_alone);
+    for (std::size_t i = 0; i < tail; ++i)
+      ASSERT_EQ(out_alone[i], fnv1a(alone[i])) << "tail=" << tail;
+  }
+}
+
 TEST(Fnv1aMany, KnownVectors) {
   const std::vector<std::string_view> keys{"", "a", "foobar"};
   std::vector<std::uint64_t> out(3);

@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "common/rng.hpp"
+#include "hash/hashes.hpp"
 #include "rt/server.hpp"
 #include "rt/sharded_store.hpp"
 #include "rt/tenant_registry.hpp"
@@ -89,6 +90,56 @@ TEST(RtEc, PutGetRoundtripVariousSizes) {
         << len;
     EXPECT_FALSE(reconstructed) << len;  // nothing lost: fast path
   }
+}
+
+TEST(RtEc, ManifestChecksumIsPayloadFnvAndBytesArePinned) {
+  ShardedStore store(store_opts());
+  const erasure::ReedSolomon rs(4, 2);
+  std::vector<std::uint8_t> bytes(1000);
+  for (std::size_t i = 0; i < bytes.size(); ++i)
+    bytes[i] = std::uint8_t(i * 31 + 7);
+  ASSERT_TRUE(ec::put(store, "tok", "obj",
+                      kvstore::Blob::materialized(bytes), rs).ok());
+  auto raw = store.get("tok", ec::manifest_key("obj"));
+  ASSERT_TRUE(raw.ok());
+  const auto mf = ec::parse_manifest(raw.value().bytes());
+  ASSERT_TRUE(mf.has_value());
+  EXPECT_EQ(mf->checksum,
+            hash::fnv1a({reinterpret_cast<const char*>(bytes.data()),
+                         bytes.size()}));
+  // Magic, version, k, m, pad, little-endian length, little-endian FNV.
+  const std::vector<std::uint8_t> want{
+      'M',  'F',  'R',  'S',  1,    4,    2,    0,
+      0xe8, 0x03, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+      0x35, 0x2e, 0xa3, 0x67, 0x8c, 0x50, 0x9c, 0xa4};
+  EXPECT_TRUE(std::equal(want.begin(), want.end(),
+                         raw.value().bytes().begin(),
+                         raw.value().bytes().end()));
+
+  // An empty value has no bytes to carry a checksum: its manifest holds
+  // FNV-1a of the empty string, as it always has.
+  ASSERT_TRUE(ec::put(store, "tok", "empty", kvstore::Blob{}, rs).ok());
+  const auto empty =
+      ec::parse_manifest(store.get("tok", ec::manifest_key("empty"))
+                             .value().bytes());
+  ASSERT_TRUE(empty.has_value());
+  EXPECT_EQ(empty->checksum, 0xcbf29ce484222325ull);
+}
+
+TEST(RtEc, PutOfValueWithStaleChecksumReadsBackAsCorruption) {
+  // The manifest records the value's own checksum instead of rehashing
+  // the bytes, so a value whose bytes no longer match it is stored as
+  // given and every later read reports corruption rather than serving
+  // the damaged bytes as good.
+  ShardedStore store(store_opts());
+  const erasure::ReedSolomon rs(4, 2);
+  auto value = payload_blob(5000, 59);
+  value.corrupt_for_test();  // flips a byte, keeps the checksum
+  ASSERT_TRUE(ec::put(store, "tok", "obj", value, rs).ok());
+  EXPECT_EQ(ec::get(store, "tok", "obj").code(), Errc::corruption);
+  // Also when the read has to reconstruct.
+  ASSERT_TRUE(store.evict(ec::shard_key("obj", 1)).has_value());
+  EXPECT_EQ(ec::get(store, "tok", "obj").code(), Errc::corruption);
 }
 
 TEST(RtEc, StripeLayoutAndOverhead) {

@@ -87,6 +87,28 @@ TEST(ShardedStore, OverwriteAdjustsAggregateBothWays) {
   EXPECT_EQ(st.used(), 500 + kOverhead);
 }
 
+TEST(ShardedStore, SameSizeOverwriteKeepsResidentBuffer) {
+  ShardedStore st({4, 1 << 20, "tok"});
+  auto first = kvstore::Blob::materialized(std::vector<std::uint8_t>(4096, 1));
+  const auto* resident = first.bytes().data();  // moves keep the buffer
+  ASSERT_TRUE(st.put("tok", "k", std::move(first)).ok());
+  const Bytes used = st.used();
+  const auto second =
+      kvstore::Blob::materialized(std::vector<std::uint8_t>(4096, 2));
+  ASSERT_TRUE(st.put("tok", "k", second).ok());
+  EXPECT_EQ(st.used(), used);
+  EXPECT_EQ(st.used(), 4096 + kOverhead);
+  EXPECT_EQ(st.get("tok", "k").value(), second);
+  EXPECT_EQ(st.stats().puts, 2u);
+  EXPECT_EQ(st.stats().bytes_in, 8192u);
+  auto out = st.evict("k");
+  ASSERT_TRUE(out.has_value());
+  EXPECT_EQ(out->bytes().data(), resident);
+  EXPECT_EQ(*out, second);
+  EXPECT_TRUE(out->verify());
+  EXPECT_EQ(st.used(), 0u);
+}
+
 TEST(ShardedStore, FailedPutReleasesReservation) {
   ShardedStore st({2, 1 << 20, "tok"});
   EXPECT_EQ(st.put("bad", "k", kvstore::Blob::ghost(1000, 1)).code(),

@@ -26,6 +26,30 @@ TEST(Blob, GhostProperties) {
   EXPECT_FALSE(Blob::ghost(1 << 20, 43) == g);
 }
 
+TEST(Blob, MaterializedManyMatchesOneAtATime) {
+  // Six 16 KiB shards (an RS(4,2) stripe of a 64 KiB value), then odd
+  // sizes including an empty part.
+  std::vector<std::vector<std::uint8_t>> parts;
+  for (std::size_t s = 0; s < 6; ++s) {
+    std::vector<std::uint8_t> p(16 * 1024);
+    for (std::size_t i = 0; i < p.size(); ++i)
+      p[i] = std::uint8_t(i * 37 + s * 101);
+    parts.push_back(std::move(p));
+  }
+  parts.push_back({});
+  parts.push_back({1, 2, 3, 4, 5, 6, 7});
+  parts.push_back({9, 9, 9});
+  const auto many = Blob::materialized_many(parts);
+  ASSERT_EQ(many.size(), parts.size());
+  for (std::size_t i = 0; i < parts.size(); ++i) {
+    const auto one = Blob::materialized(parts[i]);
+    EXPECT_EQ(many[i].size(), one.size()) << i;
+    EXPECT_EQ(many[i].checksum(), one.checksum()) << i;
+    EXPECT_TRUE(many[i] == one) << i;  // size, checksum and bytes
+    EXPECT_TRUE(many[i].verify()) << i;
+  }
+}
+
 TEST(Store, PutGetRoundtrip) {
   Store st(1 << 20, "tok");
   ASSERT_TRUE(st.put("tok", "k", bytes_blob("v")).ok());
@@ -67,6 +91,73 @@ TEST(Store, OverwriteReusesSpace) {
   EXPECT_TRUE(st.put("t", "a", Blob::ghost(10)).ok());
   EXPECT_TRUE(st.put("t", "a", Blob::ghost(4)).ok());
   EXPECT_EQ(st.used(), Store::kPerKeyOverhead + 4);
+}
+
+// A same-size overwrite of a materialized value copies into the
+// resident buffer: the bytes stay where they were first allocated.
+TEST(Store, SameSizeOverwriteReusesResidentBuffer) {
+  Store st(1 << 20, "t");
+  ASSERT_TRUE(st.put("t", "k", bytes_blob("aaaa")).ok());
+  const auto* resident = st.peek("k")->bytes().data();
+  const Bytes used = st.used();
+  ASSERT_TRUE(st.put("t", "k", bytes_blob("bbbb")).ok());
+  const Blob* now = st.peek("k");
+  EXPECT_EQ(now->bytes().data(), resident);
+  EXPECT_EQ(*now, bytes_blob("bbbb"));  // size, checksum and bytes
+  EXPECT_TRUE(now->verify());
+  EXPECT_EQ(st.used(), used);
+  EXPECT_EQ(st.key_count(), 1u);
+  EXPECT_EQ(st.stats().puts, 2u);
+  EXPECT_EQ(st.stats().bytes_in, 8u);
+  EXPECT_EQ(st.get("t", "k").value(), bytes_blob("bbbb"));
+
+  // restore() takes the same path.
+  ASSERT_TRUE(st.restore("k", bytes_blob("cccc")).ok());
+  EXPECT_EQ(st.peek("k")->bytes().data(), resident);
+  EXPECT_EQ(*st.peek("k"), bytes_blob("cccc"));
+  EXPECT_EQ(st.used(), used);
+}
+
+TEST(Store, OtherOverwritesReplaceTheValue) {
+  Store st(1 << 20, "t");
+  ASSERT_TRUE(st.put("t", "k", bytes_blob("aaaa")).ok());
+  // Different size.
+  ASSERT_TRUE(st.put("t", "k", bytes_blob("bbbbbb")).ok());
+  EXPECT_EQ(*st.peek("k"), bytes_blob("bbbbbb"));
+  EXPECT_EQ(st.used(), Store::kPerKeyOverhead + 6);
+  // Materialized -> ghost of the same size.
+  ASSERT_TRUE(st.put("t", "k", Blob::ghost(6, 1)).ok());
+  EXPECT_TRUE(st.peek("k")->is_ghost());
+  EXPECT_EQ(*st.peek("k"), Blob::ghost(6, 1));
+  // Ghost -> ghost, then ghost -> materialized, both of the same size.
+  ASSERT_TRUE(st.put("t", "k", Blob::ghost(6, 2)).ok());
+  EXPECT_EQ(*st.peek("k"), Blob::ghost(6, 2));
+  ASSERT_TRUE(st.restore("k", bytes_blob("cccccc")).ok());
+  EXPECT_FALSE(st.peek("k")->is_ghost());
+  EXPECT_EQ(*st.peek("k"), bytes_blob("cccccc"));
+  EXPECT_EQ(st.used(), Store::kPerKeyOverhead + 6);
+}
+
+TEST(Store, CorruptedValuesOverwriteAsBefore) {
+  Store st(1 << 20, "t");
+  ASSERT_TRUE(st.put("t", "k", bytes_blob("aaaa")).ok());
+  ASSERT_TRUE(st.corrupt_for_test("k").ok());
+  EXPECT_FALSE(st.peek("k")->verify());
+  // A good same-size value heals the key.
+  ASSERT_TRUE(st.put("t", "k", bytes_blob("bbbb")).ok());
+  EXPECT_TRUE(st.peek("k")->verify());
+  EXPECT_EQ(*st.peek("k"), bytes_blob("bbbb"));
+  // A corrupted same-size value stays detectably corrupt.
+  Blob bad = bytes_blob("cccc");
+  bad.corrupt_for_test();
+  ASSERT_TRUE(st.put("t", "k", bad).ok());
+  EXPECT_FALSE(st.peek("k")->verify());
+  EXPECT_EQ(*st.peek("k"), bad);
+  // Corrupted ghosts keep failing verify() across a ghost overwrite.
+  Blob ghost = Blob::ghost(4, 3);
+  ghost.corrupt_for_test();
+  ASSERT_TRUE(st.put("t", "k", ghost).ok());
+  EXPECT_FALSE(st.peek("k")->verify());
 }
 
 TEST(Store, DeleteFreesSpace) {
