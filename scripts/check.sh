@@ -30,7 +30,8 @@
 # the multithreaded runtime suite (src/rt) plus the network chaos
 # suites. TSan is mutually exclusive with ASan, so this is a separate
 # mode rather than part of the default sanitize pass; only the
-# concurrency targets are built since the single-threaded sim suite has
+# concurrency_tests target (every test tests/CMakeLists.txt labels
+# `concurrency`) is built since the single-threaded sim suite has
 # nothing for TSan to find.
 #
 # --qos runs the adversarial multi-tenant isolation scenario
@@ -76,28 +77,37 @@
 # build/.
 set -euo pipefail
 
-# One row per mode: the phase it runs, as "function|phase name". With
-# no argument the plain and sanitized phases run, in that order.
-declare -A modes=(
-  [--plain-only]="do_plain|plain build + tests"
-  [--sanitize-only]="do_san|sanitized (address,undefined)"
-  [--coverage]="do_cov|coverage (gcov)"
-  [--perf]="do_perf|perf check (Release)"
-  [--tsan]="do_tsan|thread-sanitized concurrency suite"
-  [--net]="do_net|tcp serving path (--net)"
-  [--netchaos]="do_netchaos|network chaos soak (--netchaos)"
-  [--qos]="do_qos|qos adversarial isolation"
-  [--tier]="do_tier|tiered memory suite (--tier)"
-  [--chaos]="do_chaos|chaos soak (sanitized)"
+# One row per mode: "flag|function|phase name". With no argument the
+# plain and sanitized phases run, in that order.
+modes=(
+  "--plain-only|do_plain|plain build + tests"
+  "--sanitize-only|do_san|sanitized (address,undefined)"
+  "--coverage|do_cov|coverage (gcov)"
+  "--perf|do_perf|perf check (Release)"
+  "--chaos|do_chaos|chaos soak (sanitized)"
+  "--tsan|do_tsan|thread-sanitized concurrency suite"
+  "--qos|do_qos|qos adversarial isolation"
+  "--net|do_net|tcp serving path (--net)"
+  "--netchaos|do_netchaos|network chaos soak (--netchaos)"
+  "--tier|do_tier|tiered memory suite (--tier)"
 )
-if [[ $# -eq 0 ]]; then
-  selected=(--plain-only --sanitize-only)
-elif [[ -n ${modes[$1]+x} ]]; then
-  selected=("$1")
-else
-  echo "usage: $0 [--plain-only|--sanitize-only|--coverage|--perf|--chaos|--tsan|--qos|--net|--netchaos|--tier]" >&2
+usage() {
+  local IFS='|'
+  echo "usage: $0 [${modes[*]%%|*}]" >&2
   exit 2
-fi
+}
+case $# in
+  0) selected=(--plain-only --sanitize-only) ;;
+  1) selected=("$1") ;;
+  *) usage ;;
+esac
+rows=()
+for flag in "${selected[@]}"; do
+  for row in "${modes[@]}"; do
+    [[ ${row%%|*} == "$flag" ]] && rows+=("$row")
+  done
+done
+[[ ${#rows[@]} -eq ${#selected[@]} ]] || usage
 
 # Phase bookkeeping: every mode runs through phase(), and the EXIT trap
 # prints one PASS/FAIL line per attempted phase whatever happens (a
@@ -131,53 +141,62 @@ phase() {
   phase_results[$((${#phase_results[@]} - 1))]="PASS"
 }
 
-# MEMFSS_WERROR stays off: GCC 12's libstdc++ emits -Wrestrict false
-# positives from std::string concatenation at -O2, which -Werror turns
-# into hard errors unrelated to this codebase.
+# One row per build tree: "dir|cmake flags|runtime env". The sanitized
+# trees carry the env their binaries run under: abort_on_error gives
+# ctest a hard failure instead of a hang on leak reports; detect_leaks
+# stays on (the sim owns everything by value). MEMFSS_WERROR stays off
+# where set: GCC 12's libstdc++ emits -Wrestrict false positives from
+# std::string concatenation at -O2, which -Werror turns into hard errors
+# unrelated to this codebase.
+declare -A trees=(
+  [plain]="build|-DMEMFSS_WERROR=OFF|"
+  [san]="build-san|-DCMAKE_BUILD_TYPE=Debug -DMEMFSS_SANITIZE=address,undefined|ASAN_OPTIONS=abort_on_error=1 UBSAN_OPTIONS=halt_on_error=1"
+  [cov]="build-cov|-DCMAKE_BUILD_TYPE=Debug -DMEMFSS_WERROR=OFF -DMEMFSS_COVERAGE=ON|"
+  [perf]="build-perf|-DCMAKE_BUILD_TYPE=Release -DMEMFSS_WERROR=OFF|"
+  [tsan]="build-tsan|-DCMAKE_BUILD_TYPE=Debug -DMEMFSS_WERROR=OFF -DMEMFSS_SANITIZE=thread|TSAN_OPTIONS=halt_on_error=1"
+)
+
+# build_tree <row> [targets...]: configure the row's tree and build the
+# targets (everything when none are named). Leaves $dir and $envs set;
+# the phase runs its binaries as `env $envs ...`.
+build_tree() {
+  local flags
+  IFS='|' read -r dir flags envs <<<"${trees[$1]}"
+  shift
+  cmake -B "$dir" -G Ninja $flags
+  cmake --build "$dir" ${1:+--target} "$@"
+}
+
 do_plain() {
-  cmake -B build -G Ninja -DMEMFSS_WERROR=OFF
-  cmake --build build
-  ctest --test-dir build --output-on-failure
+  build_tree plain
+  ctest --test-dir "$dir" --output-on-failure
 }
 
 do_san() {
-  cmake -B build-san -G Ninja \
-    -DCMAKE_BUILD_TYPE=Debug \
-    -DMEMFSS_SANITIZE=address,undefined
-  cmake --build build-san
-  # abort_on_error gives ctest a hard failure instead of a hang on leak
-  # reports; detect_leaks stays on (the sim owns everything by value).
-  ASAN_OPTIONS=abort_on_error=1 UBSAN_OPTIONS=halt_on_error=1 \
-    ctest --test-dir build-san --output-on-failure
+  build_tree san
+  env $envs ctest --test-dir "$dir" --output-on-failure
   # Second arm of the GF(2^8) dispatch: rerun the coding/hash/EC suites
   # with the env override pinning the portable kernel, so both sides of
   # the runtime dispatch stay sanitized (DESIGN.md §14).
   echo "== sanitized rerun, MEMFSS_FORCE_SCALAR=1 =="
-  MEMFSS_FORCE_SCALAR=1 \
-  ASAN_OPTIONS=abort_on_error=1 UBSAN_OPTIONS=halt_on_error=1 \
-    ctest --test-dir build-san --output-on-failure \
-      -R 'GF256|ReedSolomon|Fnv|Hrw|RtEc'
+  env MEMFSS_FORCE_SCALAR=1 $envs ctest --test-dir "$dir" --output-on-failure \
+    -R 'GF256|ReedSolomon|Fnv|Hrw|RtEc'
 }
 
 do_cov() {
-  cmake -B build-cov -G Ninja \
-    -DCMAKE_BUILD_TYPE=Debug \
-    -DMEMFSS_WERROR=OFF \
-    -DMEMFSS_COVERAGE=ON
-  cmake --build build-cov
+  build_tree cov
   # Stale .gcda from a previous run would inflate the numbers.
-  find build-cov -name '*.gcda' -delete
-  ctest --test-dir build-cov --output-on-failure
-  python3 scripts/coverage_report.py build-cov --require src/obs=90 \
+  find "$dir" -name '*.gcda' -delete
+  ctest --test-dir "$dir" --output-on-failure
+  python3 scripts/coverage_report.py "$dir" --require src/obs=90 \
     --require src/kvstore/tier=90 --require src/exp/tier=90
 }
 
 do_perf() {
-  cmake -B build-perf -G Ninja -DCMAKE_BUILD_TYPE=Release -DMEMFSS_WERROR=OFF
-  cmake --build build-perf --target perf_hotpath
+  build_tree perf perf_hotpath
   local fresh
   fresh=$(mktemp)
-  ./build-perf/bench/perf_hotpath "$fresh"
+  "$dir/bench/perf_hotpath" "$fresh"
   # Compare the scalars least prone to run-to-run noise: event-loop
   # throughput, the byte-pump rows (coding GB/s, batch-hash MB/s), the
   # netio codec rows (checksum MB/s, 1 KiB PUT round-trips/s) and the
@@ -231,81 +250,56 @@ EOF
 }
 
 do_tsan() {
-  cmake -B build-tsan -G Ninja \
-    -DCMAKE_BUILD_TYPE=Debug \
-    -DMEMFSS_WERROR=OFF \
-    -DMEMFSS_SANITIZE=thread
-  # Build only the concurrency-labeled test binaries; the rest of the
-  # tree is single-threaded and not what this pass is for.
-  cmake --build build-tsan --target \
-    test_rt_sharded_store test_rt_server test_rt_linearizability \
-    test_rt_stress test_rt_loadgen test_rt_qos test_rt_tcp test_rt_ec \
-    test_netio_chaos test_rt_net_chaos
-  TSAN_OPTIONS=halt_on_error=1 \
-    ctest --test-dir build-tsan -L concurrency --output-on-failure
+  build_tree tsan concurrency_tests
+  env $envs ctest --test-dir "$dir" -L concurrency --output-on-failure
 }
 
 do_net() {
-  cmake -B build -G Ninja -DMEMFSS_WERROR=OFF
-  cmake --build build --target test_netio_codec test_rt_tcp loadgen
-  ctest --test-dir build --output-on-failure -R 'NetioCodec|RtTcp'
+  build_tree plain test_netio_codec test_rt_tcp loadgen
+  ctest --test-dir "$dir" --output-on-failure -R 'NetioCodec|RtTcp'
   # Loopback smoke: 4 client threads x 2 pipelined connections over 2
   # reactors, 3 seeds; loadgen exits nonzero on any lost/duplicated
   # response or if throughput lands under the sanity floor (loopback
   # with zero service time clears 20k ops/s with an order of magnitude
   # to spare on any host).
-  ./build/bench/loadgen --net --threads 4 --ops 5000 --service-us 0 \
+  "$dir/bench/loadgen" --net --threads 4 --ops 5000 --service-us 0 \
     --connections 2 --reactors 2 --seeds 3 --min-ops-per-sec 20000
 }
 
 do_netchaos() {
-  cmake -B build-san -G Ninja \
-    -DCMAKE_BUILD_TYPE=Debug \
-    -DMEMFSS_SANITIZE=address,undefined
-  cmake --build build-san --target loadgen test_netio_chaos test_rt_net_chaos
+  build_tree san loadgen test_netio_chaos test_rt_net_chaos
   # The focused suites first (proxy transparency, torn frames, breaker,
   # corruption-never-surfaces), then the 3-seed soak: faulted + clean
   # arm per seed, acked-op invariants and digest checks inside.
-  ASAN_OPTIONS=abort_on_error=1 UBSAN_OPTIONS=halt_on_error=1 \
-    ctest --test-dir build-san --output-on-failure -R 'NetioChaos|RtNetChaos'
-  ASAN_OPTIONS=abort_on_error=1 UBSAN_OPTIONS=halt_on_error=1 \
-    ./build-san/bench/loadgen --netchaos --seeds 3 --ops 600
+  env $envs ctest --test-dir "$dir" --output-on-failure \
+    -R 'NetioChaos|RtNetChaos'
+  env $envs "$dir/bench/loadgen" --netchaos --seeds 3 --ops 600
 }
 
 do_qos() {
-  cmake -B build -G Ninja -DMEMFSS_WERROR=OFF
-  cmake --build build --target loadgen
+  build_tree plain loadgen
   local seed
   for seed in 1 2 3; do
     echo "-- qos seed $seed --"
-    ./build/bench/loadgen --qos --tenants 8 --seed "$seed" \
+    "$dir/bench/loadgen" --qos --tenants 8 --seed "$seed" \
       --isolation-factor 5.0
   done
 }
 
 do_tier() {
-  cmake -B build-san -G Ninja \
-    -DCMAKE_BUILD_TYPE=Debug \
-    -DMEMFSS_SANITIZE=address,undefined
-  cmake --build build-san --target test_tiering test_tiering_props \
-    tier_pressure
-  ASAN_OPTIONS=abort_on_error=1 UBSAN_OPTIONS=halt_on_error=1 \
-    ctest --test-dir build-san --output-on-failure \
-      -R 'Tiering|TieringFs|TierPressure|HeatDecay|HeatOrder'
-  ASAN_OPTIONS=abort_on_error=1 UBSAN_OPTIONS=halt_on_error=1 \
-    ./build-san/bench/tier_pressure 1 2 3
+  build_tree san test_tiering test_tiering_props tier_pressure
+  env $envs ctest --test-dir "$dir" --output-on-failure \
+    -R 'Tiering|TieringFs|TierPressure|HeatDecay|HeatOrder'
+  env $envs "$dir/bench/tier_pressure" 1 2 3
 }
 
 do_chaos() {
-  cmake -B build-san -G Ninja \
-    -DCMAKE_BUILD_TYPE=Debug \
-    -DMEMFSS_SANITIZE=address,undefined
-  cmake --build build-san --target chaos_soak
-  ASAN_OPTIONS=abort_on_error=1 UBSAN_OPTIONS=halt_on_error=1 \
-    ./build-san/bench/chaos_soak 1 2 3
+  build_tree san chaos_soak
+  env $envs "$dir/bench/chaos_soak" 1 2 3
 }
 
-for mode in "${selected[@]}"; do
-  phase "${modes[$mode]#*|}" "${modes[$mode]%%|*}"
+for row in "${rows[@]}"; do
+  IFS='|' read -r _ fn name <<<"$row"
+  phase "$name" "$fn"
 done
 true

@@ -221,8 +221,7 @@ ChaosSoakRow run_chaos_soak(const ChaosSoakOptions& opt) {
   Scenario sc(p);
   sc.fs().set_fault_tuning(opt.rpc_timeout, opt.failure_detect_delay,
                            opt.revocation_grace);
-  sc.fs().set_resilience_tuning(opt.breaker_failure_threshold,
-                                opt.breaker_cooldown, opt.hedge_quantile,
+  sc.fs().set_resilience_tuning(opt.breaker, opt.hedge_quantile,
                                 opt.hedge_min_samples);
   cluster::FaultInjector inj(sc.sim(), sc.cluster());
   sc.fs().attach_fault_injector(inj);

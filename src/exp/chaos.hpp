@@ -67,8 +67,7 @@ struct ChaosSoakOptions {
   SimTime rpc_timeout = 0.25;
   SimTime failure_detect_delay = 0.2;
   SimTime revocation_grace = 2.0;
-  int breaker_failure_threshold = 3;
-  SimTime breaker_cooldown = 0.5;
+  BreakerConfig breaker{3, 0.5};
   double hedge_quantile = 0.95;
   std::uint64_t hedge_min_samples = 32;
 };

@@ -40,23 +40,6 @@ std::string shard_key(const std::string& stripe, std::size_t j) {
   return stripe + ".s" + std::to_string(j);
 }
 
-/// Exponential backoff with deterministic jitter. The jitter derives from
-/// (key, attempt) -- not from a shared RNG -- so retry timing is a pure
-/// function of the failure pattern and runs stay seed-reproducible while
-/// concurrent retries on different stripes still de-synchronize.
-SimTime backoff_delay(const FileSystemConfig& cfg, std::string_view key,
-                      int attempt) {
-  SimTime d = cfg.retry_backoff * static_cast<double>(1u << std::min(attempt, 20));
-  d = std::min(d, cfg.retry_backoff_max);
-  const double u = static_cast<double>(
-                       hash::mix64(hash::key_digest(key),
-                                   0x9e3779b9u + static_cast<std::uint64_t>(
-                                                     attempt)) >>
-                       11) *
-                   0x1.0p-53;
-  return d * (1.0 + cfg.retry_jitter * u);
-}
-
 }  // namespace
 
 void Client::record_stripe_op(const char* hist, const char* span, SimTime t0,
@@ -181,7 +164,9 @@ sim::Task<> Client::put_stripe_copy(const ClassHrwPolicy& policy,
     if (attempt > 0) {
       ++fs_->counters().write_retries;
       fs_->cluster().obs().metrics.counter("fs.write.retries").inc();
-      co_await sim.delay(backoff_delay(cfg, store_key, attempt - 1));
+      co_await sim.delay(backoff_delay(cfg.retry_backoff, cfg.retry_backoff_max,
+                                       attempt - 1,
+                                       backoff_draw(store_key, attempt - 1)));
     }
     // Fresh placement every attempt: a crash between attempts moved the
     // target (membership removal reshuffles HRW).
@@ -517,7 +502,9 @@ sim::Task<Result<kvstore::Blob>> Client::probe_ranked(
     ++fs_->counters().read_retries;
     fs_->cluster().obs().metrics.counter("fs.read.retries").inc();
     if (round + 1 < rounds)
-      co_await sim.delay(backoff_delay(cfg, key, round));
+      co_await sim.delay(backoff_delay(cfg.retry_backoff,
+                                       cfg.retry_backoff_max, round,
+                                       backoff_draw(key, round)));
   }
   co_return Error{Errc::not_found, key};
 }

@@ -19,9 +19,7 @@ FileSystem::FileSystem(cluster::Cluster& cluster, FileSystemConfig config)
     : cluster_(cluster),
       config_(std::move(config)),
       meta_(cluster, config_.own_nodes, config_.metadata_costs),
-      health_(BreakerConfig{config_.breaker_failure_threshold,
-                            config_.breaker_cooldown},
-              &cluster.obs()) {
+      health_(config_.breaker, &cluster.obs()) {
   assert(!config_.own_nodes.empty());
   membership_.set_members(kOwnClass, config_.own_nodes);
   epochs_.push_back(PlacementEpoch{0, {{kOwnClass, 0.0}}});
@@ -449,16 +447,13 @@ void FileSystem::detect_failure(NodeId node) {
   cluster_.sim().spawn(run_targeted_repair(std::move(pf.affected), pf.at));
 }
 
-void FileSystem::set_resilience_tuning(int breaker_failure_threshold,
-                                       SimTime breaker_cooldown,
+void FileSystem::set_resilience_tuning(BreakerConfig breaker,
                                        double hedge_quantile,
                                        std::uint64_t hedge_min_samples) {
-  config_.breaker_failure_threshold = breaker_failure_threshold;
-  config_.breaker_cooldown = breaker_cooldown;
+  config_.breaker = breaker;
   config_.hedge_quantile = hedge_quantile;
   config_.hedge_min_samples = hedge_min_samples;
-  health_.set_config(
-      BreakerConfig{breaker_failure_threshold, breaker_cooldown});
+  health_.set_config(breaker);
 }
 
 SimTime FileSystem::hedge_delay() const {

@@ -75,7 +75,6 @@ struct FileSystemConfig {
   int max_retries = 4;             ///< probe/put rounds before giving up
   SimTime retry_backoff = 0.02;    ///< first retry delay; doubles per round
   SimTime retry_backoff_max = 0.5; ///< backoff ceiling
-  double retry_jitter = 0.5;       ///< deterministic jitter fraction on backoff
   /// Time between a node dying and the filesystem acting on it (membership
   /// removal + targeted repair). Clients that time out on the node first
   /// accelerate detection via report_suspect.
@@ -85,14 +84,13 @@ struct FileSystemConfig {
   SimTime revocation_grace = 5.0;
 
   // --- partition tolerance (per-server health, client resilience) ----------
-  /// Consecutive connectivity faults (timeout / unreachable / unavailable /
-  /// io_error) that open a node's circuit breaker; 0 disables breakers
-  /// entirely (the default -- fault-naive runs behave bit-identically to
-  /// builds without them).
-  int breaker_failure_threshold = 0;
-  /// Open -> half-open probe delay. While open, client requests to the
-  /// node fail locally with Errc::rejected at zero simulated cost.
-  SimTime breaker_cooldown = 1.0;
+  /// Per-node circuit breakers: `failure_threshold` consecutive
+  /// connectivity faults (timeout / unreachable / unavailable / io_error)
+  /// open a node's breaker; 0 disables breakers entirely (the default --
+  /// fault-naive runs behave bit-identically to builds without them).
+  /// While open (`cooldown` seconds), client requests to the node fail
+  /// locally with Errc::rejected at zero simulated cost.
+  BreakerConfig breaker{};
   /// Hedged reads: when the primary replica has not answered after this
   /// latency quantile of fs.read_stripe.latency, fire the same get at the
   /// next replica and take whichever answers first. 0 disables (default).
@@ -104,7 +102,7 @@ struct FileSystemConfig {
   // --- tiered hot/cold memory (DESIGN.md §16) -------------------------------
   /// Cold-tier capacity attached to every victim server; 0 disables
   /// tiering entirely (the default -- untiered runs behave bit-identically
-  /// to builds without it, like breaker_failure_threshold = 0). With a
+  /// to builds without it, like breaker.failure_threshold = 0). With a
   /// tier attached, victim pressure demotes coldest keys to the tier
   /// instead of evacuating the whole node, and escalates to eviction only
   /// when the tier cannot absorb the overage.
@@ -237,10 +235,9 @@ class FileSystem {
   }
 
   /// Tune the partition-tolerance knobs after mount (see the matching
-  /// FileSystemConfig fields). breaker_failure_threshold = 0 and
+  /// FileSystemConfig fields). breaker.failure_threshold = 0 and
   /// hedge_quantile = 0 switch the respective feature off.
-  void set_resilience_tuning(int breaker_failure_threshold,
-                             SimTime breaker_cooldown, double hedge_quantile,
+  void set_resilience_tuning(BreakerConfig breaker, double hedge_quantile,
                              std::uint64_t hedge_min_samples = 64);
 
   /// Per-server circuit breakers (shared by every client handle).

@@ -1,54 +1,24 @@
 #include "fs/health.hpp"
 
+#include "hash/hashes.hpp"
 #include "obs/obs.hpp"
 
 namespace memfss::fs {
 
-bool CircuitBreaker::allow(const BreakerConfig& cfg, SimTime now) {
-  if (state_ == BreakerState::closed) return true;
-  if (state_ == BreakerState::open) {
-    if (now - opened_at_ < cfg.cooldown) return false;
-    state_ = BreakerState::half_open;
-    trial_in_flight_ = false;
-  }
-  // Half-open: a single trial probes the server; everyone else keeps
-  // getting rejected until its outcome is recorded.
-  if (trial_in_flight_) return false;
-  trial_in_flight_ = true;
-  return true;
-}
-
-bool CircuitBreaker::record(const BreakerConfig& cfg, bool fault,
-                            SimTime now) {
-  if (!fault) {
-    state_ = BreakerState::closed;
-    consecutive_ = 0;
-    trial_in_flight_ = false;
-    return false;
-  }
-  ++consecutive_;
-  trial_in_flight_ = false;
-  if (state_ == BreakerState::half_open ||
-      (state_ == BreakerState::closed &&
-       consecutive_ >= cfg.failure_threshold)) {
-    state_ = BreakerState::open;
-    opened_at_ = now;
-    return true;
-  }
-  // Already open: a straggler outcome from before the trip; the cooldown
-  // clock is not extended.
-  return false;
+double backoff_draw(std::string_view key, int attempt) {
+  return static_cast<double>(
+             hash::mix64(hash::key_digest(key),
+                         0x9e3779b9u + static_cast<std::uint64_t>(attempt)) >>
+             11) *
+         0x1.0p-53;
 }
 
 bool HealthRegistry::allow(NodeId n, SimTime now) {
-  if (!enabled()) return true;
   return breakers_[n].allow(cfg_, now);
 }
 
 void HealthRegistry::record(NodeId n, Errc code, SimTime now) {
-  if (!enabled()) return;
-  const bool fault = code != Errc::ok && errc_health_fault(code);
-  if (breakers_[n].record(cfg_, fault, now)) {
+  if (breakers_[n].record(cfg_, errc_health_fault(code), now)) {
     ++opens_;
     if (obs_) {
       obs_->metrics.counter("fs.breaker.opens").inc();

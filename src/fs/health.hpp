@@ -1,33 +1,17 @@
 // Per-server health tracking for the client path (partition tolerance).
 //
-// One CircuitBreaker per participating node, shared by every Client of
-// the filesystem (clients are transient by-value handles; the registry
-// lives in the FileSystem). The breaker follows the classic three-state
-// machine:
-//
-//   closed     -- requests flow; `failure_threshold` *consecutive*
-//                 connectivity faults (timeout / unreachable /
-//                 unavailable / io_error, see errc_health_fault) open it;
-//   open       -- requests are rejected locally (Errc::rejected, zero
-//                 simulated cost) until `cooldown` elapses;
-//   half-open  -- exactly one trial request is let through; success
-//                 closes the breaker, failure re-opens it for another
-//                 cooldown.
-//
-// Application-level answers (not_found, permission, ...) prove the server
-// is alive and close the breaker like any success. Rejections the client
-// synthesizes itself never feed back into the state machine.
-//
-// Everything is driven by simulated time passed in by the caller, so the
-// state machine is deterministic and replays exactly under a fixed seed.
+// One CircuitBreaker (common/resilience.hpp) per participating node,
+// shared by every Client of the filesystem (clients are transient
+// by-value handles; the registry lives in the FileSystem). Everything is
+// driven by simulated time passed in by the caller, so breaker decisions
+// replay exactly under a fixed seed.
 #pragma once
 
-#include <cstdint>
 #include <string_view>
 #include <unordered_map>
 
+#include "common/resilience.hpp"
 #include "common/result.hpp"
-#include "common/types.hpp"
 
 namespace memfss::obs {
 struct Observability;
@@ -35,47 +19,14 @@ struct Observability;
 
 namespace memfss::fs {
 
-enum class BreakerState : std::uint8_t { closed, open, half_open };
-
-constexpr std::string_view breaker_state_name(BreakerState s) {
-  switch (s) {
-    case BreakerState::closed: return "closed";
-    case BreakerState::open: return "open";
-    case BreakerState::half_open: return "half-open";
-  }
-  return "?";
-}
-
-struct BreakerConfig {
-  int failure_threshold = 0;  ///< consecutive faults to open; 0 disables
-  SimTime cooldown = 1.0;     ///< open -> half-open trial delay
-};
-
-class CircuitBreaker {
- public:
-  /// Whether a request may be issued now. Performs the open -> half-open
-  /// transition when the cooldown has elapsed; in half-open, admits a
-  /// single trial until its outcome is recorded.
-  bool allow(const BreakerConfig& cfg, SimTime now);
-
-  /// Record a request outcome. `fault` per errc_health_fault. Returns
-  /// true when this record transitioned the breaker to open.
-  bool record(const BreakerConfig& cfg, bool fault, SimTime now);
-
-  BreakerState state() const { return state_; }
-  int consecutive_failures() const { return consecutive_; }
-
- private:
-  BreakerState state_ = BreakerState::closed;
-  int consecutive_ = 0;
-  SimTime opened_at_ = 0.0;
-  bool trial_in_flight_ = false;
-};
+/// Jitter draw in [0, 1) for the fs client's retry backoff. It derives
+/// from (key, attempt) -- not from a shared RNG -- so retry timing is a
+/// pure function of the failure pattern and runs stay seed-reproducible
+/// while concurrent retries on different stripes still de-synchronize.
+double backoff_draw(std::string_view key, int attempt);
 
 /// NodeId -> CircuitBreaker map plus aggregate counters. With a zero
-/// failure_threshold the registry is inert: allow() is always true and
-/// record() never mutates, so default-configured deployments behave (and
-/// trace) exactly as if it did not exist.
+/// failure_threshold every breaker is inert, so the registry is too.
 class HealthRegistry {
  public:
   HealthRegistry(BreakerConfig cfg, obs::Observability* obs)

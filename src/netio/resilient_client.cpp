@@ -36,33 +36,9 @@ ResilientClient::ResilientClient(ResilientOptions opts)
 
 void ResilientClient::disconnect() { net_.close(); }
 
-double ResilientClient::backoff_delay(std::uint32_t fault_streak) {
-  double d = opts_.backoff_base_s;
-  for (std::uint32_t i = 1; i < fault_streak && d < opts_.backoff_max_s; ++i)
-    d *= 2;
-  d = std::min(d, opts_.backoff_max_s);
-  // Full +/- jitter so a fleet of clients doesn't reconnect in lockstep.
-  d *= 1.0 + opts_.backoff_jitter * (2 * rng_.next_double() - 1);
-  return std::max(d, 0.0);
-}
-
-void ResilientClient::record_fault(Errc e) {
-  if (!errc_health_fault(e)) return;
-  ++consecutive_faults_;
-  if (opts_.breaker_threshold == 0) return;
-  // A half-open trial failing re-opens immediately; a closed breaker
-  // opens after the configured streak (HealthRegistry semantics).
-  if (breaker_ == Breaker::half_open ||
-      consecutive_faults_ >= opts_.breaker_threshold) {
-    breaker_ = Breaker::open;
-    breaker_open_until_s_ = mono_s() + opts_.breaker_cooldown_s;
+void ResilientClient::record(Errc e) {
+  if (breaker_.record(opts_.breaker, errc_health_fault(e), mono_s()))
     ++stats_.breaker_opens;
-  }
-}
-
-void ResilientClient::record_ok() {
-  consecutive_faults_ = 0;
-  breaker_ = Breaker::closed;
 }
 
 Status ResilientClient::ensure_connected(double remaining_s) {
@@ -106,52 +82,55 @@ CallOutcome ResilientClient::call(const Frame& request, bool idempotent,
 
   CallOutcome out;
   Errc last_fail = Errc::timeout;
-  std::uint32_t fault_streak = 0;
+  int fault_streak = 0;
 
   // Back off (bounded by the deadline) after a failed attempt; returns
-  // false once the budget is spent.
+  // false once the budget is spent. Full +/- jitter so a fleet of
+  // clients doesn't reconnect in lockstep.
   const auto backoff = [&]() -> bool {
     const double rem = remaining();
     if (rem <= 0) return false;
-    sleep_s(std::min(backoff_delay(++fault_streak), rem));
+    sleep_s(std::min(backoff_delay(opts_.backoff_base_s, opts_.backoff_max_s,
+                                   fault_streak++,
+                                   2 * rng_.next_double() - 1),
+                     rem));
     return remaining() > 0;
+  };
+  // An attempt failed after its bytes may have reached the server: drop
+  // the connection, record `fault`, and back off for a retry if the op
+  // is idempotent. False = give up with `fail`.
+  const auto retry_after = [&](Errc fault, Errc fail) -> bool {
+    net_.abort();
+    record(fault);
+    last_fail = fail;
+    return idempotent && backoff();
   };
 
   for (;;) {
+    // The deadline check precedes the breaker gate: a half-open trial,
+    // once admitted, must record an outcome, or the breaker would stay
+    // half-open and reject every later call.
+    if (remaining() <= 0) break;
     // Circuit breaker gate: while open, reject locally (no socket
     // traffic) until the cooldown elapses, then admit one trial.
-    if (breaker_ == Breaker::open) {
-      const double now = mono_s();
-      if (now < breaker_open_until_s_) {
-        ++stats_.breaker_rejections;
-        const double wait =
-            std::min(breaker_open_until_s_ - now, remaining());
-        if (wait <= 0 || remaining() - wait <= 0) {
-          out.code = Errc::rejected;
-          return out;
-        }
-        sleep_s(wait);
+    if (!breaker_.allow(opts_.breaker, mono_s())) {
+      ++stats_.breaker_rejections;
+      const double wait =
+          breaker_.opened_at() + opts_.breaker.cooldown - mono_s();
+      if (remaining() - wait <= 0) {
+        out.code = Errc::rejected;
+        return out;
       }
-      breaker_ = Breaker::half_open;
-    }
-    if (remaining() <= 0) {
-      out.code = last_fail;
-      return out;
+      sleep_s(wait);
+      continue;
     }
 
     if (!net_.connected()) {
       if (Status st = ensure_connected(remaining()); !st.ok()) {
         ++stats_.connect_failures;
-        record_fault(st.code());
-        if (permanent_errc(st.code())) {
-          out.code = st.code();
-          return out;
-        }
+        record(st.code());
         last_fail = st.code();
-        if (!backoff()) {
-          out.code = last_fail;
-          return out;
-        }
+        if (permanent_errc(st.code()) || !backoff()) break;
         continue;
       }
     }
@@ -164,13 +143,7 @@ CallOutcome ResilientClient::call(const Frame& request, bool idempotent,
     // non-idempotent op can no longer be blindly retried.
     ++out.sends;
     if (Status st = net_.send(request); !st.ok()) {
-      net_.abort();
-      record_fault(st.code());
-      last_fail = st.code();
-      if (!idempotent || !backoff()) {
-        out.code = last_fail;
-        return out;
-      }
+      if (!retry_after(st.code(), st.code())) break;
       continue;
     }
 
@@ -178,22 +151,16 @@ CallOutcome ResilientClient::call(const Frame& request, bool idempotent,
         std::clamp(remaining(), 1e-3, opts_.attempt_recv_timeout_s));
     Result<Frame> r = net_.recv();
     if (!r.ok()) {
+      // The request may still be in flight server-side: the abort sends
+      // an RST so a late response can't leak into the next call. A
+      // corrupted frame is never surfaced softly.
       const Errc e = r.code();
-      // The request may still be in flight server-side: abort with an
-      // RST so a late response can't leak into the next call.
-      net_.abort();
-      if (e == Errc::corruption) {
-        ++stats_.corrupt_frames;
-        last_fail = Errc::fatal;  // never surface corrupted data softly
-      } else {
-        if (e == Errc::timeout) ++stats_.timeouts;
-        last_fail = e;
-      }
-      record_fault(e == Errc::corruption ? Errc::io_error : e);
-      if (!idempotent || !backoff()) {
-        out.code = last_fail;
-        return out;
-      }
+      if (e == Errc::corruption) ++stats_.corrupt_frames;
+      if (e == Errc::timeout) ++stats_.timeouts;
+      const bool corrupt = e == Errc::corruption;
+      if (!retry_after(corrupt ? Errc::io_error : e,
+                       corrupt ? Errc::fatal : e))
+        break;
       continue;
     }
 
@@ -202,24 +169,12 @@ CallOutcome ResilientClient::call(const Frame& request, bool idempotent,
       // The server's decoder rejected the stream. With one request in
       // flight ours was never executed, but the channel is gone.
       ++stats_.protocol_errors;
-      net_.abort();
-      last_fail = Errc::fatal;
-      record_fault(Errc::io_error);
-      if (!idempotent || !backoff()) {
-        out.code = last_fail;
-        return out;
-      }
+      if (!retry_after(Errc::io_error, Errc::fatal)) break;
       continue;
     }
     if (resp.request_id != request.request_id) {
       ++stats_.mismatched_ids;
-      net_.abort();
-      last_fail = Errc::fatal;
-      record_fault(Errc::io_error);
-      if (!idempotent || !backoff()) {
-        out.code = last_fail;
-        return out;
-      }
+      if (!retry_after(Errc::io_error, Errc::fatal)) break;
       continue;
     }
 
@@ -228,7 +183,7 @@ CallOutcome ResilientClient::call(const Frame& request, bool idempotent,
       // A deliberate QoS shed: the server is healthy and nothing was
       // applied, so honoring the hint and retrying is safe for any op.
       ++stats_.overloaded_waits;
-      record_ok();
+      record(code);
       fault_streak = 0;
       const double hint = resp.retry_after_us > 0
                               ? resp.retry_after_us / 1e6
@@ -254,23 +209,19 @@ CallOutcome ResilientClient::call(const Frame& request, bool idempotent,
           resp.value.size()));
       if (c != resp.checksum) {
         ++stats_.value_checksum_failures;
-        net_.abort();
-        last_fail = Errc::fatal;
-        record_fault(Errc::io_error);
-        if (!idempotent || !backoff()) {
-          out.code = last_fail;
-          return out;
-        }
+        if (!retry_after(Errc::io_error, Errc::fatal)) break;
         continue;
       }
     }
 
-    record_ok();
+    record(code);
     out.code = code;
     out.response = std::move(resp);
     out.answered = true;
     return out;
   }
+  out.code = last_fail;
+  return out;
 }
 
 }  // namespace memfss::netio

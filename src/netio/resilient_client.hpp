@@ -16,11 +16,11 @@
 //   - Errc::overloaded honored as an answer, not a fault: wait the
 //     server's retry-after hint, then try again (QoS sheds prove the
 //     server healthy, so they never trip the breaker);
-//   - a connection-level circuit breaker mirroring fs::HealthRegistry:
-//     closed -> open after `breaker_threshold` consecutive health
-//     faults (errc_health_fault), open rejects locally for the
-//     cooldown, half-open admits one trial whose outcome closes or
-//     re-opens it;
+//   - a connection-level circuit breaker, the same CircuitBreaker
+//     (common/resilience.hpp) fs::HealthRegistry keeps per node: every
+//     outcome is recorded as errc_health_fault(e), open rejects locally
+//     for the cooldown, half-open admits one trial whose outcome closes
+//     or re-opens it;
 //   - integrity: a corrupted frame (decoder checksum failure), a
 //     response carrying kFlagProtocolError, a response for a request id
 //     we never sent, or a GET payload whose fnv1a disagrees with the
@@ -35,6 +35,7 @@
 #include <cstdint>
 #include <string>
 
+#include "common/resilience.hpp"
 #include "common/rng.hpp"
 #include "netio/client.hpp"
 
@@ -48,11 +49,10 @@ struct ResilientOptions {
   double attempt_recv_timeout_s = 0.25;  ///< per-attempt recv bound
   double default_deadline_s = 5.0;       ///< per-call budget (call arg wins)
   double backoff_base_s = 0.002;  ///< first retry delay (doubles per fault)
-  double backoff_max_s = 0.25;
-  double backoff_jitter = 0.5;  ///< +/- fraction of the delay
+  double backoff_max_s = 0.25;    ///< ceiling; +/- 50% jitter applies after
 
-  std::uint32_t breaker_threshold = 8;  ///< consecutive faults; 0 = disabled
-  double breaker_cooldown_s = 0.2;      ///< open -> half-open delay
+  /// Consecutive faults to open (0 = never) and open -> half-open delay.
+  BreakerConfig breaker{8, 0.2};
 };
 
 /// Monotonic per-client counters (single-threaded, read between calls).
@@ -99,27 +99,21 @@ class ResilientClient {
                    double deadline_s = 0);
 
   const ResilientStats& stats() const { return stats_; }
-  bool breaker_open() const { return breaker_ == Breaker::open; }
+  bool breaker_open() const { return breaker_.state() == BreakerState::open; }
   /// Drop the connection (orderly). Next call reconnects.
   void disconnect();
 
  private:
-  enum class Breaker : std::uint8_t { closed, open, half_open };
-
   Status ensure_connected(double remaining_s);
-  void record_fault(Errc e);
-  void record_ok();
-  double backoff_delay(std::uint32_t fault_streak);
+  /// Feed one attempt's outcome to the breaker (HealthRegistry's rule).
+  void record(Errc e);
 
   ResilientOptions opts_;
   NetClient net_;
   Rng rng_;
   ResilientStats stats_;
   std::uint64_t auth_id_ = 0;  ///< ids for the AUTH handshake frames
-
-  Breaker breaker_ = Breaker::closed;
-  std::uint32_t consecutive_faults_ = 0;
-  double breaker_open_until_s_ = 0;  ///< monotonic seconds
+  CircuitBreaker breaker_;     ///< driven by monotonic seconds
 };
 
 }  // namespace memfss::netio

@@ -229,7 +229,7 @@ class ChaosTransport final : public Transport {
           ropt.attempt_recv_timeout_s = kChaosAttemptTimeoutS;
           ropt.default_deadline_s = kChaosCallDeadlineS;
           ropt.backoff_max_s = 0.05;
-          ropt.breaker_cooldown_s = 0.05;
+          ropt.breaker.cooldown = 0.05;
           return ropt;
         }()) {}
 

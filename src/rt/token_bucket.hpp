@@ -30,10 +30,13 @@ class TokenBucket {
   double rate() const { return rate_; }
   double burst() const { return burst_; }
 
-  /// Tokens available at `now_s` (after refill), for introspection.
+  /// Tokens available at `now_s` (after refill). A `now_s` older than
+  /// the last refill -- two callers whose clock reads raced their turns
+  /// at the lock -- sees the current fill, exactly as try_take() does.
   double available(double now_s) const {
     if (unlimited()) return 0.0;
-    return std::min(burst_, tokens_ + (now_s - last_s_) * rate_);
+    return std::min(burst_,
+                    tokens_ + std::max(0.0, now_s - last_s_) * rate_);
   }
 
   /// Admit an op costing `n` tokens at time `now_s`: refill, then take
@@ -58,8 +61,7 @@ class TokenBucket {
 
  private:
   void refill(double now_s) {
-    if (now_s > last_s_)
-      tokens_ = std::min(burst_, tokens_ + (now_s - last_s_) * rate_);
+    tokens_ = available(now_s);
     last_s_ = std::max(last_s_, now_s);
   }
 

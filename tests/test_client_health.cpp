@@ -67,6 +67,34 @@ TEST(CircuitBreaker, FailedTrialReopensForAnotherCooldown) {
   EXPECT_EQ(b.state(), BreakerState::half_open);
 }
 
+TEST(CircuitBreaker, ZeroThresholdNeverOpens) {
+  constexpr BreakerConfig kOff{/*failure_threshold=*/0, /*cooldown=*/1.0};
+  CircuitBreaker b;
+  for (int i = 0; i < 100; ++i) {
+    EXPECT_TRUE(b.allow(kOff, double(i)));
+    EXPECT_FALSE(b.record(kOff, true, double(i)));
+  }
+  EXPECT_EQ(b.state(), BreakerState::closed);
+  EXPECT_EQ(b.consecutive_failures(), 0);
+}
+
+TEST(CircuitBreaker, EachRecordedTrialFreesTheNext) {
+  // A half-open breaker admits the next trial only once the previous
+  // one's outcome is recorded -- whatever that outcome was.
+  CircuitBreaker b;
+  for (int i = 0; i < 3; ++i) b.record(kCfg, true, 0.0);
+  SimTime t = 1.0;
+  for (int trial = 0; trial < 5; ++trial, t += 1.0) {
+    ASSERT_TRUE(b.allow(kCfg, t)) << trial;
+    EXPECT_FALSE(b.allow(kCfg, t));  // the trial is still outstanding
+    EXPECT_TRUE(b.record(kCfg, true, t));
+    EXPECT_EQ(b.opened_at(), t);
+  }
+  ASSERT_TRUE(b.allow(kCfg, t));
+  EXPECT_FALSE(b.record(kCfg, false, t));
+  EXPECT_EQ(b.state(), BreakerState::closed);
+}
+
 TEST(HealthRegistry, DisabledRegistryIsInert) {
   HealthRegistry reg(BreakerConfig{0, 1.0}, nullptr);
   EXPECT_FALSE(reg.enabled());
@@ -125,7 +153,7 @@ struct Rig {
 
 TEST(ClientHealth, BreakerOpensOnPartitionAndRecoversAfterHeal) {
   Rig rig(Rig::replicated_config());
-  rig.fs.set_resilience_tuning(/*threshold=*/2, /*cooldown=*/0.5,
+  rig.fs.set_resilience_tuning({/*threshold=*/2, /*cooldown=*/0.5},
                                /*hedge_quantile=*/0.0);
   rig.run([](Rig& r) -> sim::Task<> {
     Client c = r.fs.client(0);
@@ -163,7 +191,7 @@ TEST(ClientHealth, BreakerOpensOnPartitionAndRecoversAfterHeal) {
 
 TEST(ClientHealth, WritesRerouteAroundOpenBreaker) {
   Rig rig(Rig::replicated_config());
-  rig.fs.set_resilience_tuning(/*threshold=*/2, /*cooldown=*/30.0,
+  rig.fs.set_resilience_tuning({/*threshold=*/2, /*cooldown=*/30.0},
                                /*hedge_quantile=*/0.0);
   rig.run([](Rig& r) -> sim::Task<> {
     Client c = r.fs.client(0);
@@ -196,7 +224,7 @@ TEST(ClientHealth, WritesRerouteAroundOpenBreaker) {
 TEST(ClientHealth, HedgedReadWinsPastStalledPrimary) {
   Rig rig(Rig::replicated_config());
   // Hedge at the 90th percentile once 8 samples exist; breakers off.
-  rig.fs.set_resilience_tuning(/*threshold=*/0, /*cooldown=*/1.0,
+  rig.fs.set_resilience_tuning({/*threshold=*/0, /*cooldown=*/1.0},
                                /*hedge_quantile=*/0.9, /*min_samples=*/8);
   rig.run([](Rig& r) -> sim::Task<> {
     Client c = r.fs.client(0);

@@ -147,7 +147,7 @@ TEST(Determinism, HedgedReadDecisionsReplay) {
     cfg.redundancy = fs::RedundancyMode::replicated;
     cfg.copies = 2;
     fs::FileSystem fs(cl, cfg);
-    fs.set_resilience_tuning(/*threshold=*/2, /*cooldown=*/0.5,
+    fs.set_resilience_tuning({/*threshold=*/2, /*cooldown=*/0.5},
                              /*hedge_quantile=*/0.9, /*min_samples=*/8);
     sim.spawn([](fs::FileSystem& f) -> sim::Task<> {
       fs::Client c = f.client(0);

@@ -277,8 +277,8 @@ TEST(NetioChaos, BreakerOpensOnDeadPortAndRecoversHalfOpen) {
   opt.default_deadline_s = 0.3;
   opt.backoff_base_s = 0.001;
   opt.backoff_max_s = 0.01;
-  opt.breaker_threshold = 3;
-  opt.breaker_cooldown_s = 0.15;
+  opt.breaker.failure_threshold = 3;
+  opt.breaker.cooldown = 0.15;
   ResilientClient rc(opt);
 
   // Nothing listens: calls fail, faults accumulate, the breaker opens
@@ -305,6 +305,84 @@ TEST(NetioChaos, BreakerOpensOnDeadPortAndRecoversHalfOpen) {
   auto out = rc.call(NetClient::make_put(100, 0, "k", {1}), true, 5.0);
   ASSERT_TRUE(out.answered);
   EXPECT_EQ(out.code, Errc::ok);
+  EXPECT_FALSE(rc.breaker_open());
+}
+
+/// Options for a client whose calls make at most one attempt each: the
+/// first backoff already outlasts any short deadline used below.
+ResilientOptions one_attempt_options(std::uint16_t port, int threshold,
+                                     double cooldown) {
+  ResilientOptions opt;
+  opt.port = port;
+  opt.auth_token = "rt";
+  opt.attempt_recv_timeout_s = 0.05;
+  opt.backoff_base_s = 0.5;
+  opt.backoff_max_s = 0.5;
+  opt.breaker = {threshold, cooldown};
+  return opt;
+}
+
+TEST(NetioChaos, CallTimingOutDuringTheOpenWaitLeavesTheTrialFree) {
+  const std::uint16_t port = idle_port();
+  ResilientClient rc(one_attempt_options(port, /*threshold=*/1, 0.1));
+  ASSERT_FALSE(rc.call(NetClient::make_get(1, 0, "k"), true, 0.02).answered);
+  ASSERT_TRUE(rc.breaker_open());
+
+  // Short calls are rejected outright while the wait outlasts their
+  // deadline. The first one that fits sleeps out the wait with almost no
+  // slack, so its deadline expires as the breaker turns half-open: it
+  // must end without taking the trial it could no longer use.
+  const double t0 = mono_s();
+  CallOutcome out;
+  std::uint64_t id = 2;
+  do {
+    out = rc.call(NetClient::make_get(id++, 0, "k"), true, 0.02);
+  } while (out.code == Errc::rejected && mono_s() - t0 < 1.0);
+  EXPECT_NE(out.code, Errc::rejected);
+  EXPECT_FALSE(out.answered);
+
+  // Whatever state that left, the next trial gets through once the
+  // server is up.
+  rt::ShardedStore store({4, 64u << 20, "rt"});
+  rt::RuntimeServer server(store, {2, 256, std::chrono::microseconds(0)});
+  rt::TcpServer::Options topt;
+  topt.port = port;
+  rt::TcpServer tcp(server, topt);
+  std::this_thread::sleep_for(std::chrono::milliseconds(150));
+  out = rc.call(NetClient::make_put(id, 0, "k", {1}), true, 5.0);
+  ASSERT_TRUE(out.answered);
+  EXPECT_EQ(out.code, Errc::ok);
+  EXPECT_FALSE(rc.breaker_open());
+}
+
+TEST(NetioChaos, AuthRejectionClosesAHalfOpenBreaker) {
+  const std::uint16_t port = idle_port();
+  ResilientOptions opt = one_attempt_options(port, /*threshold=*/2, 0.2);
+  opt.auth_token = "wrong";
+  ResilientClient rc(opt);
+
+  // Two connect faults against the dead port open the breaker.
+  for (std::uint64_t id = 1; id <= 2; ++id)
+    ASSERT_FALSE(rc.call(NetClient::make_get(id, 0, "k"), true, 0.05).answered);
+  ASSERT_EQ(rc.stats().breaker_opens, 1u);
+
+  {
+    // The half-open trial reaches a live server that refuses the token:
+    // the server answered, so the breaker closes.
+    rt::ShardedStore store({4, 64u << 20, "rt"});
+    rt::RuntimeServer server(store, {2, 256, std::chrono::microseconds(0)});
+    rt::TcpServer::Options topt;
+    topt.port = port;
+    rt::TcpServer tcp(server, topt);
+    std::this_thread::sleep_for(std::chrono::milliseconds(250));
+    EXPECT_EQ(rc.call(NetClient::make_get(3, 0, "k"), true, 1.0).code,
+              Errc::permission);
+  }
+
+  // Closed, not half-open: one more fault starts a fresh streak instead
+  // of re-opening the breaker.
+  EXPECT_FALSE(rc.call(NetClient::make_get(4, 0, "k"), true, 0.05).answered);
+  EXPECT_EQ(rc.stats().breaker_opens, 1u);
   EXPECT_FALSE(rc.breaker_open());
 }
 

@@ -76,6 +76,17 @@ TEST(TokenBucket, RequestPastBurstIsNeverCovered) {
   EXPECT_LE(d, 10.0 / 100.0 + 1e-9);
 }
 
+TEST(TokenBucket, StaleTimestampSeesTheCurrentFill) {
+  // A caller whose clock read predates the last refill (it lost the race
+  // to the lock) must see what try_take() would grant, not a deficit.
+  TokenBucket b(10.0, 5.0);
+  ASSERT_TRUE(b.try_take(1.0));  // 4 tokens left as of t = 1.0
+  EXPECT_DOUBLE_EQ(b.available(0.5), 4.0);
+  EXPECT_DOUBLE_EQ(b.delay_until(0.5), 0.0);
+  EXPECT_TRUE(b.try_take(0.5));
+  EXPECT_DOUBLE_EQ(b.available(1.0), 3.0);
+}
+
 TEST(TenantRegistry, OversizedPayloadCostsOneFullBucket) {
   TenantRegistry reg;
   TenantConfig cfg;
@@ -152,6 +163,22 @@ TEST(TenantRegistry, AdmitChecksBothBucketsAndReportsWorstHint) {
   // taken so far are exactly the two admit attempts... only successful
   // ones. After the hint, both buckets cover the op again.
   EXPECT_EQ(reg.admit(id, 100, shed.retry_after_s).code, Errc::ok);
+}
+
+TEST(TenantRegistry, AdmitWithStaleClockIsNotShed) {
+  // Two workers read the clock, then take the tenant mutex in the
+  // opposite order: the later stamp admits first. The earlier stamp
+  // still finds tokens in the bucket and must be admitted too.
+  TenantRegistry reg;
+  TenantConfig cfg;
+  cfg.name = "t";
+  cfg.ops_per_s = 10.0;
+  cfg.ops_burst = 5.0;
+  const auto id = reg.register_tenant(cfg).value();
+  ASSERT_EQ(reg.admit(id, 0, 1.0).code, Errc::ok);
+  const auto late = reg.admit(id, 0, 0.5);
+  EXPECT_EQ(late.code, Errc::ok);
+  EXPECT_DOUBLE_EQ(late.retry_after_s, 0.0);
 }
 
 TEST(TenantRegistry, MemoryQuotaChargesAndReleases) {
