@@ -8,7 +8,6 @@
 #include <benchmark/benchmark.h>
 
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "common/str.hpp"
@@ -96,26 +95,21 @@ void BM_HrwTop3(benchmark::State& state) {
 }
 BENCHMARK(BM_HrwTop3)->Arg(32)->Arg(128);
 
-// Batched digest + placement loops (DESIGN.md §14): fnv1a_many's
-// interleaved lanes vs. one call per key, and the digest-driven
-// hrw_select_many sweep vs. per-key hrw_select.
-void BM_Fnv1aBatch(benchmark::State& state) {
-  const std::size_t n = std::size_t(state.range(0));
-  std::vector<std::string> keys;
-  for (std::size_t i = 0; i < n; ++i)
-    keys.push_back(strformat("i12345:%zu:stripe-payload-key", i));
-  std::vector<std::string_view> views(keys.begin(), keys.end());
-  std::vector<std::uint64_t> out(n);
-  std::int64_t bytes = 0;
-  for (const auto& k : keys) bytes += std::int64_t(k.size());
-  for (auto _ : state) {
-    hash::fnv1a_many(views, out);
-    benchmark::DoNotOptimize(out.data());
-  }
-  state.SetBytesProcessed(state.iterations() * bytes);
+// The CRC32C payload checksum (DESIGN.md §14) over a 1 KiB frame body
+// and a 64 KiB value.
+void BM_Crc32c(benchmark::State& state) {
+  std::vector<std::uint8_t> value(std::size_t(state.range(0)));
+  for (std::size_t i = 0; i < value.size(); ++i)
+    value[i] = std::uint8_t(i * 131 + 7);
+  for (auto _ : state)
+    benchmark::DoNotOptimize(hash::crc32c(value.data(), value.size()));
+  state.SetBytesProcessed(state.iterations() *
+                          std::int64_t(value.size()));
 }
-BENCHMARK(BM_Fnv1aBatch)->Arg(64)->Arg(4096);
+BENCHMARK(BM_Crc32c)->Arg(1024)->Arg(64 * 1024);
 
+// Per-key digests, and the digest-driven hrw_select_many sweep vs.
+// per-key hrw_select (DESIGN.md §14).
 void BM_Fnv1aPerKey(benchmark::State& state) {
   const std::size_t n = std::size_t(state.range(0));
   std::vector<std::string> keys;

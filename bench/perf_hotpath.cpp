@@ -20,12 +20,15 @@
 //     to the portable backend (the dispatch win is the ratio between the
 //     two); decode runs with data shards {0, 2} and parity {9} lost, so it
 //     pays matrix inversion + reconstruction every stripe.
-//   - hash.fnv_batch_MBps / fnv_scalar_MBps: fnv1a_many's interleaved
-//     4-lane digest loop vs. one fnv1a call per key over the same 4096
-//     placement-shaped keys.
+//   - hash.crc32c_64k_MBps / crc32c_table_64k_MBps: hash::crc32c, the
+//     payload integrity checksum, over one 64 KiB value on the active
+//     arm (SSE4.2 where the host has it) and on the byte-table arm;
+//   - hash.fnv_scalar_MBps: one fnv1a call per key over 4096
+//     placement-shaped keys (the digest HRW scoring consumes).
 //
 // Serving-path codec benches (DESIGN.md §13):
-//   - netio.checksum_1k_MBps: netio::body_checksum over a 1 KiB body;
+//   - netio.checksum_1k_MBps: netio::body_checksum (the frame body's
+//     CRC32C) over a 1 KiB body;
 //   - netio.codec_roundtrip_1k_per_sec: encode one 1 KiB PUT frame and
 //     decode it back through a FrameDecoder.
 //
@@ -251,10 +254,26 @@ void bench_erasure() {
   bench_erasure_kernel("_scalar", erasure::gf256_kernels_by_name("scalar"));
 }
 
-// --- hash: batched FNV-1a digest MB/s ----------------------------------------
+// --- hash: CRC32C payload checksum and FNV-1a key digest MB/s ----------------
 
-void bench_hash_batch() {
-  // Placement-shaped keys: the digest batch HRW scoring consumes.
+void bench_hash() {
+  Rng rng(kSeed);
+  std::vector<std::uint8_t> value(64 * 1024);
+  for (auto& b : value) b = std::uint8_t(rng.next_u64());
+  volatile std::uint32_t crc_sink = 0;
+  auto crc_rate = [&](hash::Crc32cFn fn) {
+    return best_calls_per_sec([&](std::size_t r) {
+             value[0] = std::uint8_t(r);  // defeat hoisting the call out
+             crc_sink = fn(value.data(), value.size());
+           }) *
+           static_cast<double>(value.size()) / 1e6;
+  };
+  emit("hash", "crc32c_64k_MBps", crc_rate(hash::crc32c), "MB/s");
+  emit("hash", "crc32c_table_64k_MBps",
+       crc_rate(hash::crc32c_kernel_by_name("table")), "MB/s");
+  (void)crc_sink;
+
+  // Placement-shaped keys: the digests HRW scoring consumes.
   const std::size_t n = 4096;
   std::vector<std::string> keys;
   keys.reserve(n);
@@ -263,16 +282,9 @@ void bench_hash_batch() {
     keys.push_back("i12345:" + std::to_string(i) + ":stripe-payload-key");
     bytes += keys.back().size();
   }
-  std::vector<std::string_view> views(keys.begin(), keys.end());
   std::vector<std::uint64_t> out(n);
-
-  const double batches =
-      best_calls_per_sec([&](std::size_t) { hash::fnv1a_many(views, out); });
-  emit("hash", "fnv_batch_MBps",
-       batches * static_cast<double>(bytes) / 1e6, "MB/s");
-
   const double loops = best_calls_per_sec([&](std::size_t) {
-    for (std::size_t i = 0; i < n; ++i) out[i] = hash::fnv1a(views[i]);
+    for (std::size_t i = 0; i < n; ++i) out[i] = hash::fnv1a(keys[i]);
   });
   volatile std::uint64_t sink = out[n - 1];
   (void)sink;
@@ -286,7 +298,7 @@ void bench_netio() {
   Rng rng(kSeed);
   std::vector<std::uint8_t> body(1024);
   for (auto& b : body) b = std::uint8_t(rng.next_u64());
-  volatile std::uint16_t sum_sink = 0;
+  volatile std::uint32_t sum_sink = 0;
   const double sums = best_calls_per_sec([&](std::size_t r) {
     body[0] = std::uint8_t(r);  // defeat hoisting the call out
     sum_sink = netio::body_checksum(body.data(), body.size());
@@ -390,15 +402,16 @@ void write_json(const char* path) {
 int main(int argc, char** argv) {
   const char* out = argc > 1 ? argv[1] : std::getenv("MEMFSS_BENCH_OUT");
   if (!out) out = "BENCH_hotpath.json";
-  std::printf("perf_hotpath: seed=%llu gf256_kernel=%s\n",
-              (unsigned long long)kSeed, erasure::gf256_kernel_name());
+  std::printf("perf_hotpath: seed=%llu gf256_kernel=%s crc32c_kernel=%s\n",
+              (unsigned long long)kSeed, erasure::gf256_kernel_name(),
+              hash::crc32c_kernel_name());
 
   for (std::size_t flows : {100, 1000, 10000, 100000})
     bench_fabric(flows);
   bench_placement();
   bench_simulator();
   bench_erasure();
-  bench_hash_batch();
+  bench_hash();
   bench_netio();
   bench_ec();
   bench_fig2_ddbag();

@@ -16,8 +16,8 @@
 # data placement, so both stay fully tested.
 #
 # --perf builds Release in build-perf/, runs bench/perf_hotpath, and
-# fails if sim events/sec, the SIMD byte-pump rows (erasure GB/s, batch
-# hash MB/s), the netio codec rows (frame checksum MB/s, 1 KiB PUT
+# fails if sim events/sec, the SIMD byte-pump rows (erasure GB/s, 64 KiB
+# CRC32C MB/s), the netio codec rows (frame CRC32C MB/s, 1 KiB PUT
 # round-trips/s) or the EC rows (64 KiB RS(4,2) puts/s and gets/s)
 # regress more than 20% against the committed
 # BENCH_hotpath.json, or if RS(8,3) encode falls under 5x the committed
@@ -175,12 +175,13 @@ do_plain() {
 do_san() {
   build_tree san
   env $envs ctest --test-dir "$dir" --output-on-failure
-  # Second arm of the GF(2^8) dispatch: rerun the coding/hash/EC suites
-  # with the env override pinning the portable kernel, so both sides of
-  # the runtime dispatch stay sanitized (DESIGN.md §14).
+  # Second arm of the GF(2^8) and CRC32C dispatch: rerun the coding,
+  # hash, EC and frame-codec suites with the env override pinning the
+  # portable kernels, so both sides of each runtime dispatch stay
+  # sanitized (DESIGN.md §14).
   echo "== sanitized rerun, MEMFSS_FORCE_SCALAR=1 =="
   env MEMFSS_FORCE_SCALAR=1 $envs ctest --test-dir "$dir" --output-on-failure \
-    -R 'GF256|ReedSolomon|Fnv|Hrw|RtEc'
+    -R 'GF256|ReedSolomon|Fnv|Hrw|RtEc|Crc32c|NetioCodec'
 }
 
 do_cov() {
@@ -198,7 +199,7 @@ do_perf() {
   fresh=$(mktemp)
   "$dir/bench/perf_hotpath" "$fresh"
   # Compare the scalars least prone to run-to-run noise: event-loop
-  # throughput, the byte-pump rows (coding GB/s, batch-hash MB/s), the
+  # throughput, the byte-pump rows (coding GB/s, 64 KiB CRC32C MB/s), the
   # netio codec rows (checksum MB/s, 1 KiB PUT round-trips/s) and the
   # EC rows (64 KiB RS(4,2) puts/s and gets/s).
   # A >20% drop against any committed number is a regression, and the
@@ -216,7 +217,7 @@ failures = []
 for bench, metric in [("sim", "events_per_sec"),
                       ("erasure", "rs_encode_GBps"),
                       ("erasure", "rs_decode_loss_GBps"),
-                      ("hash", "fnv_batch_MBps"),
+                      ("hash", "crc32c_64k_MBps"),
                       ("netio", "checksum_1k_MBps"),
                       ("netio", "codec_roundtrip_1k_per_sec"),
                       ("ec", "put_64k_per_sec"),

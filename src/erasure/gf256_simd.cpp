@@ -1,8 +1,8 @@
 #include "erasure/gf256_simd.hpp"
 
-#include <cstdlib>
 #include <cstring>
 
+#include "common/cpu.hpp"
 #include "erasure/gf256.hpp"
 
 #if defined(__x86_64__) || defined(__i386__)
@@ -285,26 +285,10 @@ __attribute__((target("avx2"))) void avx2_mul_row_acc(
 
 constexpr GF256Kernels kAvx2{"avx2", avx2_mul_acc, avx2_mul_row_acc};
 
-bool cpu_has(const char* feature) {
-#if defined(__GNUC__) || defined(__clang__)
-  __builtin_cpu_init();
-  if (std::string_view(feature) == "avx2") return __builtin_cpu_supports("avx2");
-  if (std::string_view(feature) == "ssse3")
-    return __builtin_cpu_supports("ssse3");
-#endif
-  (void)feature;
-  return false;
-}
-
 #endif  // MEMFSS_GF256_X86
 
-bool force_scalar_env() {
-  const char* v = std::getenv("MEMFSS_FORCE_SCALAR");
-  return v != nullptr && v[0] != '\0' && !(v[0] == '0' && v[1] == '\0');
-}
-
 const GF256Kernels& select_kernels() {
-  if (force_scalar_env()) return kScalar;
+  if (force_scalar()) return kScalar;
 #ifdef MEMFSS_GF256_X86
   if (cpu_has("avx2")) return kAvx2;
   if (cpu_has("ssse3")) return kSsse3;

@@ -7,7 +7,8 @@
 //
 // Selection happens once, at first use, from CPUID -- or is pinned to
 // scalar by setting MEMFSS_FORCE_SCALAR to anything but "" / "0" (CI
-// uses this to exercise the fallback arm under the sanitizers). Tests
+// uses this to exercise the fallback arm under the sanitizers); both
+// answers come from common/cpu.hpp, shared with hash::crc32c. Tests
 // and benches can also fetch a specific backend by name regardless of
 // the host selection and compare backends directly.
 #pragma once

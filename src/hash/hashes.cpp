@@ -1,8 +1,5 @@
 #include "hash/hashes.hpp"
 
-#include <algorithm>
-#include <cassert>
-
 namespace memfss::hash {
 
 std::uint32_t tr_weight(std::uint32_t server, std::uint32_t key) {
@@ -31,53 +28,6 @@ std::uint64_t fnv1a(std::string_view bytes) {
 }
 
 std::uint64_t key_digest(std::string_view key) { return fnv1a(key); }
-
-namespace {
-
-/// FNV-1a of `N` keys advanced in lockstep: each iteration advances N
-/// *independent* serial dependency chains one byte, so the multiplies
-/// pipeline instead of waiting on each other.
-template <std::size_t N>
-void fnv1a_lanes(const std::string_view* keys, std::uint64_t* out) {
-  constexpr std::uint64_t kPrime = 0x100000001b3ull;
-  std::uint64_t h[N];
-  std::size_t common = keys[0].size();
-#pragma GCC unroll 4
-  for (std::size_t j = 0; j < N; ++j) {
-    h[j] = fnv1a_seed();
-    common = std::min(common, keys[j].size());
-  }
-  for (std::size_t i = 0; i < common; ++i) {
-#pragma GCC unroll 4
-    for (std::size_t j = 0; j < N; ++j)
-      h[j] = (h[j] ^ static_cast<unsigned char>(keys[j][i])) * kPrime;
-  }
-  // Uneven tails finish serially (stripe/sibling keys in one batch
-  // share a prefix shape, so the common run covers nearly everything).
-#pragma GCC unroll 4
-  for (std::size_t j = 0; j < N; ++j) {
-    for (std::size_t i = common; i < keys[j].size(); ++i)
-      h[j] = (h[j] ^ static_cast<unsigned char>(keys[j][i])) * kPrime;
-    out[j] = h[j];
-  }
-}
-
-}  // namespace
-
-void fnv1a_many(std::span<const std::string_view> keys,
-                std::span<std::uint64_t> out) {
-  assert(out.size() >= keys.size());
-  std::size_t g = 0;
-  for (; g + 4 <= keys.size(); g += 4) fnv1a_lanes<4>(&keys[g], &out[g]);
-  // The leftover group interleaves too: an RS(4,2) stripe is one group
-  // of four shards and one of two.
-  switch (keys.size() - g) {
-    case 3: fnv1a_lanes<3>(&keys[g], &out[g]); break;
-    case 2: fnv1a_lanes<2>(&keys[g], &out[g]); break;
-    case 1: out[g] = fnv1a(keys[g]); break;
-    default: break;
-  }
-}
 
 std::uint64_t fnv1a_decimal(std::uint64_t h, std::uint64_t value) {
   char digits[20];  // 2^64 has at most 20 decimal digits

@@ -1,16 +1,21 @@
-// Hash functions used by the placement schemes.
+// Hash functions: placement scores and digests, and the payload
+// integrity checksum.
 //
-// Two families:
+// Placement uses two families (FNV-1a digests of keys feed both):
 //  - tr_weight(): the 31-bit linear-congruential "random weight" function
 //    from Thaler & Ravishankar (1998), the function the MemFSS paper says
 //    it keeps for its weighted scheme.
 //  - mix64()/hash_bytes(): a 64-bit finalizer-based mixer (xxhash/splitmix
 //    style) used as the default score function; better dispersion, same
 //    API.
+//
+// Integrity uses crc32c() alone: it is the checksum of every
+// materialized payload (kvstore::Blob), of the erasure-coded manifest
+// and of every wire-frame body. FNV-1a never hashes value bytes.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <span>
 #include <string_view>
 
 namespace memfss::hash {
@@ -26,18 +31,6 @@ std::uint64_t mix64(std::uint64_t a, std::uint64_t b);
 
 /// FNV-1a over bytes; stable across platforms.
 std::uint64_t fnv1a(std::string_view bytes);
-
-/// Batch FNV-1a: out[i] = fnv1a(keys[i]) for every i, bit-identical to
-/// the one-at-a-time call. Four independent hash chains are advanced in
-/// lockstep so the 64-bit multiply latency of one chain hides behind
-/// the other three -- FNV's byte-serial dependency chain is the
-/// throughput limiter, not memory. A leftover group of two or three
-/// keys is interleaved the same way. Requires out.size() >= keys.size().
-/// This is the per-stripe-key digest path batched: hashing many sibling
-/// /stripe keys per call instead of one per lookup, and the k+m shards
-/// of one erasure-coded put in one call (DESIGN.md §14).
-void fnv1a_many(std::span<const std::string_view> keys,
-                std::span<std::uint64_t> out);
 
 /// Digest a string key for use with mix64/tr_weight.
 std::uint64_t key_digest(std::string_view key);
@@ -56,5 +49,23 @@ std::uint64_t fnv1a_decimal(std::uint64_t h, std::uint64_t value);
 
 /// Fold a 64-bit digest to the 31-bit domain tr_weight expects.
 std::uint32_t fold31(std::uint64_t x);
+
+/// CRC32C (Castagnoli: reflected polynomial 0x82F63B78, initial value
+/// and final xor 0xFFFFFFFF) of `n` bytes at `data`, which need no
+/// alignment; crc32c("123456789") == 0xE3069283 and zero bytes give 0.
+/// Two arms compute the identical value: SSE4.2 `crc32` over 8 bytes
+/// per step, and a 256-entry byte table. The arm is chosen once, at
+/// first use, from CPUID and MEMFSS_FORCE_SCALAR (common/cpu.hpp), as
+/// the GF(2^8) kernels are.
+std::uint32_t crc32c(const void* data, std::size_t n);
+
+/// Name of the active arm: "sse4.2" or "table".
+const char* crc32c_kernel_name();
+
+/// One arm by name, independent of the active selection, or nullptr if
+/// this host cannot run it (or the name is unknown), so tests can hold
+/// every arm to the same vectors.
+using Crc32cFn = std::uint32_t (*)(const void* data, std::size_t n);
+Crc32cFn crc32c_kernel_by_name(std::string_view name);
 
 }  // namespace memfss::hash

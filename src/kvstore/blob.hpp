@@ -4,10 +4,12 @@
 // hundreds of GB and holding real payloads would be absurd). Both kinds
 // carry a checksum so corruption tests work uniformly.
 //
-// A materialized blob's checksum is FNV-1a of its bytes, computed once
-// where the payload is born; copies carry it along, so later layers
-// (the erasure-coded manifest, DESIGN.md §14) reuse it instead of
-// hashing the bytes again.
+// A materialized blob's checksum is hash::crc32c of its bytes
+// (zero-extended to the u64 field), computed once where the payload is
+// born; copies carry it along, so later layers (the erasure-coded
+// manifest, DESIGN.md §14, and get responses on the wire) reuse it
+// instead of hashing the bytes again. A ghost's checksum is
+// hash::mix64(size, tag): there are no bytes to hash.
 #pragma once
 
 #include <cstdint>
@@ -24,11 +26,6 @@ class Blob {
 
   /// A blob backed by real bytes.
   static Blob materialized(std::vector<std::uint8_t> bytes);
-
-  /// materialized() of every part, with the checksums computed in one
-  /// interleaved hash::fnv1a_many call (the k+m shards of a stripe).
-  static std::vector<Blob> materialized_many(
-      std::vector<std::vector<std::uint8_t>> parts);
 
   /// A size-only blob; `tag` stands in for the content (checksummed).
   static Blob ghost(Bytes size, std::uint64_t tag = 0);

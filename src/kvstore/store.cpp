@@ -11,27 +11,9 @@ namespace memfss::kvstore {
 Blob Blob::materialized(std::vector<std::uint8_t> bytes) {
   Blob b;
   b.size_ = bytes.size();
-  b.checksum_ = memfss::hash::fnv1a(
-      {reinterpret_cast<const char*>(bytes.data()), bytes.size()});
+  b.checksum_ = memfss::hash::crc32c(bytes.data(), bytes.size());
   b.data_ = std::move(bytes);
   return b;
-}
-
-std::vector<Blob> Blob::materialized_many(
-    std::vector<std::vector<std::uint8_t>> parts) {
-  std::vector<std::string_view> views;
-  views.reserve(parts.size());
-  for (const auto& p : parts)
-    views.emplace_back(reinterpret_cast<const char*>(p.data()), p.size());
-  std::vector<std::uint64_t> sums(parts.size());
-  memfss::hash::fnv1a_many(views, sums);
-  std::vector<Blob> out(parts.size());
-  for (std::size_t i = 0; i < parts.size(); ++i) {
-    out[i].size_ = parts[i].size();
-    out[i].checksum_ = sums[i];
-    out[i].data_ = std::move(parts[i]);
-  }
-  return out;
 }
 
 Blob Blob::ghost(Bytes size, std::uint64_t tag) {
@@ -43,9 +25,8 @@ Blob Blob::ghost(Bytes size, std::uint64_t tag) {
 
 bool Blob::verify() const {
   if (data_.empty()) return !corrupted_;
-  const auto actual = memfss::hash::fnv1a(
-      {reinterpret_cast<const char*>(data_.data()), data_.size()});
-  return actual == checksum_ && !corrupted_;
+  return memfss::hash::crc32c(data_.data(), data_.size()) == checksum_ &&
+         !corrupted_;
 }
 
 bool Blob::overwrite_same_size(const Blob& next) {

@@ -1,6 +1,7 @@
 #include "netio/frame.hpp"
 
 #include "common/result.hpp"
+#include "hash/hashes.hpp"
 
 namespace memfss::netio {
 
@@ -35,40 +36,22 @@ std::uint64_t get_u64(const std::uint8_t* p) {
 
 }  // namespace
 
-std::uint16_t body_checksum(const std::uint8_t* body, std::size_t n) {
-  // Plain byte sum mod 65521 (the largest prime under 2^16): a single
-  // corrupted byte shifts the sum by a nonzero delta in [-255, 255],
-  // which is never 0 mod 65521, so every one-byte flip is detected.
-  // The inner loop has no branches so it vectorizes; each block of at
-  // most 2^24 bytes fits a u32 (255 * 2^24 < 2^32). The checksum field
-  // is summed with the rest and taken back out afterwards, and the
-  // modulo runs once -- the value equals the byte-at-a-time definition.
-  constexpr std::size_t kBlock = std::size_t{1} << 24;
-  std::uint64_t sum = 0;
-  for (std::size_t base = 0; base < n; base += kBlock) {
-    const std::size_t end = n - base < kBlock ? n : base + kBlock;
-    std::uint32_t part = 0;
-    for (std::size_t i = base; i < end; ++i) part += body[i];
-    sum += part;
-  }
-  if (n > kChecksumOffset) sum -= body[kChecksumOffset];
-  if (n > kChecksumOffset + 1) sum -= body[kChecksumOffset + 1];
-  const auto r = static_cast<std::uint16_t>(sum % 65521u);
-  return r == 0 ? 0xffffu : r;
+std::uint32_t body_checksum(const std::uint8_t* body, std::size_t n) {
+  return hash::crc32c(body, n);
 }
 
 void encode_frame(const Frame& f, std::vector<std::uint8_t>& out) {
-  std::size_t body_start = 0;
+  const std::size_t header = out.size();
   if (f.kind == Frame::Kind::request) {
     const std::size_t body =
         kRequestFixedLen + f.key.size() + f.value.size();
     out.reserve(out.size() + kHeaderLen + body);
     put_u32(out, kRequestMagic);
     put_u32(out, static_cast<std::uint32_t>(body));
-    body_start = out.size();
+    put_u32(out, 0);  // body_crc, patched below
     out.push_back(f.opcode);
     out.push_back(f.flags);
-    put_u16(out, 0);  // checksum placeholder, patched below
+    put_u16(out, 0);
     put_u32(out, f.tenant);
     put_u64(out, f.request_id);
     put_u32(out, static_cast<std::uint32_t>(f.key.size()));
@@ -80,10 +63,10 @@ void encode_frame(const Frame& f, std::vector<std::uint8_t>& out) {
     out.reserve(out.size() + kHeaderLen + body);
     put_u32(out, kResponseMagic);
     put_u32(out, static_cast<std::uint32_t>(body));
-    body_start = out.size();
+    put_u32(out, 0);  // body_crc, patched below
     out.push_back(f.status);
     out.push_back(f.flags);
-    put_u16(out, 0);  // checksum placeholder, patched below
+    put_u16(out, 0);
     put_u32(out, f.retry_after_us);
     put_u64(out, f.request_id);
     put_u64(out, f.seq);
@@ -92,10 +75,10 @@ void encode_frame(const Frame& f, std::vector<std::uint8_t>& out) {
     put_u32(out, f.value_size);
     out.insert(out.end(), f.value.begin(), f.value.end());
   }
-  const std::uint16_t sum =
-      body_checksum(out.data() + body_start, out.size() - body_start);
-  out[body_start + kChecksumOffset] = static_cast<std::uint8_t>(sum);
-  out[body_start + kChecksumOffset + 1] = static_cast<std::uint8_t>(sum >> 8);
+  const std::uint32_t crc = body_checksum(out.data() + header + kHeaderLen,
+                                          out.size() - header - kHeaderLen);
+  for (int i = 0; i < 4; ++i)
+    out[header + 8 + i] = static_cast<std::uint8_t>(crc >> (8 * i));
 }
 
 std::vector<std::uint8_t> encode(const Frame& f) {
@@ -123,7 +106,9 @@ Decode FrameDecoder::fail(const std::string& why) {
 
 Decode FrameDecoder::next(Frame& out) {
   if (failed_) return Decode::error;
-  if (buffered() < kHeaderLen) return Decode::need_more;
+  // Magic and body_len (the first 8 header bytes) decide whether the
+  // stream is bad, so reject it before the CRC field arrives.
+  if (buffered() < 8) return Decode::need_more;
   const std::uint8_t* h = buf_.data() + off_;
   const std::uint32_t magic = get_u32(h);
   if (magic != kRequestMagic && magic != kResponseMagic)
@@ -136,10 +121,8 @@ Decode FrameDecoder::next(Frame& out) {
   if (buffered() < kHeaderLen + body) return Decode::need_more;
 
   const std::uint8_t* b = h + kHeaderLen;
-  const std::uint16_t stored =
-      static_cast<std::uint16_t>(b[kChecksumOffset]) |
-      (static_cast<std::uint16_t>(b[kChecksumOffset + 1]) << 8);
-  if (stored != body_checksum(b, body)) return fail("body checksum mismatch");
+  if (get_u32(h + 8) != body_checksum(b, body))
+    return fail("body checksum mismatch");
   out = Frame{};
   if (request) {
     out.kind = Frame::Kind::request;

@@ -2,10 +2,11 @@
 // a RESP-like length-prefixed binary framing, pipelined, with explicit
 // error frames.
 //
-// Every frame is `magic(4) | body_len(4) | body`, little-endian, where
-// the magic distinguishes requests from responses and the body length
-// is bounded by the decoder (oversized prefixes are a protocol error,
-// not an allocation). Request bodies carry an opcode
+// Every frame is `magic(4) | body_len(4) | body_crc(4) | body`,
+// little-endian, where the magic distinguishes requests from responses,
+// the body length is bounded by the decoder (oversized prefixes are a
+// protocol error, not an allocation) and body_crc is hash::crc32c of
+// the body bytes. Request bodies carry an opcode
 // (PUT/GET/DEL/EXISTS/AUTH), the tenant slot, a client-chosen request
 // id echoed back verbatim (pipelining: responses may complete out of
 // order, the id is the correlation key), and the key/value payloads.
@@ -23,15 +24,14 @@
 // never reads past its buffer -- the fuzz suite
 // (tests/test_netio_codec.cpp) holds it to that under random mutation.
 //
-// Integrity: the u16 at body offset 2 (formerly reserved, always
-// written as zero) now carries a checksum of the body -- the sum of
-// every body byte (with the checksum field itself read as zero) mod
-// 65521, with a result of 0 stored as 0xFFFF. A sum detects *every*
-// single-byte corruption (a byte delta is in [-255, 255] and never 0
-// mod 65521), so a bit-flipped status, request id, or payload byte
+// Integrity: body_crc is CRC32C over the whole body, kept in the header
+// so no body field is zeroed before hashing. CRC32C detects every
+// error burst of up to 32 bits -- so every single-bit and single-byte
+// corruption -- and, unlike an order-blind byte sum, a swap of two body
+// bytes. A bit-flipped status, request id, or payload byte therefore
 // surfaces as a decoder error instead of silently wrong data -- the
 // property the chaos layer (netio::ChaosProxy + ResilientClient)
-// leans on. Header corruption is caught by the magic and the
+// leans on. Header corruption is caught by the magic, the CRC and the
 // length-consistency checks.
 #pragma once
 
@@ -42,9 +42,9 @@
 
 namespace memfss::netio {
 
-/// Frame magics ("MFQ1" requests, "MFS1" responses, as on-wire bytes).
-inline constexpr std::uint32_t kRequestMagic = 0x3151464Du;
-inline constexpr std::uint32_t kResponseMagic = 0x3153464Du;
+/// Frame magics ("MFQ2" requests, "MFS2" responses, as on-wire bytes).
+inline constexpr std::uint32_t kRequestMagic = 0x3251464Du;
+inline constexpr std::uint32_t kResponseMagic = 0x3253464Du;
 
 /// Default cap on a frame body; an advertised length past the decoder's
 /// cap is a protocol error (a malicious 4GiB prefix must not allocate).
@@ -72,10 +72,10 @@ inline constexpr std::uint8_t kFlagProtocolError = 0x4;
 /// other direction's fields are zero). Field layout documentation --
 /// offsets within the body, all little-endian:
 ///
-///   request:  opcode u8 | flags u8 | reserved u16 | tenant u32 |
+///   request:  opcode u8 | flags u8 | zero u16 | tenant u32 |
 ///             request_id u64 | key_len u32 | value_len u32 |
 ///             key bytes | value bytes
-///   response: status u8 | flags u8 | reserved u16 | retry_after_us u32 |
+///   response: status u8 | flags u8 | zero u16 | retry_after_us u32 |
 ///             request_id u64 | seq u64 | checksum u64 |
 ///             value_len u32 | value_size u32 | value bytes
 ///
@@ -104,18 +104,14 @@ struct Frame {
   bool operator==(const Frame&) const = default;
 };
 
-inline constexpr std::size_t kHeaderLen = 8;        ///< magic + body_len
+inline constexpr std::size_t kHeaderLen = 12;  ///< magic + body_len + body_crc
 inline constexpr std::size_t kRequestFixedLen = 24;  ///< body before key
 inline constexpr std::size_t kResponseFixedLen = 40;  ///< body before value
-/// Body offset of the u16 integrity checksum (both frame kinds).
-inline constexpr std::size_t kChecksumOffset = 2;
 
-/// The body integrity checksum: sum of `body[0..n)` with the two
-/// checksum bytes read as zero, mod 65521, 0 mapped to 0xFFFF (so a
-/// valid encoder never emits 0). One wide sum over every byte, minus
-/// the checksum field, reduced once. Exposed for tests and for tools
-/// that patch frames in place.
-std::uint16_t body_checksum(const std::uint8_t* body, std::size_t n);
+/// The body integrity checksum carried at header offset 8:
+/// hash::crc32c of `body[0..n)`. Exposed for tests and for tools that
+/// patch frames in place.
+std::uint32_t body_checksum(const std::uint8_t* body, std::size_t n);
 
 /// Serialize `f` (using the fields of its kind) and append to `out`.
 void encode_frame(const Frame& f, std::vector<std::uint8_t>& out);

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <string_view>
 #include <thread>
 
 #include "hash/hashes.hpp"
@@ -204,10 +203,8 @@ CallOutcome ResilientClient::call(const Frame& request, bool idempotent,
       // End-to-end integrity: the payload must hash to the checksum the
       // store computed at PUT time. A mismatch that slipped past the
       // frame checksum is still never surfaced as data.
-      const std::uint64_t c = hash::fnv1a(std::string_view(
-          reinterpret_cast<const char*>(resp.value.data()),
-          resp.value.size()));
-      if (c != resp.checksum) {
+      if (hash::crc32c(resp.value.data(), resp.value.size()) !=
+          resp.checksum) {
         ++stats_.value_checksum_failures;
         if (!retry_after(Errc::io_error, Errc::fatal)) break;
         continue;

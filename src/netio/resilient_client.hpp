@@ -21,10 +21,10 @@
 //     outcome is recorded as errc_health_fault(e), open rejects locally
 //     for the cooldown, half-open admits one trial whose outcome closes
 //     or re-opens it;
-//   - integrity: a corrupted frame (decoder checksum failure), a
+//   - integrity: a corrupted frame (decoder body-CRC failure), a
 //     response carrying kFlagProtocolError, a response for a request id
-//     we never sent, or a GET payload whose fnv1a disagrees with the
-//     frame's checksum field is *never* surfaced as data -- the
+//     we never sent, or a GET payload whose hash::crc32c disagrees with
+//     the frame's checksum field is *never* surfaced as data -- the
 //     connection is aborted and, once the deadline is spent, the call
 //     fails with Errc::fatal.
 //

@@ -252,10 +252,8 @@ class ChaosTransport final : public Transport {
       const Errc code = static_cast<Errc>(f.status);
       if (read_allowed(ks, code, f.checksum)) {
         // Allowed by the model; also check the bytes themselves.
-        const std::string_view bytes(
-            reinterpret_cast<const char*>(f.value.data()), f.value.size());
         if (code == Errc::ok && f.value.size() == f.value_size &&
-            hash::fnv1a(bytes) != f.checksum)
+            hash::crc32c(f.value.data(), f.value.size()) != f.checksum)
           ++viol_;
       } else if (code != Errc::ok && code != Errc::not_found) {
         ++viol_;

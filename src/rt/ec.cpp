@@ -3,20 +3,13 @@
 #include <algorithm>
 #include <vector>
 
-#include "hash/hashes.hpp"
-
 namespace memfss::rt::ec {
 
 namespace {
 
 constexpr char kSep = '\x01';
 constexpr std::size_t kManifestBytes = 24;
-constexpr std::uint8_t kVersion = 1;
-
-std::uint64_t payload_fnv(std::span<const std::uint8_t> bytes) {
-  return hash::fnv1a(std::string_view(
-      reinterpret_cast<const char*>(bytes.data()), bytes.size()));
-}
+constexpr std::uint8_t kVersion = 2;  ///< 2: checksum is CRC32C (1: FNV-1a)
 
 void put_le64(std::uint8_t* p, std::uint64_t v) {
   for (int i = 0; i < 8; ++i) p[i] = static_cast<std::uint8_t>(v >> (8 * i));
@@ -85,6 +78,10 @@ std::optional<Manifest> parse_manifest(std::span<const std::uint8_t> bytes) {
 Status put(ShardedStore& store, std::string_view token, std::string_view key,
            const kvstore::Blob& value, const erasure::ReedSolomon& rs,
            std::uint64_t* seq, std::uint32_t tenant) {
+  // A ghost has a size but no bytes to code; striping its empty byte
+  // view would store a 0-byte value in its place.
+  if (value.is_ghost())
+    return {Errc::invalid_argument, "erasure coding needs the value's bytes"};
   const auto bytes = value.bytes();
   const std::size_t total = rs.total_shards();
   const std::size_t ss = rs.shard_size(bytes.size());
@@ -97,8 +94,8 @@ Status put(ShardedStore& store, std::string_view token, std::string_view key,
   }
 
   if (!bytes.empty()) {
-    // Code straight into the k+m sibling buffers, checksum them in one
-    // interleaved pass, and move each into its own sibling key.
+    // Code straight into the k+m sibling buffers and move each into
+    // its own sibling key.
     std::vector<std::vector<std::uint8_t>> parts(total);
     std::vector<std::uint8_t*> ptrs(total);
     for (std::size_t i = 0; i < total; ++i) {
@@ -106,9 +103,9 @@ Status put(ShardedStore& store, std::string_view token, std::string_view key,
       ptrs[i] = parts[i].data();
     }
     if (auto st = rs.encode_into(bytes, ptrs.data(), ss); !st.ok()) return st;
-    auto shards = kvstore::Blob::materialized_many(std::move(parts));
     for (std::size_t i = 0; i < total; ++i) {
-      auto st = store.put(token, shard_key(key, i), std::move(shards[i]),
+      auto st = store.put(token, shard_key(key, i),
+                          kvstore::Blob::materialized(std::move(parts[i])),
                           nullptr, tenant);
       if (!st.ok()) {
         // Never leave a half-written stripe readable: roll this
@@ -121,9 +118,10 @@ Status put(ShardedStore& store, std::string_view token, std::string_view key,
 
   // The manifest records the value's own checksum, computed where the
   // payload was born, so a put hashes no payload bytes itself. A value
-  // whose bytes no longer match it reads back as corruption.
+  // whose bytes no longer match it reads back as corruption. No bytes
+  // have CRC32C 0.
   const Manifest mf{rs.data_shards(), rs.parity_shards(), bytes.size(),
-                    bytes.empty() ? payload_fnv(bytes) : value.checksum()};
+                    bytes.empty() ? 0 : value.checksum()};
   if (auto st = store.put(token, manifest_key(key), encode_manifest(mf), seq,
                           tenant);
       !st.ok()) {

@@ -4,7 +4,7 @@
 // A logical key K with policy RS(k, m) is stored as k+m+1 *sibling*
 // keys in the sharded store:
 //
-//   K '\x01' "rs*"          manifest: {k, m, original_len, payload fnv}
+//   K '\x01' "rs*"          manifest: {k, m, original_len, payload crc32c}
 //   K '\x01' "rs" <i>       shard i, i in [0, k+m) -- k data, m parity
 //
 // '\x01' cannot appear in client keys arriving over the wire protocol's
@@ -17,13 +17,17 @@
 // data siblings and, when some were evicted or their shard closed,
 // reconstructs them from any k surviving siblings.
 //
-// Checksums: the manifest carries the value's own checksum
-// (Blob::checksum(), the FNV-1a computed where the payload was born), so
-// put() hashes no payload bytes itself; it codes straight into the k+m
-// sibling buffers and checksums them in one interleaved
-// Blob::materialized_many call. get() hashes the reassembled payload
-// exactly once, via Blob::materialized, and compares that with the
-// manifest on both the fast and the reconstruct path.
+// Checksums: every checksum here is hash::crc32c, the one payload hash.
+// The manifest carries the value's own checksum (Blob::checksum(),
+// computed where the payload was born), so put() hashes no payload
+// bytes itself; it codes straight into the k+m sibling buffers, each
+// of which Blob::materialized checksums as its own stored value. get()
+// hashes the reassembled payload exactly once, via Blob::materialized,
+// and compares that with the manifest on both the fast and the
+// reconstruct path. The manifest field is u64 and holds the
+// zero-extended 32-bit CRC, so a torn read whose bytes differ from the
+// manifest's generation passes the check with probability 2^-32 per
+// read.
 //
 // Concurrency: one EC op issues several store ops, so composite ops are
 // not atomic. get() verifies the manifest checksum after reassembly
@@ -51,21 +55,24 @@ namespace memfss::rt::ec {
 std::string shard_key(std::string_view key, std::size_t idx);
 std::string manifest_key(std::string_view key);
 
-/// Manifest payload (24 bytes on the wire: magic "MFRS", version, k, m,
-/// original length, payload FNV-1a).
+/// Manifest payload (24 bytes on the wire: magic "MFRS", version 2, k,
+/// m, original length, payload CRC32C zero-extended to 64 bits).
+/// parse_manifest rejects any other version.
 struct Manifest {
   std::size_t k = 0;
   std::size_t m = 0;
   std::uint64_t len = 0;       ///< original payload length
-  std::uint64_t checksum = 0;  ///< fnv1a over the payload bytes
+  std::uint64_t checksum = 0;  ///< crc32c over the payload bytes
 };
 
 kvstore::Blob encode_manifest(const Manifest& mf);
 std::optional<Manifest> parse_manifest(std::span<const std::uint8_t> bytes);
 
 /// Encode `value` (materialized) into k+m shard siblings + manifest.
-/// The manifest checksum is value.checksum(); a value whose bytes no
-/// longer match its checksum is stored, but reads back as corruption.
+/// A ghost value (size without bytes) is invalid_argument: it has no
+/// bytes to code. The manifest checksum is value.checksum(); a value
+/// whose bytes no longer match its checksum is stored, but reads back
+/// as corruption.
 /// On any sibling-put failure (tenant quota, aggregate cap, closed
 /// shard) the already-written siblings of this attempt are deleted and
 /// the error returned, so a failed put never leaves a readable

@@ -5,6 +5,7 @@
 #include <set>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 namespace memfss::hash {
@@ -63,92 +64,105 @@ TEST(KeyDigest, MatchesFnv) {
   EXPECT_EQ(key_digest("stripe-17"), fnv1a("stripe-17"));
 }
 
-// The batched digest loop must be bit-identical to fnv1a per key: its
-// output feeds placement, where a single differing digest silently
-// moves data.
-TEST(Fnv1aMany, MatchesSingleShotEveryBatchShape) {
-  // Every batch size around the 4-lane grouping (0..9 covers full
-  // groups, partial tails, and the empty batch) with mixed-length keys,
-  // including empty ones.
-  std::vector<std::string> pool;
-  for (int i = 0; i < 16; ++i)
-    pool.push_back(std::string(std::size_t(i) * 3, char('a' + i)) +
-                   std::to_string(i * 131071));
-  pool[3].clear();
-  pool[11].clear();
-  for (std::size_t n = 0; n <= pool.size(); ++n) {
-    std::vector<std::string_view> keys(pool.begin(),
-                                       pool.begin() + std::ptrdiff_t(n));
-    std::vector<std::uint64_t> out(n, 0xDEAD);
-    fnv1a_many(keys, out);
-    for (std::size_t i = 0; i < n; ++i)
-      ASSERT_EQ(out[i], fnv1a(keys[i])) << "n=" << n << " i=" << i;
+// CRC32C, bit at a time, straight from the definition: reflected
+// polynomial 0x82F63B78, register preset to all ones, final inversion.
+// It shares no code or table with the library's two arms.
+// reference_step() takes one byte into a running register, so a prefix
+// walk costs one step per length.
+std::uint32_t reference_step(std::uint32_t reg, std::uint8_t byte) {
+  reg ^= byte;
+  for (int bit = 0; bit < 8; ++bit)
+    reg = (reg & 1u) ? (reg >> 1) ^ 0x82f63b78u : reg >> 1;
+  return reg;
+}
+
+std::uint32_t reference_crc32c(const std::uint8_t* p, std::size_t n) {
+  std::uint32_t reg = 0xffffffffu;
+  for (std::size_t i = 0; i < n; ++i) reg = reference_step(reg, p[i]);
+  return ~reg;
+}
+
+/// Every arm this host can run, the active one included.
+std::vector<std::pair<const char*, Crc32cFn>> crc32c_arms() {
+  std::vector<std::pair<const char*, Crc32cFn>> arms;
+  for (const char* name : {"table", "sse4.2"})
+    if (Crc32cFn fn = crc32c_kernel_by_name(name)) arms.emplace_back(name, fn);
+  return arms;
+}
+
+// RFC 3720 section B.4 plus the customary "123456789" check value.
+TEST(Crc32c, KnownAnswerVectorsOnEveryArm) {
+  std::vector<std::uint8_t> zeros(32, 0x00), ones(32, 0xff), up(32), down(32);
+  for (std::uint8_t i = 0; i < 32; ++i) {
+    up[i] = i;
+    down[i] = static_cast<std::uint8_t>(31 - i);
+  }
+  const std::string_view check = "123456789";
+  auto arms = crc32c_arms();
+  arms.emplace_back("active", crc32c);
+  arms.emplace_back("reference", [](const void* d, std::size_t n) {
+    return reference_crc32c(static_cast<const std::uint8_t*>(d), n);
+  });
+  for (const auto& [name, fn] : arms) {
+    EXPECT_EQ(fn(zeros.data(), 32), 0x8A9136AAu) << name;
+    EXPECT_EQ(fn(ones.data(), 32), 0x62A8AB43u) << name;
+    EXPECT_EQ(fn(up.data(), 32), 0x46DD794Eu) << name;
+    EXPECT_EQ(fn(down.data(), 32), 0x113FDB5Cu) << name;
+    EXPECT_EQ(fn(check.data(), check.size()), 0xE3069283u) << name;
+    EXPECT_EQ(fn(nullptr, 0), 0u) << name;
   }
 }
 
-TEST(Fnv1aMany, MatchesSingleShotLargeUniformBatch) {
-  // The bench shape: many keys of identical length, so the interleaved
-  // lanes run the full lockstep loop with no serial tail.
-  std::vector<std::string> keys;
-  for (int i = 0; i < 1000; ++i)
-    keys.push_back("i12345:" + std::to_string(1000000 + i) +
-                   ":stripe-payload-key");
-  std::vector<std::string_view> views(keys.begin(), keys.end());
-  std::vector<std::uint64_t> out(views.size());
-  fnv1a_many(views, out);
-  for (std::size_t i = 0; i < views.size(); ++i)
-    ASSERT_EQ(out[i], fnv1a(views[i])) << i;
+TEST(Crc32c, ArmsAreNamedAndSelectable) {
+  EXPECT_NE(crc32c_kernel_by_name("table"), nullptr);
+  EXPECT_EQ(crc32c_kernel_by_name("pclmul"), nullptr);
+  EXPECT_EQ(crc32c_kernel_by_name(""), nullptr);
+  const std::string_view active = crc32c_kernel_name();
+  EXPECT_TRUE(active == "table" || active == "sse4.2") << active;
+  EXPECT_NE(crc32c_kernel_by_name(active), nullptr);
 }
 
-// The erasure-coded put checksums its k+m shards in one call: equal
-// 16 KiB inputs, from one key up to two full groups of four.
-TEST(Fnv1aMany, MatchesSingleShotEqualLengthShards) {
-  std::vector<std::string> shards(8, std::string(16 * 1024, '\0'));
-  for (std::size_t s = 0; s < shards.size(); ++s)
-    for (std::size_t i = 0; i < shards[s].size(); ++i)
-      shards[s][i] = char((i * 131 + s * 7919) ^ (i >> 9));
-  for (std::size_t n = 1; n <= shards.size(); ++n) {
-    std::vector<std::string_view> views(shards.begin(),
-                                        shards.begin() + std::ptrdiff_t(n));
-    std::vector<std::uint64_t> out(n, 0xDEAD);
-    fnv1a_many(views, out);
-    for (std::size_t i = 0; i < n; ++i)
-      ASSERT_EQ(out[i], fnv1a(views[i])) << "n=" << n << " i=" << i;
+/// `n` random bytes plus 8 spare, so every start offset 0..7 has an
+/// `n`-byte view.
+std::vector<std::uint8_t> random_bytes(std::size_t n) {
+  std::vector<std::uint8_t> buf(n + 8);
+  std::uint64_t x = 0x9e3779b97f4a7c15ull;
+  for (auto& b : buf) {
+    x ^= x << 13, x ^= x >> 7, x ^= x << 17;
+    b = static_cast<std::uint8_t>(x);
+  }
+  return buf;
+}
+
+/// fn over buf[off..off+n) equals the reference for every n in
+/// 0..max_len and every off in 0..7: each combination of unaligned
+/// start, 8-byte body and byte tail. The reference walks each prefix
+/// one byte further per length.
+void expect_matches_reference(const char* name, Crc32cFn fn,
+                              std::size_t max_len) {
+  const auto buf = random_bytes(max_len);
+  for (std::size_t off = 0; off < 8; ++off) {
+    const std::uint8_t* p = buf.data() + off;
+    std::uint32_t reg = 0xffffffffu;  // reference register over p[0..n)
+    for (std::size_t n = 0; n <= max_len; ++n) {
+      ASSERT_EQ(fn(p, n), ~reg) << name << " offset " << off << " length " << n;
+      if (n < max_len) reg = reference_step(reg, p[n]);
+    }
   }
 }
 
-// Leftover groups of one, two and three keys after a full group, with
-// lengths that differ so every lane also runs a serial tail.
-TEST(Fnv1aMany, MatchesSingleShotMixedLengthTails) {
-  std::vector<std::string> pool;
-  for (std::size_t len : {4096u, 17u, 1000u, 3u, 2048u, 0u, 777u})
-    pool.push_back(std::string(len, char('a' + len % 26)) +
-                   std::to_string(len * 65537));
-  for (std::size_t tail = 1; tail <= 3; ++tail) {
-    const std::size_t n = 4 + tail;
-    std::vector<std::string_view> views(pool.begin(),
-                                        pool.begin() + std::ptrdiff_t(n));
-    std::vector<std::uint64_t> out(n, 0xDEAD);
-    fnv1a_many(views, out);
-    for (std::size_t i = 0; i < n; ++i)
-      ASSERT_EQ(out[i], fnv1a(views[i])) << "tail=" << tail << " i=" << i;
-    // The same tail on its own, with no full group in front.
-    std::vector<std::string_view> alone(views.end() - std::ptrdiff_t(tail),
-                                        views.end());
-    std::vector<std::uint64_t> out_alone(tail, 0xDEAD);
-    fnv1a_many(alone, out_alone);
-    for (std::size_t i = 0; i < tail; ++i)
-      ASSERT_EQ(out_alone[i], fnv1a(alone[i])) << "tail=" << tail;
-  }
+// The hardware arm against the reference for every length 0..70,000
+// (past one 64 KiB value) at every start offset 0..7.
+TEST(Crc32c, HardwareArmMatchesBitwiseReference) {
+  const Crc32cFn hw = crc32c_kernel_by_name("sse4.2");
+  if (hw == nullptr) GTEST_SKIP() << "this host has no SSE4.2";
+  expect_matches_reference("sse4.2", hw, 70000);
 }
 
-TEST(Fnv1aMany, KnownVectors) {
-  const std::vector<std::string_view> keys{"", "a", "foobar"};
-  std::vector<std::uint64_t> out(3);
-  fnv1a_many(keys, out);
-  EXPECT_EQ(out[0], 0xcbf29ce484222325ull);
-  EXPECT_EQ(out[1], 0xaf63dc4c8601ec8cull);
-  EXPECT_EQ(out[2], 0x85944171f73967e8ull);
+// The table arm is byte-serial, so lengths up to a few KiB at every
+// offset cover all of its paths.
+TEST(Crc32c, TableArmMatchesBitwiseReference) {
+  expect_matches_reference("table", crc32c_kernel_by_name("table"), 4096);
 }
 
 }  // namespace

@@ -12,12 +12,14 @@
 //      the decoder must always return need_more/frame/error and never
 //      read out of bounds (ASan is the referee) or allocate from a
 //      length prefix beyond its bound.
-//   4. Checksum equivalence: the wide-sum body_checksum equals a
-//      byte-at-a-time reference on every length and at the body bound,
-//      and one request and one response frame encode to pinned bytes.
+//   4. Integrity: body_checksum equals a bit-at-a-time CRC32C
+//      reference on every length and at the body bound; every bit flip
+//      and every swap of two distinct body bytes is rejected; one
+//      request and one response frame encode to pinned bytes.
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <utility>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -292,7 +294,7 @@ TEST(NetioCodec, SingleBitFlipNeverYieldsAFrame) {
         ASSERT_NE(d, Decode::frame)
             << "silent corruption at byte " << pos << " bit " << bit;
         if (pos >= kHeaderLen) {
-          // Any body flip shifts the checksum by a nonzero delta.
+          // CRC32C catches every single-bit error.
           ASSERT_EQ(d, Decode::error)
               << "undetected body flip at byte " << pos << " bit " << bit;
           ++body_flips;
@@ -306,50 +308,92 @@ TEST(NetioCodec, SingleBitFlipNeverYieldsAFrame) {
   EXPECT_GT(header_errors, 0u);
 }
 
-// The byte-at-a-time checksum the wire format was defined with: skip
-// the checksum field, sum, reduce whenever the u32 nears overflow. The
-// library computes one wide sum instead and must agree on every input.
-std::uint16_t reference_checksum(const std::uint8_t* body, std::size_t n) {
-  std::uint32_t sum = 0;
+// CRC32C bit at a time from its definition (reflected polynomial
+// 0x82F63B78, preset and final inversion), sharing nothing with the
+// library.
+std::uint32_t reference_crc32c(const std::uint8_t* p, std::size_t n) {
+  std::uint32_t reg = 0xffffffffu;
   for (std::size_t i = 0; i < n; ++i) {
-    if (i == kChecksumOffset || i == kChecksumOffset + 1) continue;
-    sum += body[i];
-    if (sum >= 0xfff00000u) sum %= 65521u;
+    reg ^= p[i];
+    for (int bit = 0; bit < 8; ++bit)
+      reg = (reg & 1u) ? (reg >> 1) ^ 0x82f63b78u : reg >> 1;
   }
-  sum %= 65521u;
-  return sum == 0 ? 0xffffu : static_cast<std::uint16_t>(sum);
+  return ~reg;
 }
 
 TEST(NetioCodec, ChecksumMatchesByteAtATimeReference) {
   Rng rng(8);
   // Random bodies of every length 0..4096, at every start alignment
-  // mod 8, so each vector-loop prologue and tail is covered.
+  // mod 8, so each 8-byte loop head and tail is covered.
   std::vector<std::uint8_t> buf(4096 + 8);
   for (std::size_t n = 0; n <= 4096; ++n) {
     for (auto& b : buf) b = static_cast<std::uint8_t>(rng.next_u64());
     const std::uint8_t* body = buf.data() + n % 8;
-    ASSERT_EQ(body_checksum(body, n), reference_checksum(body, n))
+    ASSERT_EQ(body_checksum(body, n), reference_crc32c(body, n))
         << "length " << n;
   }
-  // Lengths 0-3 end inside (or before) the checksum field.
-  const std::uint8_t ff[4] = {0xff, 0xff, 0xff, 0xff};
-  for (std::size_t n = 0; n <= 3; ++n)
-    EXPECT_EQ(body_checksum(ff, n), reference_checksum(ff, n)) << n;
-  EXPECT_EQ(body_checksum(ff, 0), 0xffffu);  // empty sum maps to 0xFFFF
-  EXPECT_EQ(body_checksum(ff, 3), 510u);     // byte 2 is the field
-  // A sum that is an exact multiple of 65521 maps to 0xFFFF, not 0.
-  std::vector<std::uint8_t> ones(65521 + 2, 1);
-  ones[kChecksumOffset] = ones[kChecksumOffset + 1] = 0xab;
-  EXPECT_EQ(body_checksum(ones.data(), ones.size()), 0xffffu);
-  // All-0xFF at the decoder's body bound: the largest sum a frame can
-  // carry, far past the reference's u32 reduction point.
+  // All-0xFF at the decoder's body bound.
   const std::vector<std::uint8_t> big(kDefaultMaxBody, 0xff);
   EXPECT_EQ(body_checksum(big.data(), big.size()),
-            reference_checksum(big.data(), big.size()));
+            reference_crc32c(big.data(), big.size()));
 }
 
-// The exact wire bytes of one request and one response frame. Any
-// change to the layout, the magics or the checksum value breaks this.
+/// A PUT request whose body is exactly 1 KiB.
+Frame kib_request() {
+  Frame f;
+  f.kind = Frame::Kind::request;
+  f.opcode = static_cast<std::uint8_t>(Opcode::put);
+  f.tenant = 3;
+  f.request_id = 77;
+  f.key = "key-1024";
+  f.value.resize(1024 - kRequestFixedLen - f.key.size());
+  for (std::size_t i = 0; i < f.value.size(); ++i)
+    f.value[i] = static_cast<std::uint8_t>(i * 37 + 11);
+  return f;
+}
+
+// An order-blind checksum (the first wire version's byte sum) accepts a
+// frame whose body has two bytes swapped; the CRC must not.
+TEST(NetioCodec, SwappedBodyBytesAreRejected) {
+  const auto bytes = encode(kib_request());
+  ASSERT_EQ(bytes.size(), kHeaderLen + 1024);
+  Rng rng(11);
+  int swaps = 0;
+  while (swaps < 2000) {
+    const std::size_t i = kHeaderLen + rng.uniform_u64(0, 1023);
+    const std::size_t j = kHeaderLen + rng.uniform_u64(0, 1023);
+    if (bytes[i] == bytes[j]) continue;  // a no-op swap is not corruption
+    auto mutated = bytes;
+    std::swap(mutated[i], mutated[j]);
+    FrameDecoder dec;
+    dec.feed(mutated);
+    Frame out;
+    ASSERT_EQ(dec.next(out), Decode::error)
+        << "swap of body bytes " << i - kHeaderLen << " and " << j - kHeaderLen;
+    ++swaps;
+  }
+}
+
+TEST(NetioCodec, EveryRequestBodyBitFlipIsRejected) {
+  const auto bytes = encode(kib_request());
+  for (std::size_t pos = kHeaderLen; pos < bytes.size(); ++pos) {
+    for (int bit = 0; bit < 8; ++bit) {
+      auto mutated = bytes;
+      mutated[pos] ^= static_cast<std::uint8_t>(1u << bit);
+      FrameDecoder dec;
+      dec.feed(mutated);
+      Frame out;
+      ASSERT_EQ(dec.next(out), Decode::error)
+          << "body byte " << pos - kHeaderLen << " bit " << bit;
+      EXPECT_EQ(dec.error(), "body checksum mismatch");
+    }
+  }
+}
+
+// The exact wire bytes of one request and one response frame, captured
+// from an independent bit-at-a-time CRC32C over the documented layout.
+// Any change to the layout, the magics or the checksum value breaks
+// this.
 TEST(NetioCodec, WireBytesArePinned) {
   Frame q;
   q.kind = Frame::Kind::request;
@@ -359,10 +403,10 @@ TEST(NetioCodec, WireBytesArePinned) {
   q.key = "key-1";
   q.value = {0xde, 0xad, 0xbe, 0xef};
   const std::vector<std::uint8_t> q_wire = {
-      0x4d, 0x46, 0x51, 0x31, 0x21, 0x00, 0x00, 0x00, 0x01, 0x00, 0x14, 0x05,
-      0x07, 0x00, 0x00, 0x00, 0x08, 0x07, 0x06, 0x05, 0x04, 0x03, 0x02, 0x01,
-      0x05, 0x00, 0x00, 0x00, 0x04, 0x00, 0x00, 0x00, 0x6b, 0x65, 0x79, 0x2d,
-      0x31, 0xde, 0xad, 0xbe, 0xef};
+      0x4d, 0x46, 0x51, 0x32, 0x21, 0x00, 0x00, 0x00, 0xb1, 0x93, 0xec, 0x06,
+      0x01, 0x00, 0x00, 0x00, 0x07, 0x00, 0x00, 0x00, 0x08, 0x07, 0x06, 0x05,
+      0x04, 0x03, 0x02, 0x01, 0x05, 0x00, 0x00, 0x00, 0x04, 0x00, 0x00, 0x00,
+      0x6b, 0x65, 0x79, 0x2d, 0x31, 0xde, 0xad, 0xbe, 0xef};
 
   Frame s;
   s.kind = Frame::Kind::response;
@@ -375,11 +419,11 @@ TEST(NetioCodec, WireBytesArePinned) {
   s.value = {1, 2, 3};
   s.value_size = 3;
   const std::vector<std::uint8_t> s_wire = {
-      0x4d, 0x46, 0x53, 0x31, 0x2b, 0x00, 0x00, 0x00, 0x00, 0x03, 0xa0, 0x03,
-      0xfa, 0x00, 0x00, 0x00, 0x2a, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
-      0x09, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x88, 0x77, 0x66, 0x55,
-      0x44, 0x33, 0x22, 0x11, 0x03, 0x00, 0x00, 0x00, 0x03, 0x00, 0x00, 0x00,
-      0x01, 0x02, 0x03};
+      0x4d, 0x46, 0x53, 0x32, 0x2b, 0x00, 0x00, 0x00, 0xe3, 0xad, 0x47, 0x85,
+      0x00, 0x03, 0x00, 0x00, 0xfa, 0x00, 0x00, 0x00, 0x2a, 0x00, 0x00, 0x00,
+      0x00, 0x00, 0x00, 0x00, 0x09, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+      0x88, 0x77, 0x66, 0x55, 0x44, 0x33, 0x22, 0x11, 0x03, 0x00, 0x00, 0x00,
+      0x03, 0x00, 0x00, 0x00, 0x01, 0x02, 0x03};
 
   EXPECT_EQ(encode(q), q_wire);
   EXPECT_EQ(encode(s), s_wire);

@@ -92,7 +92,7 @@ TEST(RtEc, PutGetRoundtripVariousSizes) {
   }
 }
 
-TEST(RtEc, ManifestChecksumIsPayloadFnvAndBytesArePinned) {
+TEST(RtEc, ManifestChecksumIsPayloadCrc32cAndBytesArePinned) {
   ShardedStore store(store_opts());
   const erasure::ReedSolomon rs(4, 2);
   std::vector<std::uint8_t> bytes(1000);
@@ -104,26 +104,42 @@ TEST(RtEc, ManifestChecksumIsPayloadFnvAndBytesArePinned) {
   ASSERT_TRUE(raw.ok());
   const auto mf = ec::parse_manifest(raw.value().bytes());
   ASSERT_TRUE(mf.has_value());
-  EXPECT_EQ(mf->checksum,
-            hash::fnv1a({reinterpret_cast<const char*>(bytes.data()),
-                         bytes.size()}));
-  // Magic, version, k, m, pad, little-endian length, little-endian FNV.
+  EXPECT_EQ(mf->checksum, hash::crc32c(bytes.data(), bytes.size()));
+  // Magic, version 2, k, m, pad, little-endian length, little-endian
+  // CRC32C zero-extended to 64 bits (captured from an independent
+  // bit-at-a-time CRC32C).
   const std::vector<std::uint8_t> want{
-      'M',  'F',  'R',  'S',  1,    4,    2,    0,
+      'M',  'F',  'R',  'S',  2,    4,    2,    0,
       0xe8, 0x03, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
-      0x35, 0x2e, 0xa3, 0x67, 0x8c, 0x50, 0x9c, 0xa4};
+      0x97, 0xee, 0x52, 0xff, 0x00, 0x00, 0x00, 0x00};
   EXPECT_TRUE(std::equal(want.begin(), want.end(),
                          raw.value().bytes().begin(),
                          raw.value().bytes().end()));
 
-  // An empty value has no bytes to carry a checksum: its manifest holds
-  // FNV-1a of the empty string, as it always has.
+  // An empty value's manifest holds CRC32C of no bytes: 0.
   ASSERT_TRUE(ec::put(store, "tok", "empty", kvstore::Blob{}, rs).ok());
   const auto empty =
       ec::parse_manifest(store.get("tok", ec::manifest_key("empty"))
                              .value().bytes());
   ASSERT_TRUE(empty.has_value());
-  EXPECT_EQ(empty->checksum, 0xcbf29ce484222325ull);
+  EXPECT_EQ(empty->checksum, 0u);
+
+  // A version-1 (FNV-1a) manifest is not read as version 2.
+  auto v1 = want;
+  v1[4] = 1;
+  EXPECT_FALSE(ec::parse_manifest(v1).has_value());
+}
+
+TEST(RtEc, PutOfGhostValueIsInvalidArgument) {
+  // A ghost has a size but no bytes; striping it would store a 0-byte
+  // value that reads back in place of the ghost's 1000.
+  ShardedStore store(store_opts());
+  const erasure::ReedSolomon rs(4, 2);
+  EXPECT_EQ(ec::put(store, "tok", "ghost", kvstore::Blob::ghost(1000, 3), rs)
+                .code(),
+            Errc::invalid_argument);
+  EXPECT_EQ(store.key_count(), 0u);
+  EXPECT_EQ(ec::get(store, "tok", "ghost").code(), Errc::not_found);
 }
 
 TEST(RtEc, PutOfValueWithStaleChecksumReadsBackAsCorruption) {

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "hash/hashes.hpp"
+
 namespace memfss::kvstore {
 namespace {
 
@@ -26,28 +28,18 @@ TEST(Blob, GhostProperties) {
   EXPECT_FALSE(Blob::ghost(1 << 20, 43) == g);
 }
 
-TEST(Blob, MaterializedManyMatchesOneAtATime) {
-  // Six 16 KiB shards (an RS(4,2) stripe of a 64 KiB value), then odd
-  // sizes including an empty part.
-  std::vector<std::vector<std::uint8_t>> parts;
-  for (std::size_t s = 0; s < 6; ++s) {
-    std::vector<std::uint8_t> p(16 * 1024);
-    for (std::size_t i = 0; i < p.size(); ++i)
-      p[i] = std::uint8_t(i * 37 + s * 101);
-    parts.push_back(std::move(p));
-  }
-  parts.push_back({});
-  parts.push_back({1, 2, 3, 4, 5, 6, 7});
-  parts.push_back({9, 9, 9});
-  const auto many = Blob::materialized_many(parts);
-  ASSERT_EQ(many.size(), parts.size());
-  for (std::size_t i = 0; i < parts.size(); ++i) {
-    const auto one = Blob::materialized(parts[i]);
-    EXPECT_EQ(many[i].size(), one.size()) << i;
-    EXPECT_EQ(many[i].checksum(), one.checksum()) << i;
-    EXPECT_TRUE(many[i] == one) << i;  // size, checksum and bytes
-    EXPECT_TRUE(many[i].verify()) << i;
-  }
+TEST(Blob, MaterializedChecksumIsCrc32cOfTheBytes) {
+  // The one payload checksum, zero-extended into the u64 field; ghosts
+  // keep their size/tag mix.
+  EXPECT_EQ(bytes_blob("123456789").checksum(), 0xE3069283u);
+  EXPECT_EQ(bytes_blob("").checksum(), 0u);
+  std::vector<std::uint8_t> shard(16 * 1024);
+  for (std::size_t i = 0; i < shard.size(); ++i)
+    shard[i] = std::uint8_t(i * 37 + 101);
+  const auto b = Blob::materialized(shard);
+  EXPECT_EQ(b.checksum(), hash::crc32c(shard.data(), shard.size()));
+  EXPECT_TRUE(b.verify());
+  EXPECT_EQ(Blob::ghost(1000, 5).checksum(), hash::mix64(1000, 5));
 }
 
 TEST(Store, PutGetRoundtrip) {
