@@ -34,7 +34,11 @@
 //
 // Erasure-coded store benches (DESIGN.md §14):
 //   - ec.put_64k_per_sec / get_64k_per_sec: rt::ec::put and get of
-//     64 KiB values, RS(4,2) over a ShardedStore, no sibling missing.
+//     64 KiB values, RS(4,2) over a ShardedStore, no sibling missing;
+//   - ec.put_64k_allocs / get_64k_allocs: heap allocations per put and
+//     per get on the same store, counted exactly by this binary's global
+//     operator new. They do not move with host load, so
+//     scripts/check.sh --perf gates them as fresh <= committed.
 //
 // Every byte-pump, codec and EC row is the best of five trials
 // (best_calls_per_sec): on a shared host single trials swing 30-50%.
@@ -47,10 +51,12 @@
 // only meaningful within one machine, which is why the committed file is
 // regenerated (baseline rows preserved) rather than diffed.
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <functional>
+#include <new>
 #include <string>
 #include <vector>
 
@@ -68,6 +74,23 @@
 #include "sim/simulator.hpp"
 
 using namespace memfss;
+
+// --- allocation counting -----------------------------------------------------
+// Every non-aligned heap allocation of this process passes through here
+// (operator new[] forwards to operator new), so a bench can read an
+// exact count around the code it measures.
+
+namespace {
+std::atomic<std::uint64_t> g_allocations{0};
+}  // namespace
+
+void* operator new(std::size_t n) {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
+  throw std::bad_alloc();
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 
 namespace {
 
@@ -361,6 +384,23 @@ void bench_ec() {
          if (!got.ok() || got.value().size() != kValue) std::exit(1);
        }),
        "get/s");
+
+  // Exact allocations per op over one pass of every key.
+  auto allocs_per_op = [&](auto&& op) {
+    const std::uint64_t before = g_allocations.load();
+    for (std::size_t k = 0; k < kKeys; ++k) op(k);
+    return static_cast<double>(g_allocations.load() - before) / kKeys;
+  };
+  emit("ec", "put_64k_allocs", allocs_per_op([&](std::size_t k) {
+         if (!rt::ec::put(store, token, keys[k], pool[k % pool.size()], rs)
+                  .ok())
+           std::exit(1);
+       }),
+       "count");
+  emit("ec", "get_64k_allocs", allocs_per_op([&](std::size_t k) {
+         if (!rt::ec::get(store, token, keys[k]).ok()) std::exit(1);
+       }),
+       "count");
 }
 
 // --- macro: fig2-shaped dd bag -----------------------------------------------

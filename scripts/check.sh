@@ -23,7 +23,9 @@
 # BENCH_hotpath.json, or if RS(8,3) encode falls under 5x the committed
 # pre-SIMD scalar baseline (erasure_prepr) while a SIMD kernel is
 # selected. Only meaningful on the machine that produced the committed
-# numbers (wall-clock benches don't transfer across hosts).
+# numbers (wall-clock benches don't transfer across hosts). The exact
+# count rows (heap allocations per 64 KiB EC put and get) do transfer:
+# they fail on any fresh count above the committed one.
 #
 # --tsan builds with ThreadSanitizer (-DMEMFSS_SANITIZE=thread) in
 # build-tsan/ and runs only the `concurrency`-labeled ctest targets --
@@ -204,7 +206,8 @@ do_perf() {
   # EC rows (64 KiB RS(4,2) puts/s and gets/s).
   # A >20% drop against any committed number is a regression, and the
   # SIMD encode path must hold >= 5x the committed pre-SIMD scalar
-  # baseline whenever a vector kernel is active.
+  # baseline whenever a vector kernel is active. Exact counts (EC
+  # allocations per op) must not rise at all.
   python3 - "$fresh" BENCH_hotpath.json <<'EOF'
 import json, sys
 def row(path, bench, metric):
@@ -229,6 +232,12 @@ for bench, metric in [("sim", "events_per_sec"),
           f"{committed:.3g} (ratio {ratio:.2f})")
     if ratio < 0.8:
         failures.append(f"{bench}.{metric} dropped more than 20%")
+for bench, metric in [("ec", "put_64k_allocs"), ("ec", "get_64k_allocs")]:
+    fresh = row(fresh_path, bench, metric)
+    committed = row(committed_path, bench, metric)
+    print(f"{bench}.{metric}: fresh {fresh:g} vs committed {committed:g}")
+    if fresh > committed:
+        failures.append(f"{bench}.{metric} rose above the committed count")
 # The dispatch win itself: SIMD encode vs the committed pre-SIMD scalar
 # baseline. Skipped when the host pinned/selected the scalar kernel
 # (fresh active row ~ fresh scalar row), since the 5x claim is about the

@@ -3,7 +3,6 @@
 #include <cstring>
 
 #include "common/cpu.hpp"
-#include "erasure/gf256.hpp"
 
 #if defined(__x86_64__) || defined(__i386__)
 #include <immintrin.h>
@@ -18,29 +17,45 @@ namespace {
 // Nibble product tables: for every coefficient c, 16 products with the
 // low nibble and 16 with the high nibble, so mul(c, b) ==
 // lo[c][b & 15] ^ hi[c][b >> 4]. 32 bytes per coefficient (one cache
-// line pair), 8 KiB total, built once from the log/alog tables. Both
-// SIMD backends shuffle straight out of this layout; the scalar row
-// kernel uses it too so every backend multiplies through the identical
-// tables.
+// line pair), 8 KiB total, constant-initialized at compile time, so a
+// lookup is a plain load with no static guard and no call -- which lets
+// the SIMD block loops keep their accumulators in registers. Both SIMD
+// backends shuffle straight out of this layout; the scalar row kernel
+// uses it too so every backend multiplies through the identical tables.
 // ---------------------------------------------------------------------------
+
+/// Shift-and-add product over the AES polynomial 0x11b, the field
+/// GF256::mul computes through its log tables.
+constexpr std::uint8_t const_mul(std::uint8_t a, std::uint8_t b) {
+  std::uint8_t p = 0;
+  for (; b != 0; b >>= 1) {
+    if (b & 1) p ^= a;
+    a = static_cast<std::uint8_t>((a << 1) ^ ((a & 0x80) ? 0x1b : 0));
+  }
+  return p;
+}
 
 struct NibbleTables {
   alignas(32) std::uint8_t t[256][32];
-  NibbleTables() {
-    for (unsigned c = 0; c < 256; ++c) {
-      for (unsigned v = 0; v < 16; ++v) {
-        t[c][v] = GF256::mul(static_cast<std::uint8_t>(c),
-                             static_cast<std::uint8_t>(v));
-        t[c][16 + v] = GF256::mul(static_cast<std::uint8_t>(c),
-                                  static_cast<std::uint8_t>(v << 4));
-      }
-    }
-  }
 };
 
-const std::uint8_t* nibble_tables(std::uint8_t c) {
-  static const NibbleTables tables;
-  return tables.t[c];
+constexpr NibbleTables make_nibble_tables() {
+  NibbleTables n{};
+  for (unsigned c = 0; c < 256; ++c) {
+    for (unsigned v = 0; v < 16; ++v) {
+      n.t[c][v] = const_mul(static_cast<std::uint8_t>(c),
+                            static_cast<std::uint8_t>(v));
+      n.t[c][16 + v] = const_mul(static_cast<std::uint8_t>(c),
+                                 static_cast<std::uint8_t>(v << 4));
+    }
+  }
+  return n;
+}
+
+constexpr NibbleTables kNibbles = make_nibble_tables();
+
+inline const std::uint8_t* nibble_tables(std::uint8_t c) {
+  return kNibbles.t[c];
 }
 
 // ---------------------------------------------------------------------------

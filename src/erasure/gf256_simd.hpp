@@ -3,7 +3,9 @@
 // AVX2 backends implement the ISA-L-style nibble-shuffle multiply: a
 // coefficient c becomes two 16-entry tables (products of c with the low
 // and high nibble of every byte), applied with PSHUFB so one shuffle
-// pair multiplies 16/32 bytes at once.
+// pair multiplies 16/32 bytes at once. The 256 table pairs are
+// constant-initialized at compile time, so the block loops load them
+// with no call and no static guard.
 //
 // Selection happens once, at first use, from CPUID -- or is pinned to
 // scalar by setting MEMFSS_FORCE_SCALAR to anything but "" / "0" (CI

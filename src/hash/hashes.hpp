@@ -54,9 +54,10 @@ std::uint32_t fold31(std::uint64_t x);
 /// and final xor 0xFFFFFFFF) of `n` bytes at `data`, which need no
 /// alignment; crc32c("123456789") == 0xE3069283 and zero bytes give 0.
 /// Two arms compute the identical value: SSE4.2 `crc32` over 8 bytes
-/// per step, and a 256-entry byte table. The arm is chosen once, at
-/// first use, from CPUID and MEMFSS_FORCE_SCALAR (common/cpu.hpp), as
-/// the GF(2^8) kernels are.
+/// per step in three independent chains (lanes of 8192, then 256,
+/// bytes, spliced with zero-shift tables), and a 256-entry byte table.
+/// The arm is chosen once, at first use, from CPUID and
+/// MEMFSS_FORCE_SCALAR (common/cpu.hpp), as the GF(2^8) kernels are.
 std::uint32_t crc32c(const void* data, std::size_t n);
 
 /// Name of the active arm: "sse4.2" or "table".

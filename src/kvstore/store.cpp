@@ -78,7 +78,8 @@ void Store::assign(Map::iterator it, std::string_view key, Blob value) {
     it->second = std::move(value);
 }
 
-Result<Blob> Store::get(std::string_view token, std::string_view key) {
+Result<const Blob*> Store::lookup(std::string_view token,
+                                  std::string_view key) {
   if (auto st = check(token); !st.ok()) return st.error();
   ++stats_.gets;
   auto it = map_.find(std::string(key));
@@ -88,7 +89,13 @@ Result<Blob> Store::get(std::string_view token, std::string_view key) {
   }
   ++stats_.hits;
   stats_.bytes_out += it->second.size();
-  return it->second;
+  return &it->second;
+}
+
+Result<Blob> Store::get(std::string_view token, std::string_view key) {
+  auto hit = lookup(token, key);
+  if (!hit.ok()) return hit.error();
+  return *hit.value();
 }
 
 Result<bool> Store::exists(std::string_view token,

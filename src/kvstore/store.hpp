@@ -20,6 +20,7 @@
 #include <string>
 #include <string_view>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/result.hpp"
@@ -62,6 +63,17 @@ class Store {
 
   /// Fetch a value.
   Result<Blob> get(std::string_view token, std::string_view key);
+
+  /// get() without the copy: on a hit `fn(const Blob&)` sees the
+  /// resident value in place, valid only for the call. Same auth,
+  /// closed-store and not_found errors and the same stats as get().
+  template <class Fn>
+  Status read(std::string_view token, std::string_view key, Fn&& fn) {
+    auto hit = lookup(token, key);
+    if (!hit.ok()) return hit.error();
+    fn(*hit.value());
+    return {};
+  }
 
   /// Presence check (no bytes_out accounting).
   Result<bool> exists(std::string_view token, std::string_view key) const;
@@ -136,6 +148,8 @@ class Store {
   using Map = std::unordered_map<std::string, Blob>;
 
   Status check(std::string_view token) const;
+  /// get()'s checks and stats; the resident value on a hit.
+  Result<const Blob*> lookup(std::string_view token, std::string_view key);
   /// Insert `value` at `it` (map_.end() = new key), overwriting in
   /// place when the resident buffer can be reused.
   void assign(Map::iterator it, std::string_view key, Blob value);

@@ -89,9 +89,9 @@ Status put(ShardedStore& store, std::string_view token, std::string_view key,
   // Remember how wide any stripe already under this key is, so stale
   // siblings beyond the new width get swept after commit.
   std::size_t old_total = 0;
-  if (auto old = store.get(token, manifest_key(key)); old.ok()) {
-    if (auto mf = parse_manifest(old.value().bytes())) old_total = mf->k + mf->m;
-  }
+  (void)store.read(token, manifest_key(key), [&](const kvstore::Blob& old) {
+    if (auto mf = parse_manifest(old.bytes())) old_total = mf->k + mf->m;
+  });
 
   if (!bytes.empty()) {
     // Code straight into the k+m sibling buffers and move each into
@@ -143,72 +143,92 @@ Result<kvstore::Blob> get(ShardedStore& store, std::string_view token,
   if (reconstructed) *reconstructed = false;
   // A get racing a put can observe a torn stripe (manifest of one
   // generation, shards of another); the manifest checksum catches that
-  // and a bounded retry re-reads the settled state.
-  Status last{Errc::corruption, "erasure stripe unreadable"};
+  // and a bounded retry re-reads the settled state. Every retry sets
+  // `last` first; it starts empty so a clean get builds no message.
+  Status last;
   for (int attempt = 0; attempt < 3; ++attempt) {
-    auto mres = store.get(token, manifest_key(key), seq);
-    if (mres.code() == Errc::not_found)
+    std::optional<Manifest> mf;
+    const auto mst = store.read(
+        token, manifest_key(key),
+        [&](const kvstore::Blob& b) { mf = parse_manifest(b.bytes()); }, seq);
+    if (mst.code() == Errc::not_found)
       return store.get(token, key, seq);  // pre-policy plain value
-    if (!mres.ok()) return mres.error();
-    const auto mf = parse_manifest(mres.value().bytes());
+    if (!mst.ok()) return mst.error();
     if (!mf) {
       last = {Errc::corruption, "bad erasure manifest"};
       continue;
     }
     if (mf->len == 0) return kvstore::Blob::materialized({});
 
+    // len / k rounded up, written so a forged len near 2^64 cannot wrap
+    // it to a size that empty siblings would match.
+    const std::uint64_t ss = mf->len / mf->k + (mf->len % mf->k != 0);
     const std::size_t total = mf->k + mf->m;
-    const std::size_t ss = (mf->len + mf->k - 1) / mf->k;
-    std::vector<std::optional<kvstore::Blob>> shards(total);
-    std::size_t data_present = 0;
-    auto fetch = [&](std::size_t i) -> Errc {
-      auto r = store.get(token, shard_key(key, i));
-      if (r.code() == Errc::permission) return Errc::permission;
-      // A wrong-size sibling is a torn write: treat it as missing so
-      // it cannot poison the decode.
-      if (r.ok() && r.value().bytes().size() == ss)
-        shards[i] = std::move(r).value();
-      return Errc::ok;
-    };
-    for (std::size_t i = 0; i < mf->k; ++i) {
-      if (fetch(i) == Errc::permission)
-        return Error{Errc::permission, "bad token"};
-      if (shards[i]) ++data_present;
-    }
-
+    // Leading data siblings are appended straight from the store into
+    // the payload. From the first missing one on, every sibling read is
+    // kept whole in `held` for the decode, as is a sibling whose tail is
+    // padding (the payload keeps only its first bytes).
     std::vector<std::uint8_t> payload;
-    if (data_present == mf->k) {
-      // Fast path: every data sibling survived; concatenate and trim.
-      payload.reserve(mf->len);
-      for (std::size_t i = 0; i < mf->k && payload.size() < mf->len; ++i) {
-        const auto b = shards[i]->bytes();
-        const std::size_t n =
-            std::min(ss, static_cast<std::size_t>(mf->len) - payload.size());
-        payload.insert(payload.end(), b.begin(),
-                       b.begin() + static_cast<std::ptrdiff_t>(n));
+    std::vector<std::vector<std::uint8_t>> held;
+    std::size_t gathered = 0;  // data siblings appended to the payload
+    bool gap = false;
+    auto fetch = [&](std::size_t i) {
+      bool present = false;
+      const auto st = store.read(
+          token, shard_key(key, i), [&](const kvstore::Blob& b) {
+            // A wrong-size sibling is a torn write: treat it as missing
+            // so it cannot poison the decode.
+            const auto bytes = b.bytes();
+            if (bytes.size() != ss) return;
+            present = true;
+            std::size_t n = 0;  // bytes that go straight into the payload
+            if (!gap) {
+              n = std::min<std::size_t>(ss, mf->len - payload.size());
+              if (payload.empty()) payload.reserve(mf->len);
+              payload.insert(payload.end(), bytes.data(), bytes.data() + n);
+            }
+            if (n < ss) {
+              held.resize(total);
+              held[i].assign(bytes.data(), bytes.data() + ss);
+            }
+          });
+      if (i < mf->k && !gap) {
+        if (present)
+          ++gathered;
+        else
+          gap = true;
       }
-    } else {
-      // Slow path: pull in parity and reconstruct from any k survivors.
+      return st.code() != Errc::permission;
+    };
+    for (std::size_t i = 0; i < mf->k; ++i)
+      if (!fetch(i)) return Error{Errc::permission, "bad token"};
+
+    if (gap) {
+      // Slow path: pull in parity and reconstruct from any k survivors,
+      // reusing the data siblings already read.
       for (std::size_t i = mf->k; i < total; ++i)
-        if (fetch(i) == Errc::permission)
-          return Error{Errc::permission, "bad token"};
-      std::vector<std::vector<std::uint8_t>> present(total);
-      for (std::size_t i = 0; i < total; ++i)
-        if (shards[i])
-          present[i].assign(shards[i]->bytes().begin(),
-                            shards[i]->bytes().end());
+        if (!fetch(i)) return Error{Errc::permission, "bad token"};
+      held.resize(total);
+      for (std::size_t i = 0; i < gathered; ++i)
+        if (held[i].empty())
+          held[i].assign(payload.data() + i * ss,
+                         payload.data() + (i + 1) * ss);
       const erasure::ReedSolomon coder(mf->k, mf->m);
-      auto dec = coder.decode(present, mf->len);
-      if (!dec.ok()) {
-        last = dec.error();
+      if (auto st = coder.reconstruct(held); !st.ok()) {
+        last = st;
         continue;
       }
-      payload = std::move(dec).value();
+      if (payload.empty()) payload.reserve(mf->len);
+      for (std::size_t i = gathered; i < mf->k; ++i) {
+        const std::size_t n =
+            std::min<std::size_t>(ss, mf->len - payload.size());
+        payload.insert(payload.end(), held[i].data(), held[i].data() + n);
+      }
       if (reconstructed) *reconstructed = true;
     }
 
-    // The one hash of the payload: materialized() computes it, and it
-    // must match the manifest's.
+    // The one hash of the payload: materialized() computes it over the
+    // bytes actually read, and it must match the manifest's.
     auto out = kvstore::Blob::materialized(std::move(payload));
     if (out.checksum() == mf->checksum) return out;
     last = {Errc::corruption, "stripe checksum mismatch"};
@@ -219,13 +239,13 @@ Result<kvstore::Blob> get(ShardedStore& store, std::string_view token,
 Status del(ShardedStore& store, std::string_view token, std::string_view key,
            std::uint64_t* seq) {
   std::size_t total = 0;
-  auto mres = store.get(token, manifest_key(key));
-  if (mres.code() == Errc::permission) return {Errc::permission, "bad token"};
-  if (mres.ok()) {
-    if (auto mf = parse_manifest(mres.value().bytes())) total = mf->k + mf->m;
-  }
+  const auto mst =
+      store.read(token, manifest_key(key), [&](const kvstore::Blob& b) {
+        if (auto mf = parse_manifest(b.bytes())) total = mf->k + mf->m;
+      });
+  if (mst.code() == Errc::permission) return {Errc::permission, "bad token"};
   bool found = false;
-  if (mres.ok()) {
+  if (mst.ok()) {
     // Manifest goes first so concurrent readers fall back cleanly
     // instead of observing a shrinking stripe.
     found = store.del(token, manifest_key(key), seq).ok();

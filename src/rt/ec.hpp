@@ -23,8 +23,14 @@
 // bytes itself; it codes straight into the k+m sibling buffers, each
 // of which Blob::materialized checksums as its own stored value. get()
 // hashes the reassembled payload exactly once, via Blob::materialized,
-// and compares that with the manifest on both the fast and the
-// reconstruct path. The manifest field is u64 and holds the
+// over the bytes it actually read, and compares that with the manifest
+// on both the fast and the reconstruct path.
+//
+// Copies: get() and put() read through ShardedStore::read, so no
+// sibling or manifest Blob is copied out of the store. The manifest is
+// parsed in place and each data sibling is appended straight into the
+// payload (one allocation and one copy per byte on a clean get). A
+// degraded get reuses every sibling it has read: 1 + k + m store reads. The manifest field is u64 and holds the
 // zero-extended 32-bit CRC, so a torn read whose bytes differ from the
 // manifest's generation passes the check with probability 2^-32 per
 // read.
@@ -83,9 +89,10 @@ Status put(ShardedStore& store, std::string_view token, std::string_view key,
            const kvstore::Blob& value, const erasure::ReedSolomon& rs,
            std::uint64_t* seq = nullptr, std::uint32_t tenant = 0);
 
-/// Read back the logical value: fast path concatenates the k data
-/// siblings; missing data siblings trigger reconstruction from any k
-/// survivors. Falls back to a plain get when no manifest exists (keys
+/// Read back the logical value: fast path gathers the k data siblings
+/// into the payload; missing data siblings trigger reconstruction from
+/// any k survivors. A manifest whose length no resident sibling can
+/// hold (e.g. forged) reads as corruption. Falls back to a plain get when no manifest exists (keys
 /// written before the tenant's policy was enabled). `reconstructed`
 /// (optional) reports whether the slow path ran.
 Result<kvstore::Blob> get(ShardedStore& store, std::string_view token,

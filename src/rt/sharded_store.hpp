@@ -6,6 +6,9 @@
 // the aggregate `used()` never exceeds `capacity()` at any instant even
 // while shards mutate concurrently.
 //
+// read() is get() without the copy: a callback sees the resident value
+// under the shard mutex (the EC read path gathers siblings this way).
+//
 // Lock order: at most one shard mutex is ever held at a time and the
 // aggregate accounting is a lock-free atomic, so there is no lock
 // ordering to get wrong and no deadlock surface. Whole-store scans
@@ -26,6 +29,7 @@
 #include <string>
 #include <string_view>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/result.hpp"
@@ -86,6 +90,20 @@ class ShardedStore {
              std::uint32_t tenant = 0);
   Result<kvstore::Blob> get(std::string_view token, std::string_view key,
                             std::uint64_t* seq = nullptr);
+  /// get() without the copy: on a hit `fn(const kvstore::Blob&)` runs
+  /// under the shard mutex and sees the resident value in place (the
+  /// EC read path gathers siblings straight out of it). Same auth,
+  /// closed-shard and not_found errors, stats and `seq` as get(). `fn`
+  /// must not call back into this store, and the reference must not
+  /// outlive the call.
+  template <class Fn>
+  Status read(std::string_view token, std::string_view key, Fn&& fn,
+              std::uint64_t* seq = nullptr) {
+    auto& sh = shard(key);
+    std::lock_guard lk(sh.mu);
+    if (seq) *seq = ++sh.seq;
+    return sh.store.read(token, key, std::forward<Fn>(fn));
+  }
   Status del(std::string_view token, std::string_view key,
              std::uint64_t* seq = nullptr);
   Result<bool> exists(std::string_view token, std::string_view key) const;

@@ -234,6 +234,48 @@ TEST(GF256Simd, MulRowAccMatchesScalarRandomized) {
   }
 }
 
+TEST(GF256Simd, MulRowAccAtK255EveryBackend) {
+  // The widest stripe RS allows: 255 source rows, every coefficient
+  // value (0 and 1 included), odd lengths around the 32/64-byte blocks,
+  // both accumulate modes.
+  const GF256Kernels* sc = gf256_kernels_by_name("scalar");
+  ASSERT_NE(sc, nullptr);
+  constexpr std::size_t k = 255;
+  Rng rng(113);
+  std::vector<const GF256Kernels*> all = simd_backends();
+  all.push_back(sc);
+  for (std::size_t len : {std::size_t{1}, std::size_t{31}, std::size_t{63},
+                          std::size_t{97}, std::size_t{1001}}) {
+    std::vector<std::vector<std::uint8_t>> srcs(
+        k, std::vector<std::uint8_t>(len));
+    std::vector<const std::uint8_t*> ptrs(k);
+    std::vector<std::uint8_t> coeffs(k);
+    for (std::size_t j = 0; j < k; ++j) {
+      for (auto& x : srcs[j]) x = std::uint8_t(rng.next_u64());
+      ptrs[j] = srcs[j].data();
+      coeffs[j] = std::uint8_t(j + len);  // every value 0..255 but one
+    }
+    std::vector<std::uint8_t> init(len);
+    for (auto& x : init) x = std::uint8_t(rng.next_u64());
+    for (const bool accumulate : {false, true}) {
+      // Oracle: GF256::mul straight from the log tables.
+      std::vector<std::uint8_t> want = accumulate
+                                           ? init
+                                           : std::vector<std::uint8_t>(len);
+      for (std::size_t j = 0; j < k; ++j)
+        for (std::size_t i = 0; i < len; ++i)
+          want[i] ^= GF256::mul(coeffs[j], srcs[j][i]);
+      for (const GF256Kernels* kn : all) {
+        std::vector<std::uint8_t> got = init;
+        kn->mul_row_acc(got.data(), ptrs.data(), coeffs.data(), k, len,
+                        accumulate);
+        ASSERT_EQ(got, want) << kn->name << " len=" << len
+                             << " acc=" << accumulate;
+      }
+    }
+  }
+}
+
 TEST(GF256Simd, MulRowAccZeroSourcesZeroFillsOrKeeps) {
   std::vector<const GF256Kernels*> all = simd_backends();
   all.push_back(gf256_kernels_by_name("scalar"));

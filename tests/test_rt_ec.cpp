@@ -197,6 +197,70 @@ TEST(RtEc, GetReconstructsAfterDataShardEviction) {
                          got.value().bytes().begin()));
 }
 
+TEST(RtEc, GetReconstructsEveryLossPatternAtOddSizes) {
+  // Sizes whose last data siblings end in padding (5 bytes over k = 4
+  // leaves sibling 3 all padding), every pattern of one or two lost
+  // data siblings.
+  const erasure::ReedSolomon rs(4, 2);
+  for (std::size_t len : {std::size_t{1}, std::size_t{5}, std::size_t{7},
+                          std::size_t{4097}, std::size_t{9999}}) {
+    const auto value = payload_blob(len, 29 + len);
+    for (unsigned lost = 1; lost < 16; ++lost) {
+      if (__builtin_popcount(lost) > 2) continue;
+      ShardedStore store(store_opts());
+      ASSERT_TRUE(ec::put(store, "tok", "obj", value, rs).ok());
+      for (std::size_t i = 0; i < 4; ++i)
+        if (lost & (1u << i))
+          ASSERT_TRUE(store.evict(ec::shard_key("obj", i)).has_value());
+      bool reconstructed = false;
+      auto got = ec::get(store, "tok", "obj", nullptr, &reconstructed);
+      ASSERT_TRUE(got.ok()) << len << " lost=" << lost;
+      EXPECT_TRUE(reconstructed);
+      EXPECT_TRUE(std::equal(value.bytes().begin(), value.bytes().end(),
+                             got.value().bytes().begin(),
+                             got.value().bytes().end()))
+          << len << " lost=" << lost;
+    }
+  }
+}
+
+TEST(RtEc, GetReadsEachSiblingOnce) {
+  ShardedStore store(store_opts());
+  const erasure::ReedSolomon rs(4, 2);
+  ASSERT_TRUE(ec::put(store, "tok", "obj", payload_blob(65536, 31), rs).ok());
+  auto gets = [&] { return store.stats().gets; };
+  // Clean: the manifest and the k data siblings.
+  auto before = gets();
+  ASSERT_TRUE(ec::get(store, "tok", "obj").ok());
+  EXPECT_EQ(gets() - before, 1u + 4u);
+  // One data sibling evicted: the survivors already read are reused,
+  // so the parity siblings are the only extra reads.
+  ASSERT_TRUE(store.evict(ec::shard_key("obj", 1)).has_value());
+  before = gets();
+  bool reconstructed = false;
+  ASSERT_TRUE(ec::get(store, "tok", "obj", nullptr, &reconstructed).ok());
+  EXPECT_TRUE(reconstructed);
+  EXPECT_EQ(gets() - before, 1u + 4u + 2u);
+}
+
+TEST(RtEc, ForgedManifestLengthIsCorruptionNotACrash) {
+  // A client can write sibling keys directly. A manifest claiming
+  // 2^64 - 1 bytes over k = 4 with four empty data siblings must not
+  // wrap the shard size to 0 (which the empty siblings would match) and
+  // then try to reserve 2^64 - 1 bytes.
+  ShardedStore store(store_opts());
+  ASSERT_TRUE(store.put("tok", ec::manifest_key("obj"),
+                        ec::encode_manifest({4, 2, ~std::uint64_t{0}, 0}))
+                  .ok());
+  for (std::size_t i = 0; i < 4; ++i)
+    ASSERT_TRUE(
+        store.put("tok", ec::shard_key("obj", i), kvstore::Blob::materialized({}))
+            .ok());
+  auto got = ec::get(store, "tok", "obj");
+  ASSERT_FALSE(got.ok());
+  EXPECT_EQ(got.code(), Errc::corruption);
+}
+
 TEST(RtEc, GetSurvivesParityEvictionWithoutReconstruct) {
   ShardedStore store(store_opts());
   const erasure::ReedSolomon rs(4, 2);

@@ -189,6 +189,79 @@ TEST(ShardedStore, StatsAggregateOverShards) {
   EXPECT_EQ(s.dels, 1u);
 }
 
+// --- read(): get() without the copy ------------------------------------------
+
+TEST(ShardedStoreRead, HitSeesTheResidentValueInPlace) {
+  ShardedStore st({4, 1 << 20, "tok"});
+  ASSERT_TRUE(st.put("tok", "k", bytes_blob("value")).ok());
+  const std::uint8_t* first = nullptr;
+  int calls = 0;
+  for (int i = 0; i < 2; ++i) {
+    ASSERT_TRUE(st.read("tok", "k", [&](const kvstore::Blob& b) {
+                    EXPECT_EQ(b, bytes_blob("value"));
+                    if (first == nullptr) first = b.bytes().data();
+                    EXPECT_EQ(b.bytes().data(), first);  // no copy
+                    ++calls;
+                  }).ok());
+  }
+  EXPECT_EQ(calls, 2);
+  // get() hands out a copy in a buffer of its own.
+  EXPECT_NE(st.get("tok", "k").value().bytes().data(), first);
+}
+
+TEST(ShardedStoreRead, ErrorsMatchGetAndNeverCallFn) {
+  ShardedStore st({4, 1 << 20, "tok"});
+  std::string on0, other;
+  for (int i = 0; i < 64 && (on0.empty() || other.empty()); ++i) {
+    const std::string key = "k" + std::to_string(i);
+    (st.shard_of(key) == 0 ? on0 : other) = key;
+  }
+  ASSERT_TRUE(st.put("tok", on0, bytes_blob("a")).ok());
+  st.close_shard(0);
+  bool called = false;
+  auto fn = [&](const kvstore::Blob&) { called = true; };
+  struct Case {
+    const char* token;
+    std::string key;
+    Errc want;
+  };
+  for (const Case& c : {Case{"bad", other, Errc::permission},
+                        Case{"tok", other, Errc::not_found},
+                        Case{"tok", on0, Errc::unavailable}}) {
+    EXPECT_EQ(st.get(c.token, c.key).code(), c.want) << c.key;
+    EXPECT_EQ(st.read(c.token, c.key, fn).code(), c.want) << c.key;
+  }
+  EXPECT_FALSE(called);
+}
+
+TEST(ShardedStoreRead, StatsAndSeqMatchGet) {
+  // The same op sequence on two stores, gets on one and reads on the
+  // other, leaves identical stats and hands out identical seqs.
+  ShardedStore by_get({4, 1 << 20, "tok"}), by_read({4, 1 << 20, "tok"});
+  for (auto* st : {&by_get, &by_read}) {
+    ASSERT_TRUE(st->put("tok", "a", bytes_blob("1234")).ok());
+    ASSERT_TRUE(st->put("tok", "b", bytes_blob("56")).ok());
+  }
+  for (const auto& [token, key] :
+       std::vector<std::pair<std::string, std::string>>{
+           {"tok", "a"}, {"tok", "missing"}, {"bad", "a"}, {"tok", "b"},
+           {"tok", "a"}}) {
+    std::uint64_t seq_get = 0, seq_read = 0;
+    (void)by_get.get(token, key, &seq_get);
+    (void)by_read.read(token, key, [](const kvstore::Blob&) {}, &seq_read);
+    EXPECT_EQ(seq_get, seq_read) << token << " " << key;
+  }
+  const auto g = by_get.stats(), r = by_read.stats();
+  EXPECT_EQ(g.gets, r.gets);
+  EXPECT_EQ(g.hits, r.hits);
+  EXPECT_EQ(g.misses, r.misses);
+  EXPECT_EQ(g.auth_failures, r.auth_failures);
+  EXPECT_EQ(g.bytes_out, r.bytes_out);
+  EXPECT_EQ(r.gets, 4u);
+  EXPECT_EQ(r.hits, 3u);
+  EXPECT_EQ(r.bytes_out, 10u);
+}
+
 // Two threads hammering disjoint keys on all shards: the atomic
 // aggregate must equal the per-shard sum once both joined.
 TEST(ShardedStore, ConcurrentPutsKeepAccountingConsistent) {
