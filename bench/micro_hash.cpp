@@ -108,8 +108,7 @@ void BM_Crc32c(benchmark::State& state) {
 }
 BENCHMARK(BM_Crc32c)->Arg(1024)->Arg(64 * 1024);
 
-// Per-key digests, and the digest-driven hrw_select_many sweep vs.
-// per-key hrw_select (DESIGN.md §14).
+// Per-key FNV-1a digests, the input every digest-based lookup takes.
 void BM_Fnv1aPerKey(benchmark::State& state) {
   const std::size_t n = std::size_t(state.range(0));
   std::vector<std::string> keys;
@@ -125,21 +124,6 @@ void BM_Fnv1aPerKey(benchmark::State& state) {
   state.SetBytesProcessed(state.iterations() * bytes);
 }
 BENCHMARK(BM_Fnv1aPerKey)->Arg(64)->Arg(4096);
-
-void BM_HrwSelectMany(benchmark::State& state) {
-  const auto servers = nodes(std::size_t(state.range(0)));
-  const std::size_t n = 1024;
-  std::vector<std::uint64_t> digests(n);
-  for (std::size_t i = 0; i < n; ++i)
-    digests[i] = hash::fnv1a(strformat("key-%zu", i));
-  std::vector<NodeId> out(n);
-  for (auto _ : state) {
-    hash::hrw_select_many(digests, servers, out);
-    benchmark::DoNotOptimize(out.data());
-  }
-  state.SetItemsProcessed(state.iterations() * std::int64_t(n));
-}
-BENCHMARK(BM_HrwSelectMany)->Arg(8)->Arg(32)->Arg(128);
 
 void BM_WeightSolver3Class(benchmark::State& state) {
   for (auto _ : state) {

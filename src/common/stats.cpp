@@ -42,24 +42,6 @@ double RunningStats::variance() const {
 
 double RunningStats::stddev() const { return std::sqrt(variance()); }
 
-double percentile(std::vector<double> sample, double p) {
-  if (sample.empty()) return 0.0;
-  assert(p >= 0.0 && p <= 100.0);
-  std::sort(sample.begin(), sample.end());
-  const double rank = p / 100.0 * static_cast<double>(sample.size() - 1);
-  const std::size_t lo = static_cast<std::size_t>(rank);
-  const std::size_t hi = std::min(lo + 1, sample.size() - 1);
-  const double frac = rank - static_cast<double>(lo);
-  return sample[lo] + frac * (sample[hi] - sample[lo]);
-}
-
-double mean_of(const std::vector<double>& sample) {
-  if (sample.empty()) return 0.0;
-  double s = 0.0;
-  for (double x : sample) s += x;
-  return s / static_cast<double>(sample.size());
-}
-
 void TimeWeighted::set(SimTime t, double value) {
   if (!started_) {
     started_ = true;
@@ -77,43 +59,6 @@ double TimeWeighted::average(SimTime t_end) const {
   if (!started_ || t_end <= t0_) return 0.0;
   const double tail = value_ * std::max(0.0, t_end - last_t_);
   return (integral_ + tail) / (t_end - t0_);
-}
-
-Histogram::Histogram(double lo, double hi, std::size_t bins)
-    : lo_(lo), hi_(hi), counts_(bins, 0) {
-  assert(hi > lo && bins > 0);
-}
-
-void Histogram::add(double x) {
-  const double frac = (x - lo_) / (hi_ - lo_);
-  auto idx = static_cast<std::ptrdiff_t>(frac * static_cast<double>(bins()));
-  idx = std::clamp<std::ptrdiff_t>(idx, 0,
-                                   static_cast<std::ptrdiff_t>(bins()) - 1);
-  ++counts_[static_cast<std::size_t>(idx)];
-  ++total_;
-}
-
-double Histogram::bin_lo(std::size_t i) const {
-  return lo_ + (hi_ - lo_) * static_cast<double>(i) / static_cast<double>(bins());
-}
-
-double Histogram::bin_hi(std::size_t i) const { return bin_lo(i + 1); }
-
-std::string Histogram::render(std::size_t width) const {
-  std::size_t peak = 0;
-  for (auto c : counts_) peak = std::max(peak, c);
-  std::string out;
-  char buf[64];
-  for (std::size_t i = 0; i < bins(); ++i) {
-    const std::size_t bar =
-        peak ? counts_[i] * width / peak : 0;
-    std::snprintf(buf, sizeof buf, "[%10.3g,%10.3g) %8zu ", bin_lo(i),
-                  bin_hi(i), counts_[i]);
-    out += buf;
-    out.append(bar, '#');
-    out += '\n';
-  }
-  return out;
 }
 
 }  // namespace memfss

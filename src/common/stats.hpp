@@ -1,12 +1,11 @@
-// Statistics helpers: running summaries, percentiles, time-weighted
-// utilization accumulators (used by the experiment harness to report the
-// CPU% / bandwidth% numbers the paper plots), and fixed-bin histograms.
+// Statistics helpers: running summaries and time-weighted utilization
+// accumulators (used by the experiment harness to report the CPU% /
+// bandwidth% numbers the paper plots). Latency histograms live in
+// obs/histogram.hpp.
 #pragma once
 
 #include <algorithm>
 #include <cstddef>
-#include <string>
-#include <vector>
 
 #include "common/types.hpp"
 
@@ -34,13 +33,6 @@ class RunningStats {
   double max_ = 0.0;
 };
 
-/// Exact percentile over a stored sample (linear interpolation, like
-/// numpy's default). p in [0, 100].
-double percentile(std::vector<double> sample, double p);
-
-/// Mean of a sample (0 for empty).
-double mean_of(const std::vector<double>& sample);
-
 /// Time-weighted average of a piecewise-constant signal.
 ///
 /// Feed (time, value) level changes; `average(t_end)` integrates the signal
@@ -66,28 +58,6 @@ class TimeWeighted {
   double value_ = 0.0;
   double integral_ = 0.0;
   double peak_ = 0.0;
-};
-
-/// Fixed-width histogram over [lo, hi); out-of-range values clamp to the
-/// edge bins.
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::size_t bins);
-
-  void add(double x);
-  std::size_t bin_count(std::size_t i) const { return counts_[i]; }
-  std::size_t bins() const { return counts_.size(); }
-  std::size_t total() const { return total_; }
-  double bin_lo(std::size_t i) const;
-  double bin_hi(std::size_t i) const;
-
-  /// Multi-line ASCII rendering, for quick eyeballing in bench output.
-  std::string render(std::size_t width = 40) const;
-
- private:
-  double lo_, hi_;
-  std::vector<std::size_t> counts_;
-  std::size_t total_ = 0;
 };
 
 }  // namespace memfss

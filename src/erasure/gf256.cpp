@@ -1,11 +1,8 @@
 #include "erasure/gf256.hpp"
 
-#include <algorithm>
 #include <cassert>
 #include <utility>
 #include <vector>
-
-#include "erasure/gf256_simd.hpp"
 
 namespace memfss::erasure {
 
@@ -54,17 +51,6 @@ std::uint8_t GF256::pow(std::uint8_t a, unsigned e) {
   if (a == 0) return e == 0 ? 1 : 0;
   const auto& t = tables();
   return t.alog[(static_cast<unsigned>(t.log[a]) * e) % 255];
-}
-
-void GF256::mul_acc(std::span<std::uint8_t> dst,
-                    std::span<const std::uint8_t> src, std::uint8_t c) {
-  assert(dst.size() == src.size());
-  // c == 0 (no-op) and the release-mode size clamp are handled here so
-  // every backend sees only real work; c == 1 is special-cased inside
-  // each backend where it turns into a plain vector xor.
-  if (c == 0) return;
-  const std::size_t n = std::min(dst.size(), src.size());
-  gf256_active_kernels().mul_acc(dst.data(), src.data(), n, c);
 }
 
 bool gf256_invert_matrix(std::span<std::uint8_t> m, std::size_t k) {

@@ -4,10 +4,10 @@
 // mode (DESIGN.md §14) -- the storage mode the MemFSS paper motivates in
 // §III-E, now wired into the serving path rather than future work.
 //
-// The bulk kernels (mul_acc and the stripe-pass mul_row_acc) dispatch at
-// runtime to a SIMD backend (AVX2/SSSE3 nibble shuffle, scalar
-// fallback); see gf256_simd.hpp for the dispatch model and the
-// MEMFSS_FORCE_SCALAR override.
+// The bulk kernel (the stripe-pass mul_row_acc) dispatches at runtime
+// to a SIMD backend (AVX2/SSSE3 nibble shuffle, scalar fallback); see
+// gf256_simd.hpp for the dispatch model and the MEMFSS_FORCE_SCALAR
+// override.
 #pragma once
 
 #include <array>
@@ -28,15 +28,6 @@ class GF256 {
   static std::uint8_t inv(std::uint8_t a);                  ///< a != 0
   static std::uint8_t exp(unsigned e);                      ///< generator^e
   static std::uint8_t pow(std::uint8_t a, unsigned e);
-
-  /// dst[i] ^= c * src[i] -- the inner loop of encode/decode, routed
-  /// through the runtime-dispatched kernel backend (gf256_simd.hpp).
-  /// Precondition: dst.size() == src.size() (asserted in debug builds);
-  /// in release builds the overlap of the two spans -- min(dst.size(),
-  /// src.size()) bytes -- is processed so a mismatch cannot read or
-  /// write out of bounds.
-  static void mul_acc(std::span<std::uint8_t> dst,
-                      std::span<const std::uint8_t> src, std::uint8_t c);
 
  private:
   struct Tables {

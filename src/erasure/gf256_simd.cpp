@@ -74,11 +74,6 @@ void scalar_mul_acc_range(std::uint8_t* dst, const std::uint8_t* src,
     dst[i] ^= tbl[src[i] & 0x0f] ^ tbl[16 + (src[i] >> 4)];
 }
 
-void scalar_mul_acc(std::uint8_t* dst, const std::uint8_t* src, std::size_t n,
-                    std::uint8_t c) {
-  scalar_mul_acc_range(dst, src, 0, n, c);
-}
-
 /// Shared scalar row pass over [from, to) -- also the tail handler for
 /// both SIMD backends, so remainders go through the exact same tables.
 void scalar_row_range(std::uint8_t* dst, const std::uint8_t* const* srcs,
@@ -96,7 +91,7 @@ void scalar_mul_row_acc(std::uint8_t* dst, const std::uint8_t* const* srcs,
   scalar_row_range(dst, srcs, coeffs, k, 0, n, accumulate);
 }
 
-constexpr GF256Kernels kScalar{"scalar", scalar_mul_acc, scalar_mul_row_acc};
+constexpr GF256Kernels kScalar{"scalar", scalar_mul_row_acc};
 
 #ifdef MEMFSS_GF256_X86
 
@@ -110,39 +105,6 @@ __attribute__((target("ssse3"))) inline __m128i gf_mul16(
   const __m128i h = _mm_shuffle_epi8(
       hi, _mm_and_si128(_mm_srli_epi64(s, 4), mask));
   return _mm_xor_si128(l, h);
-}
-
-__attribute__((target("ssse3"))) void ssse3_mul_acc(std::uint8_t* dst,
-                                                    const std::uint8_t* src,
-                                                    std::size_t n,
-                                                    std::uint8_t c) {
-  if (c == 0) return;
-  std::size_t i = 0;
-  if (c == 1) {
-    for (; i + 16 <= n; i += 16) {
-      const __m128i s =
-          _mm_loadu_si128(reinterpret_cast<const __m128i*>(src + i));
-      const __m128i d =
-          _mm_loadu_si128(reinterpret_cast<const __m128i*>(dst + i));
-      _mm_storeu_si128(reinterpret_cast<__m128i*>(dst + i),
-                       _mm_xor_si128(d, s));
-    }
-  } else {
-    const std::uint8_t* tbl = nibble_tables(c);
-    const __m128i lo = _mm_load_si128(reinterpret_cast<const __m128i*>(tbl));
-    const __m128i hi =
-        _mm_load_si128(reinterpret_cast<const __m128i*>(tbl + 16));
-    const __m128i mask = _mm_set1_epi8(0x0f);
-    for (; i + 16 <= n; i += 16) {
-      const __m128i s =
-          _mm_loadu_si128(reinterpret_cast<const __m128i*>(src + i));
-      const __m128i d =
-          _mm_loadu_si128(reinterpret_cast<const __m128i*>(dst + i));
-      _mm_storeu_si128(reinterpret_cast<__m128i*>(dst + i),
-                       _mm_xor_si128(d, gf_mul16(s, lo, hi, mask)));
-    }
-  }
-  scalar_mul_acc_range(dst, src, i, n, c);  // unaligned remainder
 }
 
 __attribute__((target("ssse3"))) void ssse3_mul_row_acc(
@@ -185,7 +147,7 @@ __attribute__((target("ssse3"))) void ssse3_mul_row_acc(
   scalar_row_range(dst, srcs, coeffs, k, i, n, accumulate);
 }
 
-constexpr GF256Kernels kSsse3{"ssse3", ssse3_mul_acc, ssse3_mul_row_acc};
+constexpr GF256Kernels kSsse3{"ssse3", ssse3_mul_row_acc};
 
 // ---------------------------------------------------------------------------
 // AVX2 backend: the same nibble shuffle over 32-byte lanes
@@ -200,40 +162,6 @@ __attribute__((target("avx2"))) inline __m256i gf_mul32(__m256i s, __m256i lo,
   const __m256i h = _mm256_shuffle_epi8(
       hi, _mm256_and_si256(_mm256_srli_epi64(s, 4), mask));
   return _mm256_xor_si256(l, h);
-}
-
-__attribute__((target("avx2"))) void avx2_mul_acc(std::uint8_t* dst,
-                                                  const std::uint8_t* src,
-                                                  std::size_t n,
-                                                  std::uint8_t c) {
-  if (c == 0) return;
-  std::size_t i = 0;
-  if (c == 1) {
-    for (; i + 32 <= n; i += 32) {
-      const __m256i s =
-          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(src + i));
-      const __m256i d =
-          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(dst + i));
-      _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst + i),
-                          _mm256_xor_si256(d, s));
-    }
-  } else {
-    const std::uint8_t* tbl = nibble_tables(c);
-    const __m256i lo = _mm256_broadcastsi128_si256(
-        _mm_load_si128(reinterpret_cast<const __m128i*>(tbl)));
-    const __m256i hi = _mm256_broadcastsi128_si256(
-        _mm_load_si128(reinterpret_cast<const __m128i*>(tbl + 16)));
-    const __m256i mask = _mm256_set1_epi8(0x0f);
-    for (; i + 32 <= n; i += 32) {
-      const __m256i s =
-          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(src + i));
-      const __m256i d =
-          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(dst + i));
-      _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst + i),
-                          _mm256_xor_si256(d, gf_mul32(s, lo, hi, mask)));
-    }
-  }
-  scalar_mul_acc_range(dst, src, i, n, c);
 }
 
 __attribute__((target("avx2"))) void avx2_mul_row_acc(
@@ -271,34 +199,10 @@ __attribute__((target("avx2"))) void avx2_mul_row_acc(
     _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst + i), a0);
     _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst + i + 32), a1);
   }
-  // 32-byte half-block before falling back to scalar.
-  if (i + 32 <= n) {
-    __m256i a0 = _mm256_setzero_si256();
-    if (accumulate)
-      a0 = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(dst + i));
-    for (std::size_t j = 0; j < k; ++j) {
-      const std::uint8_t c = coeffs[j];
-      if (c == 0) continue;
-      const __m256i s0 =
-          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(srcs[j] + i));
-      if (c == 1) {
-        a0 = _mm256_xor_si256(a0, s0);
-        continue;
-      }
-      const std::uint8_t* tbl = nibble_tables(c);
-      const __m256i lo = _mm256_broadcastsi128_si256(
-          _mm_load_si128(reinterpret_cast<const __m128i*>(tbl)));
-      const __m256i hi = _mm256_broadcastsi128_si256(
-          _mm_load_si128(reinterpret_cast<const __m128i*>(tbl + 16)));
-      a0 = _mm256_xor_si256(a0, gf_mul32(s0, lo, hi, mask));
-    }
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst + i), a0);
-    i += 32;
-  }
   scalar_row_range(dst, srcs, coeffs, k, i, n, accumulate);
 }
 
-constexpr GF256Kernels kAvx2{"avx2", avx2_mul_acc, avx2_mul_row_acc};
+constexpr GF256Kernels kAvx2{"avx2", avx2_mul_row_acc};
 
 #endif  // MEMFSS_GF256_X86
 

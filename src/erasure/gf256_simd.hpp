@@ -1,4 +1,5 @@
-// Runtime-dispatched SIMD kernels for the GF(2^8) hot loops (DESIGN.md
+// Runtime-dispatched SIMD kernel for the GF(2^8) hot loop, the fused
+// stripe pass every Reed-Solomon encode and decode runs (DESIGN.md
 // §14). The scalar backend is the property-tested oracle; the SSSE3 and
 // AVX2 backends implement the ISA-L-style nibble-shuffle multiply: a
 // coefficient c becomes two 16-entry tables (products of c with the low
@@ -21,23 +22,20 @@
 
 namespace memfss::erasure {
 
-/// One GF(2^8) backend: raw-pointer kernels so the dispatch indirection
-/// sits outside the byte loops. All kernels tolerate n == 0 and
-/// arbitrary (unaligned) pointers; dst and src ranges must not overlap.
+/// One GF(2^8) backend: a raw-pointer kernel so the dispatch indirection
+/// sits outside the byte loops. It tolerates n == 0 and arbitrary
+/// (unaligned) pointers; dst and src ranges must not overlap.
 struct GF256Kernels {
   const char* name;  ///< "scalar", "ssse3", "avx2"
-
-  /// dst[i] ^= c * src[i] for i in [0, n).
-  void (*mul_acc)(std::uint8_t* dst, const std::uint8_t* src, std::size_t n,
-                  std::uint8_t c);
 
   /// One stripe pass: fuse k source rows into one destination row,
   ///   accumulate == false:  dst[i]  = XOR_j coeffs[j] * srcs[j][i]
   ///   accumulate == true :  dst[i] ^= XOR_j coeffs[j] * srcs[j][i]
   /// for i in [0, n), j in [0, k). The destination block is loaded and
   /// stored once per SIMD lane regardless of k (vs. k round trips when
-  /// looping mul_acc), which is where the stripe-coding speedup beyond
-  /// the multiply itself comes from. k == 0 zero-fills (or leaves) dst.
+  /// applying one source row per pass), which is where the stripe-coding
+  /// speedup beyond the multiply itself comes from. k == 0 zero-fills
+  /// (or leaves) dst; k == 1 with accumulate is dst[i] ^= c * src[i].
   void (*mul_row_acc)(std::uint8_t* dst, const std::uint8_t* const* srcs,
                       const std::uint8_t* coeffs, std::size_t k,
                       std::size_t n, bool accumulate);

@@ -50,10 +50,6 @@ ReedSolomon::ReedSolomon(std::size_t k, std::size_t m,
 
 const char* ReedSolomon::kernel_name() const { return kernels_->name; }
 
-std::size_t ReedSolomon::shard_size(std::size_t len) const {
-  return (len + k_ - 1) / k_;
-}
-
 Status ReedSolomon::encode_into(std::span<const std::uint8_t> data,
                                 std::uint8_t* const* shards,
                                 std::size_t ss) const {

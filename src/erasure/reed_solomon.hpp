@@ -28,6 +28,12 @@ namespace memfss::erasure {
 
 struct GF256Kernels;
 
+/// Bytes per shard for a `len`-byte payload split k ways: len / k rounded
+/// up, written so a len near 2^64 cannot wrap it. k >= 1.
+constexpr std::uint64_t shard_size(std::uint64_t len, std::uint64_t k) {
+  return len / k + (len % k != 0);
+}
+
 class ReedSolomon {
  public:
   /// k data shards, m parity shards; k >= 1, m >= 0, k + m <= 255.
@@ -43,7 +49,9 @@ class ReedSolomon {
 
   /// Shard size for a payload of `len` bytes (payload zero-padded to a
   /// multiple of k).
-  std::size_t shard_size(std::size_t len) const;
+  std::size_t shard_size(std::size_t len) const {
+    return erasure::shard_size(len, k_);
+  }
 
   /// Split + encode: returns k+m shards, each shard_size(data.size()) long.
   std::vector<std::vector<std::uint8_t>> encode(

@@ -289,7 +289,7 @@ sim::Task<> Client::write_stripe_erasure(const ClassHrwPolicy& policy,
   std::vector<kvstore::Blob> shards;
   shards.reserve(k + m);
   if (blob.is_ghost() || blob.size() == 0) {
-    const Bytes ss = (blob.size() + k - 1) / k;
+    const Bytes ss = erasure::shard_size(blob.size(), k);
     for (std::size_t j = 0; j < k + m; ++j)
       shards.push_back(kvstore::Blob::ghost(
           ss, hash::mix64(blob.checksum(), j)));

@@ -47,48 +47,6 @@ NodeId hrw_select(std::string_view key, std::span<const NodeId> servers,
   return hrw_select(key_digest(key), servers, fn);
 }
 
-void hrw_select_many(std::span<const std::uint64_t> digests,
-                     std::span<const NodeId> servers, std::span<NodeId> out,
-                     ScoreFn fn) {
-  assert(!servers.empty());
-  assert(out.size() >= digests.size());
-  std::size_t g = 0;
-  if (fn == ScoreFn::mix64) {
-    // Four lanes share each pass over the server list: one id load
-    // feeds four independent mix64 chains, whose multiply latency
-    // overlaps across lanes.
-    for (; g + 4 <= digests.size(); g += 4) {
-      const std::uint64_t d0 = digests[g], d1 = digests[g + 1];
-      const std::uint64_t d2 = digests[g + 2], d3 = digests[g + 3];
-      NodeId b0 = servers[0], b1 = servers[0], b2 = servers[0],
-             b3 = servers[0];
-      std::uint64_t s0 = mix64(servers[0], d0), s1 = mix64(servers[0], d1);
-      std::uint64_t s2 = mix64(servers[0], d2), s3 = mix64(servers[0], d3);
-      for (std::size_t i = 1; i < servers.size(); ++i) {
-        const NodeId s = servers[i];
-        // Same comparison as hrw_select: higher score wins, lower id
-        // breaks ties, so batch and single-shot results are identical.
-        const auto step = [s](std::uint64_t score, NodeId& best,
-                              std::uint64_t& best_score) {
-          if (score > best_score || (score == best_score && s < best)) {
-            best = s;
-            best_score = score;
-          }
-        };
-        step(mix64(s, d0), b0, s0);
-        step(mix64(s, d1), b1, s1);
-        step(mix64(s, d2), b2, s2);
-        step(mix64(s, d3), b3, s3);
-      }
-      out[g] = b0;
-      out[g + 1] = b1;
-      out[g + 2] = b2;
-      out[g + 3] = b3;
-    }
-  }
-  for (; g < digests.size(); ++g) out[g] = hrw_select(digests[g], servers, fn);
-}
-
 namespace {
 
 std::vector<std::pair<std::uint64_t, NodeId>> scored(

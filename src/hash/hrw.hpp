@@ -48,17 +48,6 @@ std::vector<NodeId> hrw_top(std::uint64_t key_digest,
                             std::span<const NodeId> servers, std::size_t count,
                             ScoreFn fn = ScoreFn::mix64);
 
-/// Batch selection: out[i] = hrw_select(digests[i], servers, fn) for
-/// every i, bit-identical result (same score function, same tie-break).
-/// The server list is walked once per *four* digests with four
-/// interleaved best-trackers, so server ids stay in registers and the
-/// mixer's multiply chains pipeline across lanes -- the digest-based
-/// scoring loop batched for callers that place many stripe keys at
-/// once. Requires out.size() >= digests.size().
-void hrw_select_many(std::span<const std::uint64_t> digests,
-                     std::span<const NodeId> servers,
-                     std::span<NodeId> out, ScoreFn fn = ScoreFn::mix64);
-
 /// Full ranking, descending. Used by lazy data movement: if the data is
 /// not on rank 0, probe rank 1, 2, ... and relocate when found.
 std::vector<NodeId> hrw_rank(std::string_view key,

@@ -160,9 +160,9 @@ Result<kvstore::Blob> get(ShardedStore& store, std::string_view token,
     }
     if (mf->len == 0) return kvstore::Blob::materialized({});
 
-    // len / k rounded up, written so a forged len near 2^64 cannot wrap
-    // it to a size that empty siblings would match.
-    const std::uint64_t ss = mf->len / mf->k + (mf->len % mf->k != 0);
+    // Wrap-free, so a forged len near 2^64 cannot shrink the shard size
+    // to one that empty siblings would match.
+    const std::uint64_t ss = erasure::shard_size(mf->len, mf->k);
     const std::size_t total = mf->k + mf->m;
     // Leading data siblings are appended straight from the store into
     // the payload. From the first missing one on, every sibling read is

@@ -14,6 +14,12 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
+// Writes ride an occupancy this much higher, so they shed a notch
+// before reads.
+constexpr double kWriteShedBias = 0.10;
+// Scale of the retry-after hint a pressure-shed op gets (x 1..10).
+constexpr double kRetryAfterBaseS = 0.005;
+
 double seconds_since(Clock::time_point t0) {
   return std::chrono::duration<double>(Clock::now() - t0).count();
 }
@@ -154,8 +160,7 @@ void RuntimeServer::submit_async(const std::string& token, Op op,
   const std::uint32_t prio = tenants_->priority(tid);
   if (occupancy >= opt_.shed_at && prio < kTopPriority) {
     const double biased = std::min(
-        1.0, occupancy + (op_is_write(w->op.type) ? opt_.write_shed_bias
-                                                  : 0.0));
+        1.0, occupancy + (op_is_write(w->op.type) ? kWriteShedBias : 0.0));
     const double level = (biased - opt_.shed_at) / (1.0 - opt_.shed_at);
     const auto required = static_cast<std::uint32_t>(
         std::ceil(level * kTopPriority));
@@ -163,8 +168,7 @@ void RuntimeServer::submit_async(const std::string& token, Op op,
       // Hint scales with how deep into overload the worker is: a
       // lightly loaded queue suggests a short backoff, a nearly full
       // one up to 10x the base.
-      complete_now(Errc::overloaded,
-                   opt_.retry_after_base_s * (1.0 + 9.0 * level),
+      complete_now(Errc::overloaded, kRetryAfterBaseS * (1.0 + 9.0 * level),
                    "overloaded");
       return;
     }

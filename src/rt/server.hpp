@@ -108,8 +108,6 @@ class RuntimeServer {
     // Overload ladder, in worker-occupancy fractions [0, 1]:
     double degrade_at = 0.50;  ///< drop service_time modeling (cheap path)
     double shed_at = 0.75;     ///< start shedding lowest-priority tenants
-    double write_shed_bias = 0.10;  ///< writes shed this much earlier
-    double retry_after_base_s = 0.005;  ///< pressure-shed hint scale
   };
 
   RuntimeServer(ShardedStore& store, Options opt);

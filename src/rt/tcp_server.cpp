@@ -32,6 +32,10 @@ constexpr std::uint64_t kListenId = 1;
 constexpr std::uint64_t kWakeId = 2;
 constexpr std::uint64_t kFirstConnId = 8;
 
+// How long shutdown waits for busy connections to drain before
+// force-closing them.
+constexpr std::chrono::milliseconds kDrainTimeout{5000};
+
 int make_listen_socket(std::uint16_t port, std::uint16_t* bound_port,
                        std::string* err) {
   const int fd =
@@ -499,7 +503,7 @@ struct TcpServer::Reactor {
         }
         if (!deadline_armed) {
           deadline_armed = true;
-          drain_deadline = Clock::now() + opt().drain_timeout;
+          drain_deadline = Clock::now() + kDrainTimeout;
         }
         // Sweep every readable connection before judging it idle:
         // frames the client wrote before shutdown may still be sitting

@@ -41,9 +41,9 @@
 // Shutdown drains: stop accepting, keep serving until every connection
 // has zero in-flight ops and an empty write buffer (responses for
 // frames already on the wire still go out), then close; connections
-// still busy at `drain_timeout` are force-closed. Completion callbacks
-// outlive the reactors safely -- they hold the completion queue by
-// shared_ptr and post into it only while it is open.
+// still busy after a fixed 5 s drain timeout are force-closed.
+// Completion callbacks outlive the reactors safely -- they hold the
+// completion queue by shared_ptr and post into it only while it is open.
 #pragma once
 
 #include <atomic>
@@ -71,9 +71,6 @@ class TcpServer {
     /// SO_SNDBUF for accepted sockets (0 = kernel default). Tests use
     /// a tiny value to trip the slow-client path quickly.
     int so_sndbuf = 0;
-    /// How long shutdown() waits for busy connections to drain before
-    /// force-closing them.
-    std::chrono::milliseconds drain_timeout{5000};
     /// Reap a connection with no in-flight ops, no unsent responses,
     /// and no traffic for this long (0 = never). Chaos blackholes and
     /// vanished clients must not pin fds forever; counted in

@@ -59,7 +59,7 @@ struct TenantConfig {
   double bytes_per_s = 0.0;    ///< payload-byte rate; <= 0 = unlimited
   double bytes_burst = 0.0;
   Bytes memory_quota = 0;      ///< resident-byte cap; 0 = unlimited
-  RsPolicy rs;                 ///< erasure-coded puts; default = off
+  RsPolicy rs{};               ///< erasure-coded puts; default = off
 };
 
 class TenantRegistry {

@@ -555,7 +555,9 @@ TEST(FsClient, RevokedClassDrainsAndStaysReadable) {
   EXPECT_GE(rig.fs.recovery().failures_handled, 1u);
   // Everything now lives on the 4 own nodes.
   for (const auto& [node, bytes] : rig.fs.distribution()) {
-    if (node >= 4) EXPECT_EQ(bytes, 0u) << "node " << node;
+    if (node >= 4) {
+      EXPECT_EQ(bytes, 0u) << "node " << node;
+    }
   }
 }
 

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cstring>
 #include <string>
@@ -92,6 +93,13 @@ TEST(GF256, GeneratorHasFullOrder) {
   }
 }
 
+// dst ^= c * src is a one-row stripe pass with accumulate.
+void mul_acc_one_row(const GF256Kernels& kn, std::vector<std::uint8_t>& dst,
+                     const std::vector<std::uint8_t>& src, std::uint8_t c) {
+  const std::uint8_t* row = src.data();
+  kn.mul_row_acc(dst.data(), &row, &c, 1, dst.size(), /*accumulate=*/true);
+}
+
 TEST(GF256, MulAccMatchesScalarLoop) {
   std::vector<std::uint8_t> dst(64, 0), src(64);
   for (std::size_t i = 0; i < src.size(); ++i)
@@ -100,16 +108,16 @@ TEST(GF256, MulAccMatchesScalarLoop) {
   const std::uint8_t c = 0x39;
   for (std::size_t i = 0; i < src.size(); ++i)
     expect[i] ^= GF256::mul(c, src[i]);
-  GF256::mul_acc(dst, src, c);
+  mul_acc_one_row(gf256_active_kernels(), dst, src, c);
   EXPECT_EQ(dst, expect);
 }
 
 TEST(GF256, MulAccSpecialCoefficients) {
   std::vector<std::uint8_t> dst(8, 0xAA), src(8, 0x0F);
   auto before = dst;
-  GF256::mul_acc(dst, src, 0);  // no-op
+  mul_acc_one_row(gf256_active_kernels(), dst, src, 0);  // no-op
   EXPECT_EQ(dst, before);
-  GF256::mul_acc(dst, src, 1);  // xor
+  mul_acc_one_row(gf256_active_kernels(), dst, src, 1);  // xor
   for (std::size_t i = 0; i < dst.size(); ++i)
     EXPECT_EQ(dst[i], 0xAA ^ 0x0F);
 }
@@ -118,7 +126,7 @@ TEST(GF256, MulAccSpecialCoefficients) {
 //
 // The scalar backend is the oracle; every backend the host can run must
 // produce byte-for-byte identical output for every length (SIMD blocks,
-// half-blocks, scalar tails) and every pointer misalignment.
+// scalar tails) and every pointer misalignment.
 
 std::vector<const GF256Kernels*> simd_backends() {
   std::vector<const GF256Kernels*> v;
@@ -148,35 +156,51 @@ TEST(GF256Simd, ActiveKernelIsFetchableByName) {
 }
 
 TEST(GF256Simd, MulAccMatchesScalarAllLengthsAndOffsets) {
+  // The row kernel on every backend, against GF256::mul from the log
+  // tables, at every length up to 257 (SIMD blocks and every tail
+  // length) and at misaligned dst and source pointers, with one and
+  // three source rows, in both accumulate modes.
   const GF256Kernels* sc = gf256_kernels_by_name("scalar");
   ASSERT_NE(sc, nullptr);
+  std::vector<const GF256Kernels*> all = simd_backends();
+  all.push_back(sc);
   Rng rng(101);
-  for (const GF256Kernels* kn : simd_backends()) {
-    for (std::size_t len = 0; len <= 257; ++len) {
-      // Offset sweep at small lengths covers every (alignment, tail)
-      // pair; beyond that a rotating offset keeps the test fast.
-      const std::size_t off = len % 32;
-      std::vector<std::uint8_t> src(len + 64), a(len + 64), b(len + 64);
-      for (auto& x : src) x = std::uint8_t(rng.next_u64());
-      for (std::size_t i = 0; i < a.size(); ++i)
-        a[i] = b[i] = std::uint8_t(rng.next_u64());
-      const std::uint8_t c = std::uint8_t(rng.next_u64());
-      kn->mul_acc(a.data() + off, src.data() + off, len, c);
-      sc->mul_acc(b.data() + off, src.data() + off, len, c);
-      ASSERT_EQ(a, b) << kn->name << " len=" << len << " off=" << off
-                      << " c=" << unsigned(c);
+  const auto check = [&](const GF256Kernels* kn, std::size_t k,
+                         std::size_t len, std::size_t off, bool accumulate) {
+    // Each source row sits at its own offset, so dst and the sources
+    // are misaligned differently.
+    std::vector<std::vector<std::uint8_t>> srcs(
+        k, std::vector<std::uint8_t>(len + 64));
+    std::vector<const std::uint8_t*> ptrs(k);
+    std::vector<std::uint8_t> coeffs(k);
+    for (std::size_t j = 0; j < k; ++j) {
+      for (auto& x : srcs[j]) x = std::uint8_t(rng.next_u64());
+      ptrs[j] = srcs[j].data() + (off + 7 * j) % 32;
+      coeffs[j] = std::uint8_t(rng.next_u64());
     }
-    // Full offset sweep at one SIMD-block-straddling length.
-    for (std::size_t off = 0; off <= 31; ++off) {
-      const std::size_t len = 97;
-      std::vector<std::uint8_t> src(len + 64), a(len + 64), b(len + 64);
-      for (auto& x : src) x = std::uint8_t(rng.next_u64());
-      for (std::size_t i = 0; i < a.size(); ++i)
-        a[i] = b[i] = std::uint8_t(rng.next_u64());
-      const std::uint8_t c = std::uint8_t(rng.next_u64());
-      kn->mul_acc(a.data() + off, src.data() + off, len, c);
-      sc->mul_acc(b.data() + off, src.data() + off, len, c);
-      ASSERT_EQ(a, b) << kn->name << " off=" << off;
+    std::vector<std::uint8_t> got(len + 64);
+    for (auto& x : got) x = std::uint8_t(rng.next_u64());
+    auto want = got;
+    if (!accumulate) std::fill_n(want.begin() + off, len, 0);
+    for (std::size_t j = 0; j < k; ++j)
+      for (std::size_t i = 0; i < len; ++i)
+        want[off + i] ^= GF256::mul(coeffs[j], ptrs[j][i]);
+    kn->mul_row_acc(got.data() + off, ptrs.data(), coeffs.data(), k, len,
+                    accumulate);
+    ASSERT_EQ(got, want) << kn->name << " k=" << k << " len=" << len
+                         << " off=" << off << " acc=" << accumulate;
+  };
+  for (const GF256Kernels* kn : all) {
+    for (const std::size_t k : {std::size_t{1}, std::size_t{3}}) {
+      for (const bool accumulate : {false, true}) {
+        // A rotating offset across every length keeps the test fast...
+        for (std::size_t len = 0; len <= 257; ++len)
+          check(kn, k, len, len % 32, accumulate);
+        // ...and every offset at a length with a block and a 33-byte
+        // tail.
+        for (std::size_t off = 0; off <= 31; ++off)
+          check(kn, k, 97, off, accumulate);
+      }
     }
   }
 }
@@ -192,9 +216,9 @@ TEST(GF256Simd, MulAccSpecialCoefficientsEveryBackend) {
     for (auto& x : src) x = std::uint8_t(rng.next_u64());
     for (std::size_t i = 0; i < dst.size(); ++i)
       before[i] = dst[i] = std::uint8_t(rng.next_u64());
-    kn->mul_acc(dst.data(), src.data(), dst.size(), 0);  // c==0: no-op
+    mul_acc_one_row(*kn, dst, src, 0);  // c==0: no-op
     EXPECT_EQ(dst, before) << kn->name;
-    kn->mul_acc(dst.data(), src.data(), dst.size(), 1);  // c==1: plain xor
+    mul_acc_one_row(*kn, dst, src, 1);  // c==1: plain xor
     for (std::size_t i = 0; i < dst.size(); ++i)
       ASSERT_EQ(dst[i], before[i] ^ src[i]) << kn->name << " i=" << i;
   }
@@ -290,7 +314,7 @@ TEST(GF256Simd, MulRowAccZeroSourcesZeroFillsOrKeeps) {
 
 TEST(GF256Simd, MulRowAccMatchesManualMulAccChain) {
   // Cross-check the fused row pass against the composition it replaces:
-  // mul_row_acc(dst, srcs, coeffs) == k mul_acc calls into dst.
+  // one pass over k source rows == k one-row passes with accumulate.
   Rng rng(109);
   const GF256Kernels& kn = gf256_active_kernels();
   const std::size_t k = 6, len = 211;
@@ -306,7 +330,7 @@ TEST(GF256Simd, MulRowAccMatchesManualMulAccChain) {
   std::vector<std::uint8_t> fused(len, 0), chained(len, 0);
   kn.mul_row_acc(fused.data(), ptrs.data(), coeffs.data(), k, len, false);
   for (std::size_t j = 0; j < k; ++j)
-    kn.mul_acc(chained.data(), ptrs[j], len, coeffs[j]);
+    kn.mul_row_acc(chained.data(), &ptrs[j], &coeffs[j], 1, len, true);
   EXPECT_EQ(fused, chained);
 }
 

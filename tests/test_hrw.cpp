@@ -7,14 +7,13 @@
 #include <set>
 
 #include "common/str.hpp"
-#include "hash/hashes.hpp"
 
 namespace memfss::hash {
 namespace {
 
-std::vector<NodeId> make_nodes(std::size_t n, NodeId base = 0) {
+std::vector<NodeId> make_nodes(std::size_t n) {
   std::vector<NodeId> v(n);
-  for (std::size_t i = 0; i < n; ++i) v[i] = base + static_cast<NodeId>(i);
+  for (std::size_t i = 0; i < n; ++i) v[i] = static_cast<NodeId>(i);
   return v;
 }
 
@@ -110,42 +109,6 @@ TEST(Hrw, ScoreMatchesSelection) {
   for (NodeId n : nodes) {
     EXPECT_LE(hrw_score(n, key), hrw_score(winner, key));
   }
-}
-
-// Batch selection must agree with single-shot selection digest for
-// digest -- the interleaved lanes change the evaluation order, never
-// the winner (same score function, same lower-id tie-break).
-TEST_P(HrwScoreFnTest, SelectManyMatchesSingleShot) {
-  for (std::size_t servers : {std::size_t{1}, std::size_t{2}, std::size_t{7},
-                              std::size_t{33}}) {
-    const auto nodes = make_nodes(servers, 3);
-    // Batch sizes straddling the 4-lane grouping, plus a big batch.
-    for (std::size_t n : {std::size_t{0}, std::size_t{1}, std::size_t{3},
-                          std::size_t{4}, std::size_t{5}, std::size_t{8},
-                          std::size_t{257}}) {
-      std::vector<std::uint64_t> digests(n);
-      for (std::size_t i = 0; i < n; ++i)
-        digests[i] = key_digest(strformat("batch-%zu-%zu", servers, i));
-      std::vector<NodeId> out(n, NodeId(~0u));
-      hrw_select_many(digests, nodes, out, GetParam());
-      for (std::size_t i = 0; i < n; ++i)
-        ASSERT_EQ(out[i], hrw_select(digests[i], nodes, GetParam()))
-            << "servers=" << servers << " n=" << n << " i=" << i;
-    }
-  }
-}
-
-TEST(Hrw, SelectManyHandlesDuplicateServerIds) {
-  // Duplicate ids exercise the tie-break path (identical scores): batch
-  // and single-shot must still agree.
-  const std::vector<NodeId> nodes{4, 9, 4, 2, 9};
-  std::vector<std::uint64_t> digests(16);
-  for (std::size_t i = 0; i < digests.size(); ++i)
-    digests[i] = key_digest(strformat("dup-%zu", i));
-  std::vector<NodeId> out(digests.size());
-  hrw_select_many(digests, nodes, out);
-  for (std::size_t i = 0; i < digests.size(); ++i)
-    EXPECT_EQ(out[i], hrw_select(digests[i], nodes)) << i;
 }
 
 }  // namespace

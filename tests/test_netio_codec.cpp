@@ -255,8 +255,9 @@ TEST(NetioCodec, TornFrameEverySplitPointTwice) {
     // feed; interior splits land inside the prefix and inside bodies).
     dec.feed(stream.data(), split);
     ASSERT_NO_FATAL_FAILURE(drain(dec, decoded));
-    if (split < kHeaderLen)
+    if (split < kHeaderLen) {
       EXPECT_EQ(decoded, 0u) << "partial frame yielded at split " << split;
+    }
     dec.feed(stream.data() + split, stream.size() - split);
     ASSERT_NO_FATAL_FAILURE(drain(dec, decoded));
     ASSERT_EQ(decoded, frames.size()) << "stuck at split " << split;

@@ -63,8 +63,9 @@ TEST_P(HistogramProps, QuantileMonotoneAndBounded) {
   // the bucketed range (then it reports the range cap, still <= max).
   const double q1 = h.quantile(1.0);
   EXPECT_LE(q1, h.max());
-  if (h.max() < h.bucket_hi(h.buckets().size() - 1))
+  if (h.max() < h.bucket_hi(h.buckets().size() - 1)) {
     EXPECT_GE(q1, h.max() / h.layout().growth * (1.0 - 1e-12));
+  }
 }
 
 TEST_P(HistogramProps, SplitMergeConservesEverything) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <numeric>
 
 #include "common/rng.hpp"
@@ -30,6 +31,19 @@ TEST(ReedSolomon, EncodeShapes) {
   const auto shards = rs.encode(data);
   ASSERT_EQ(shards.size(), 6u);
   for (const auto& s : shards) EXPECT_EQ(s.size(), 25u);
+}
+
+TEST(ReedSolomon, ShardSizeNeverWraps) {
+  // len / k rounded up for a len near 2^64: (len + k - 1) / k would wrap
+  // to 0 here.
+  constexpr std::size_t kMax = std::numeric_limits<std::size_t>::max();
+  EXPECT_EQ(ReedSolomon(4, 2).shard_size(kMax), std::size_t{1} << 62);
+  EXPECT_EQ(ReedSolomon(4, 2).shard_size(kMax - 3),
+            (std::size_t{1} << 62) - 1);  // an exact multiple of 4
+  EXPECT_EQ(ReedSolomon(3, 1).shard_size(kMax), kMax / 3);
+  EXPECT_EQ(ReedSolomon(1, 0).shard_size(kMax), kMax);
+  EXPECT_EQ(ReedSolomon(4, 2).shard_size(0), 0u);
+  EXPECT_EQ(ReedSolomon(4, 2).shard_size(1), 1u);
 }
 
 TEST(ReedSolomon, SystematicDataShardsVerbatim) {

@@ -209,9 +209,11 @@ TEST(RtEc, GetReconstructsEveryLossPatternAtOddSizes) {
       if (__builtin_popcount(lost) > 2) continue;
       ShardedStore store(store_opts());
       ASSERT_TRUE(ec::put(store, "tok", "obj", value, rs).ok());
-      for (std::size_t i = 0; i < 4; ++i)
-        if (lost & (1u << i))
+      for (std::size_t i = 0; i < 4; ++i) {
+        if (lost & (1u << i)) {
           ASSERT_TRUE(store.evict(ec::shard_key("obj", i)).has_value());
+        }
+      }
       bool reconstructed = false;
       auto got = ec::get(store, "tok", "obj", nullptr, &reconstructed);
       ASSERT_TRUE(got.ok()) << len << " lost=" << lost;

@@ -50,20 +50,6 @@ TEST(RunningStats, MergeWithEmpty) {
   EXPECT_EQ(empty.mean(), 3.0);
 }
 
-TEST(Percentile, EdgesAndInterpolation) {
-  std::vector<double> v{10, 20, 30, 40};
-  EXPECT_EQ(percentile(v, 0), 10.0);
-  EXPECT_EQ(percentile(v, 100), 40.0);
-  EXPECT_DOUBLE_EQ(percentile(v, 50), 25.0);
-  EXPECT_EQ(percentile({}, 50), 0.0);
-  EXPECT_EQ(percentile({7.0}, 99), 7.0);
-}
-
-TEST(MeanOf, Basics) {
-  EXPECT_EQ(mean_of({}), 0.0);
-  EXPECT_DOUBLE_EQ(mean_of({1.0, 2.0, 3.0}), 2.0);
-}
-
 TEST(TimeWeighted, PiecewiseConstantAverage) {
   TimeWeighted tw;
   tw.set(0.0, 1.0);   // 1.0 for [0, 10)
@@ -88,26 +74,6 @@ TEST(TimeWeighted, BeforeFirstSampleIsZero) {
   EXPECT_EQ(tw.average(10.0), 0.0);
   tw.set(5.0, 1.0);
   EXPECT_EQ(tw.average(5.0), 0.0);
-}
-
-TEST(Histogram, BinningAndClamping) {
-  Histogram h(0.0, 10.0, 5);
-  h.add(-1.0);   // clamps to bin 0
-  h.add(0.5);
-  h.add(9.99);
-  h.add(100.0);  // clamps to last bin
-  EXPECT_EQ(h.total(), 4u);
-  EXPECT_EQ(h.bin_count(0), 2u);
-  EXPECT_EQ(h.bin_count(4), 2u);
-  EXPECT_DOUBLE_EQ(h.bin_lo(1), 2.0);
-  EXPECT_DOUBLE_EQ(h.bin_hi(1), 4.0);
-}
-
-TEST(Histogram, RenderContainsBars) {
-  Histogram h(0.0, 1.0, 2);
-  for (int i = 0; i < 10; ++i) h.add(0.25);
-  const auto s = h.render(10);
-  EXPECT_NE(s.find("##########"), std::string::npos);
 }
 
 }  // namespace

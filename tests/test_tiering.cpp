@@ -47,18 +47,6 @@ std::unique_ptr<StorageTier> make_tier(Bytes cap = 1 << 30) {
   return std::make_unique<ColdTier>(cap, TierCosts{});
 }
 
-/// Sum of accounted bytes (payload + per-key overhead) a server would
-/// charge for the given keys if they were hot.
-Bytes accounted_total(const Server& srv, const std::vector<std::string>& keys) {
-  Bytes total = 0;
-  for (const auto& k : keys) {
-    const auto sz = srv.resident_size("t", k);
-    EXPECT_TRUE(sz.ok()) << k;
-    if (sz.ok()) total += sz.value() + Store::kPerKeyOverhead;
-  }
-  return total;
-}
-
 /// Invariant: every resident key lives in exactly one tier.
 void expect_no_dual_residency(Server& srv) {
   for (const auto& k : srv.all_keys()) {
@@ -90,7 +78,7 @@ TEST(Tiering, DemotionVictimsAreColdestPrefix) {
   Rig rig;
   Server srv(rig.sim, rig.fabric, 1, 1 << 30, "t", rig.hooks());
   srv.attach_tier(make_tier(), 1.0);
-  rig.sim.spawn([](Rig& r, Server& s) -> sim::Task<> {
+  rig.sim.spawn([](Server& s) -> sim::Task<> {
     for (int i = 0; i < 8; ++i)
       CO_ASSERT_OK(co_await s.put(0, "t", "k" + std::to_string(i),
                                   Blob::ghost(1000 + i)));
@@ -108,7 +96,7 @@ TEST(Tiering, DemotionVictimsAreColdestPrefix) {
       const bool cold = s.tier()->contains(order[i]);
       CO_ASSERT_TRUE(cold == (i < 5));
     }
-  }(rig, srv));
+  }(srv));
   rig.sim.run();
   expect_no_dual_residency(srv);
   expect_conservation(rig, srv);
