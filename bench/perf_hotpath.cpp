@@ -40,6 +40,12 @@
 //     operator new. They do not move with host load, so
 //     scripts/check.sh --perf gates them as fresh <= committed.
 //
+// Serving-path allocation benches (DESIGN.md §11):
+//   - rt.put_1k_allocs / get_1k_allocs: heap allocations of one
+//     in-process RuntimeServer::submit_async round trip (1 KiB put,
+//     then get) on the default tenant with one worker, counted exactly
+//     like the EC rows and gated the same way.
+//
 // Every byte-pump, codec and EC row is the best of five trials
 // (best_calls_per_sec): on a shared host single trials swing 30-50%.
 //
@@ -58,6 +64,7 @@
 #include <functional>
 #include <new>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -70,6 +77,7 @@
 #include "net/fabric.hpp"
 #include "netio/frame.hpp"
 #include "rt/ec.hpp"
+#include "rt/server.hpp"
 #include "rt/sharded_store.hpp"
 #include "sim/simulator.hpp"
 
@@ -403,6 +411,48 @@ void bench_ec() {
        "count");
 }
 
+// --- rt: in-process RuntimeServer round trips --------------------------
+
+void bench_rt() {
+  // One worker; the submitter waits for each completion, so the count
+  // covers the worker's half of the round trip too. Every key is put
+  // once first (store nodes, lanes and map entries exist before the
+  // count), and the ops are built before counting: the payload copy is
+  // the caller's, not the server's.
+  constexpr std::size_t kKeys = 64;
+  rt::ShardedStore store({16, 64 * units::MiB, "perf"});
+  rt::RuntimeServer server(store, {1, 1024});
+  std::atomic<bool> done{false};
+  auto round_trip = [&](rt::Op op) {
+    done.store(false);
+    server.submit_async("perf", std::move(op), [&done](rt::OpResult r) {
+      if (r.code != Errc::ok) std::exit(1);
+      done.store(true);
+    });
+    while (!done.load()) std::this_thread::yield();
+  };
+  auto ops = [&](rt::Op::Type type) {
+    std::vector<rt::Op> out;
+    for (std::size_t k = 0; k < kKeys; ++k)
+      out.push_back({type, "k" + std::to_string(k),
+                     type == rt::Op::Type::put
+                         ? kvstore::Blob::materialized(
+                               std::vector<std::uint8_t>(1024, std::uint8_t(k)))
+                         : kvstore::Blob{}});
+    return out;
+  };
+  for (auto& op : ops(rt::Op::Type::put)) round_trip(std::move(op));
+  auto allocs_per_op = [&](std::vector<rt::Op> batch) {
+    const std::uint64_t before = g_allocations.load();
+    for (auto& op : batch) round_trip(std::move(op));
+    return static_cast<double>(g_allocations.load() - before) / kKeys;
+  };
+  auto puts = ops(rt::Op::Type::put);
+  emit("rt", "put_1k_allocs", allocs_per_op(std::move(puts)), "count");
+  auto gets = ops(rt::Op::Type::get);
+  emit("rt", "get_1k_allocs", allocs_per_op(std::move(gets)), "count");
+}
+
 // --- macro: fig2-shaped dd bag -----------------------------------------------
 
 void bench_fig2_ddbag() {
@@ -454,6 +504,7 @@ int main(int argc, char** argv) {
   bench_hash();
   bench_netio();
   bench_ec();
+  bench_rt();
   bench_fig2_ddbag();
   write_json(out);
   return 0;

@@ -4,7 +4,7 @@
 #
 # The committed file holds two kinds of rows:
 #   - live rows (bench: "fabric", "placement", "sim", "erasure", "hash",
-#     "netio", "ec", "fig2_ddbag"): rewritten by this script from a fresh
+#     "netio", "ec", "rt", "fig2_ddbag"): rewritten by this script from a fresh
 #     run on this machine;
 #   - baseline rows (bench suffixed "_prepr"): the pre-optimization
 #     numbers captured when the hot-path work landed. They are *preserved*

@@ -206,8 +206,8 @@ do_perf() {
   # EC rows (64 KiB RS(4,2) puts/s and gets/s).
   # A >20% drop against any committed number is a regression, and the
   # SIMD encode path must hold >= 5x the committed pre-SIMD scalar
-  # baseline whenever a vector kernel is active. Exact counts (EC
-  # allocations per op) must not rise at all.
+  # baseline whenever a vector kernel is active. Exact counts (EC and
+  # in-process server allocations per op) must not rise at all.
   python3 - "$fresh" BENCH_hotpath.json <<'EOF'
 import json, sys
 def row(path, bench, metric):
@@ -232,7 +232,8 @@ for bench, metric in [("sim", "events_per_sec"),
           f"{committed:.3g} (ratio {ratio:.2f})")
     if ratio < 0.8:
         failures.append(f"{bench}.{metric} dropped more than 20%")
-for bench, metric in [("ec", "put_64k_allocs"), ("ec", "get_64k_allocs")]:
+for bench, metric in [("ec", "put_64k_allocs"), ("ec", "get_64k_allocs"),
+                      ("rt", "put_1k_allocs"), ("rt", "get_1k_allocs")]:
     fresh = row(fresh_path, bench, metric)
     committed = row(committed_path, bench, metric)
     print(f"{bench}.{metric}: fresh {fresh:g} vs committed {committed:g}")

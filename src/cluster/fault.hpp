@@ -19,7 +19,6 @@
 #include <cstdint>
 #include <functional>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "cluster/cluster.hpp"
@@ -37,18 +36,6 @@ enum class FaultKind : std::uint8_t {
   partition,     ///< link(s) cut: node isolated, or node<->peer severed
   heal,          ///< cut link(s) restored
 };
-
-constexpr std::string_view fault_kind_name(FaultKind k) {
-  switch (k) {
-    case FaultKind::crash_node: return "crash";
-    case FaultKind::revoke_class: return "revoke";
-    case FaultKind::stall_node: return "stall";
-    case FaultKind::degrade_nic: return "degrade-nic";
-    case FaultKind::partition: return "partition";
-    case FaultKind::heal: return "heal";
-  }
-  return "?";
-}
 
 struct FaultEvent {
   SimTime at = 0.0;

@@ -146,8 +146,6 @@ class Status {
   Status(Error err) : err_(std::move(err)) {}  // NOLINT(google-explicit-constructor)
   Status(Errc code, std::string msg = {}) : err_(Error{code, std::move(msg)}) {}
 
-  static Status ok_status() { return Status{}; }
-
   bool ok() const { return err_.code == Errc::ok; }
   explicit operator bool() const { return ok(); }
   Errc code() const { return err_.code; }

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cmath>
 
 namespace memfss {
 
@@ -39,8 +38,6 @@ void RunningStats::merge(const RunningStats& other) {
 double RunningStats::variance() const {
   return n_ < 2 ? 0.0 : m2_ / static_cast<double>(n_ - 1);
 }
-
-double RunningStats::stddev() const { return std::sqrt(variance()); }
 
 void TimeWeighted::set(SimTime t, double value) {
   if (!started_) {

@@ -20,7 +20,6 @@ class RunningStats {
   std::size_t count() const { return n_; }
   double mean() const { return n_ ? mean_ : 0.0; }
   double variance() const;  ///< sample variance (n-1); 0 if n < 2
-  double stddev() const;
   double min() const { return n_ ? min_ : 0.0; }
   double max() const { return n_ ? max_ : 0.0; }
   double sum() const { return n_ ? mean_ * static_cast<double>(n_) : 0.0; }

@@ -42,7 +42,6 @@ class Scenario {
 
   sim::Simulator& sim() { return sim_; }
   cluster::Cluster& cluster() { return *cluster_; }
-  cluster::ReservationSystem& reservations() { return *resv_; }
   fs::FileSystem& fs() { return *fs_; }
 
   const std::vector<NodeId>& own_nodes() const { return own_; }

@@ -187,7 +187,6 @@ sim::Task<> Client::put_stripe_copy(const ClassHrwPolicy& policy,
       // behind one NIC is worse than a delayed write. Reads find the
       // misplaced copy by probing the full order; lazy relocation moves
       // it home once the breaker closes.
-      fs_->health().count_rejection();
       const auto order = policy.probe_order(base_digest);
       NodeId alt = kInvalidNode;
       for (NodeId cand : order) {
@@ -331,7 +330,6 @@ sim::Task<Result<kvstore::Blob>> timed_get_impl(FileSystem* fs,
   // without burning a deadline on a peer known to be unreachable.
   if (!fs->health().allow(n, sim.now())) {
     ++fs->counters().breaker_rejections;
-    fs->health().count_rejection();
     co_return Error{Errc::rejected,
                     "breaker open: node " + std::to_string(n)};
   }

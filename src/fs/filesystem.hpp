@@ -254,7 +254,6 @@ class FileSystem {
   std::uint32_t current_epoch() const { return epochs_.back().id; }
   const PlacementEpoch& epoch(std::uint32_t id) const;
   ClassHrwPolicy policy_for_epoch(std::uint32_t id) const;
-  const ClassMembership& membership() const { return membership_; }
 
   // --- servers / telemetry -------------------------------------------------
 

@@ -37,7 +37,6 @@ BreakerState HealthRegistry::state(NodeId n) const {
 void HealthRegistry::reset() {
   breakers_.clear();
   opens_ = 0;
-  rejections_ = 0;
 }
 
 }  // namespace memfss::fs

@@ -45,10 +45,6 @@ class HealthRegistry {
   BreakerState state(NodeId n) const;
 
   std::size_t opens() const { return opens_; }       ///< closed/half -> open
-  std::size_t rejections() const { return rejections_; }
-
-  /// Count a locally synthesized rejection (caller saw allow() == false).
-  void count_rejection() { ++rejections_; }
 
   /// Drop all breaker state (admin reset between experiment repetitions).
   void reset();
@@ -58,7 +54,6 @@ class HealthRegistry {
   obs::Observability* obs_;
   std::unordered_map<NodeId, CircuitBreaker> breakers_;
   std::size_t opens_ = 0;
-  std::size_t rejections_ = 0;
 };
 
 }  // namespace memfss::fs

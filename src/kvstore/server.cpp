@@ -77,10 +77,6 @@ void Server::touch_heat(const std::string& key) {
   if (tier_) store_.touch_heat(key, heat_epoch_now());
 }
 
-bool Server::holds(std::string_view key) const {
-  return store_.peek(key) != nullptr || (tier_ && tier_->contains(key));
-}
-
 Result<Bytes> Server::resident_size(std::string_view token,
                                     std::string_view key) const {
   auto hot = store_.value_size(token, key);

@@ -41,15 +41,6 @@ namespace memfss::kvstore {
 ///              in flight at crash time fail rather than complete.
 enum class Liveness { up, stalled, down };
 
-constexpr std::string_view liveness_name(Liveness l) {
-  switch (l) {
-    case Liveness::up: return "up";
-    case Liveness::stalled: return "stalled";
-    case Liveness::down: return "down";
-  }
-  return "?";
-}
-
 /// Resource hooks the server charges; any may be null (not charged).
 struct ResourceHooks {
   sim::FluidResource* cpu = nullptr;     ///< node CPU (capacity = cores)
@@ -130,9 +121,6 @@ class Server {
   /// Current heat-decay epoch (floor of sim time / epoch length).
   std::uint64_t heat_epoch_now() const;
 
-  /// Key resident on this node, hot or cold (repair / drain scans).
-  bool holds(std::string_view key) const;
-
   /// Size of a resident value, hot or cold, with the store's auth check.
   Result<Bytes> resident_size(std::string_view token,
                               std::string_view key) const;
@@ -177,8 +165,6 @@ class Server {
   /// Transient straggler: requests arriving (or already queued) during the
   /// stall are held until it ends. Overlapping stalls extend the window.
   void stall_for(SimTime duration);
-
-  SimTime stalled_until() const { return stalled_until_; }
 
  private:
   /// Hold the calling operation while the server is stalled.

@@ -55,7 +55,6 @@ class CapGroup {
  public:
   explicit CapGroup(Rate limit) : limit_(limit) {}
   Rate limit() const { return limit_; }
-  void set_limit(Rate r) { limit_ = r; }
 
  private:
   friend class Fabric;

@@ -642,7 +642,7 @@ DriverResult run_driver(const DriverOptions& opt) {
   }
   if (tcp) {
     tcp->shutdown();
-    const MetricsSink& m = server.metrics();
+    const ServingMetrics& m = server.metrics();
     res.bytes_in = m.counter_value("rt.net.bytes_in");
     res.bytes_out = m.counter_value("rt.net.bytes_out");
     res.srv_resets = m.counter_value("rt.net.resets");

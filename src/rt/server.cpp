@@ -20,6 +20,10 @@ constexpr double kWriteShedBias = 0.10;
 // Scale of the retry-after hint a pressure-shed op gets (x 1..10).
 constexpr double kRetryAfterBaseS = 0.005;
 
+// An executed verb indexes its own rt.ops.<verb> counter.
+static_assert(static_cast<Counter>(Op::Type::put) == Counter::put &&
+              static_cast<Counter>(Op::Type::auth) == Counter::auth);
+
 double seconds_since(Clock::time_point t0) {
   return std::chrono::duration<double>(Clock::now() - t0).count();
 }
@@ -32,6 +36,7 @@ RuntimeServer::RuntimeServer(ShardedStore& store, Options opt)
       owned_tenants_(opt.tenants ? nullptr : std::make_unique<TenantRegistry>()),
       tenants_(opt.tenants ? opt.tenants : owned_tenants_.get()),
       epoch_(Clock::now()),
+      metrics_(*tenants_),
       pool_(ThreadPool::Options{opt.threads, opt.queue_capacity}) {}
 
 RuntimeServer::~RuntimeServer() { shutdown(); }
@@ -51,7 +56,7 @@ OpResult RuntimeServer::execute(const std::string& token, Op& op) {
         r.code =
             ec::put(store_, token, op.key, op.value, *rs, &seq, op.tenant)
                 .code();
-        if (r.code == Errc::ok) metrics_.count("rt.ec.puts");
+        if (r.code == Errc::ok) metrics_.count(Counter::ec_puts);
       } else {
         r.code = store_.put(token, op.key, std::move(op.value), &seq,
                             op.tenant).code();
@@ -64,7 +69,7 @@ OpResult RuntimeServer::execute(const std::string& token, Op& op) {
         auto got = ec::get(store_, token, op.key, &seq, &reconstructed);
         r.code = got.code();
         if (got.ok()) r.value = std::move(got).value();
-        if (reconstructed) metrics_.count("rt.ec.reconstructed_gets");
+        if (reconstructed) metrics_.count(Counter::ec_reconstructed_gets);
       } else {
         auto got = store_.get(token, op.key, &seq);
         r.code = got.code();
@@ -117,20 +122,21 @@ void RuntimeServer::submit_async(const std::string& token, Op op,
   w->start = Clock::now();
 
   const std::uint32_t tid = w->op.tenant;
-  auto complete_now = [&](Errc code, double retry_after_s,
-                          std::string_view metric) {
+  auto complete_now = [&](Errc code, double retry_after_s, Counter metric) {
     OpResult r;
     r.code = code;
     r.retry_after_s = retry_after_s;
     r.latency_s = seconds_since(w->start);
-    metrics_.count(std::string("rt.ops.") + std::string(metric));
-    if (tenants_->valid(tid))
-      metrics_.count_tenant(tenants_->name(tid), metric);
+    metrics_.count(metric);
+    if (metric != Counter::invalid_tenant)
+      tenants_->count(tid, metric == Counter::overloaded
+                               ? TenantCounter::overloaded
+                               : TenantCounter::rejected);
     w->done(std::move(r));
   };
 
   if (!tenants_->valid(tid)) {
-    complete_now(Errc::invalid_argument, 0.0, "invalid_tenant");
+    complete_now(Errc::invalid_argument, 0.0, Counter::invalid_tenant);
     return;
   }
 
@@ -145,7 +151,7 @@ void RuntimeServer::submit_async(const std::string& token, Op op,
       w->op.type == Op::Type::put ? w->op.value.size() : 0;
   const auto adm = tenants_->admit(tid, payload, now_s());
   if (adm.code != Errc::ok) {
-    complete_now(Errc::overloaded, adm.retry_after_s, "overloaded");
+    complete_now(Errc::overloaded, adm.retry_after_s, Counter::overloaded);
     return;
   }
 
@@ -156,7 +162,9 @@ void RuntimeServer::submit_async(const std::string& token, Op op,
   // occupancy so they shed a notch before reads. kTopPriority tenants
   // are never pressure-shed -- their lane bound (gate 3) is the only
   // thing that can turn them away.
-  const double occupancy = pool_.occupancy(worker);
+  const std::size_t depth = pool_.queue_depth(worker);
+  const double occupancy =
+      static_cast<double>(depth) / static_cast<double>(pool_.capacity());
   const std::uint32_t prio = tenants_->priority(tid);
   if (occupancy >= opt_.shed_at && prio < kTopPriority) {
     const double biased = std::min(
@@ -169,7 +177,7 @@ void RuntimeServer::submit_async(const std::string& token, Op op,
       // lightly loaded queue suggests a short backoff, a nearly full
       // one up to 10x the base.
       complete_now(Errc::overloaded, kRetryAfterBaseS * (1.0 + 9.0 * level),
-                   "overloaded");
+                   Counter::overloaded);
       return;
     }
   }
@@ -188,31 +196,24 @@ void RuntimeServer::submit_async(const std::string& token, Op op,
         if (opt_.service_time.count() > 0 && !w->degraded)
           std::this_thread::sleep_for(opt_.service_time);
         else if (opt_.service_time.count() > 0)
-          metrics_.count("rt.ops.degraded");
+          metrics_.count(Counter::degraded);
         // execute() moves the put payload into the store; size it first.
         const Bytes put_bytes =
             w->op.type == Op::Type::put ? w->op.value.size() : 0;
         OpResult r = execute(w->token, w->op);
         r.latency_s = seconds_since(w->start);
-        const std::string_view verb = op_type_name(w->op.type);
-        metrics_.count(r.code == Errc::ok
-                           ? std::string("rt.ops.") + std::string(verb)
-                           : std::string("rt.ops.failed"));
-        metrics_.observe("rt.op.latency_s", r.latency_s);
-        if (tenants_->valid(w->op.tenant)) {
-          const std::string& tname = tenants_->name(w->op.tenant);
-          metrics_.count_tenant(tname, "ops");
-          if (w->op.type == Op::Type::put)
-            metrics_.count_tenant(tname, "bytes", put_bytes);
-        }
+        metrics_.count(r.code == Errc::ok ? static_cast<Counter>(w->op.type)
+                                          : Counter::failed);
+        metrics_.op_latency_s.add(r.latency_s);
+        tenants_->count(w->op.tenant, TenantCounter::ops);
+        if (put_bytes > 0)
+          tenants_->count(w->op.tenant, TenantCounter::bytes, put_bytes);
         w->done(std::move(r));
       });
-  if (!accepted) {
-    complete_now(Errc::rejected, 0.0, "rejected");
-  } else {
-    metrics_.gauge_set("rt.queue.depth",
-                       static_cast<double>(pool_.queue_depth(worker)));
-  }
+  if (!accepted)
+    complete_now(Errc::rejected, 0.0, Counter::rejected);
+  else
+    metrics_.queue_depth.set(static_cast<std::int64_t>(depth) + 1);
 }
 
 std::vector<OpResult> RuntimeServer::run_batch(const std::string& token,

@@ -33,9 +33,11 @@
 // with worker count the way remote memory does, independent of host
 // core count. The load generator uses this for its scaling sweeps.
 //
-// Metrics (per-op latency histograms, throughput counters, queue-depth
-// gauge, per-tenant admitted/overloaded/rejected/bytes counters) feed
-// an obs::MetricsRegistry behind a mutex-guarded sink.
+// Metrics (per-verb counters, the per-op latency histogram, the
+// queue-depth gauge, per-tenant ops/bytes/overloaded/rejected counters)
+// go to the fixed instrument table in rt/serving_metrics.hpp: relaxed
+// atomics indexed by enum and by tenant slot, named only when
+// metrics().snapshot() is taken.
 #pragma once
 
 #include <chrono>
@@ -49,7 +51,7 @@
 
 #include "common/result.hpp"
 #include "kvstore/blob.hpp"
-#include "rt/metrics_sink.hpp"
+#include "rt/serving_metrics.hpp"
 #include "rt/sharded_store.hpp"
 #include "rt/tenant_registry.hpp"
 #include "rt/thread_pool.hpp"
@@ -57,23 +59,13 @@
 namespace memfss::rt {
 
 struct Op {
+  /// Same order as the first rt::Counter entries (rt.ops.<verb>).
   enum class Type { put, get, del, exists, auth };
   Type type = Type::get;
   std::string key;             ///< ignored by auth
   kvstore::Blob value;         ///< put only
   std::uint32_t tenant = 0;    ///< TenantRegistry slot (0 = default)
 };
-
-constexpr std::string_view op_type_name(Op::Type t) {
-  switch (t) {
-    case Op::Type::put: return "put";
-    case Op::Type::get: return "get";
-    case Op::Type::del: return "del";
-    case Op::Type::exists: return "exists";
-    case Op::Type::auth: return "auth";
-  }
-  return "unknown";
-}
 
 constexpr bool op_is_write(Op::Type t) {
   return t == Op::Type::put || t == Op::Type::del;
@@ -115,10 +107,6 @@ class RuntimeServer {
   RuntimeServer(const RuntimeServer&) = delete;
   RuntimeServer& operator=(const RuntimeServer&) = delete;
 
-  std::size_t threads() const { return pool_.size(); }
-  TenantRegistry& tenants() { return *tenants_; }
-  const TenantRegistry& tenants() const { return *tenants_; }
-
   /// Completion callback for submit_async().
   using Completion = std::function<void(OpResult)>;
 
@@ -140,8 +128,8 @@ class RuntimeServer {
   std::vector<OpResult> run_batch(const std::string& token,
                                   std::vector<Op> ops);
 
-  MetricsSink& metrics() { return metrics_; }
-  const MetricsSink& metrics() const { return metrics_; }
+  ServingMetrics& metrics() { return metrics_; }
+  const ServingMetrics& metrics() const { return metrics_; }
 
   /// Drain queues and join workers. Idempotent; the destructor calls it.
   /// Every already-queued op still executes and resolves its future;
@@ -160,7 +148,7 @@ class RuntimeServer {
   std::unique_ptr<TenantRegistry> owned_tenants_;  ///< when opt.tenants null
   TenantRegistry* tenants_;
   std::chrono::steady_clock::time_point epoch_;
-  MetricsSink metrics_;
+  ServingMetrics metrics_;
   ThreadPool pool_;  // last member: workers die before anything they use
 };
 

@@ -162,7 +162,7 @@ struct TcpServer::Reactor {
     if (epfd >= 0) ::close(epfd);
   }
 
-  MetricsSink& metrics() { return owner->server_.metrics(); }
+  ServingMetrics& metrics() { return owner->server_.metrics(); }
   const Options& opt() const { return owner->opt_; }
 
   void update_interest(Conn& c) {
@@ -175,11 +175,8 @@ struct TcpServer::Reactor {
   void close_conn(Conn& c) {
     ::epoll_ctl(epfd, EPOLL_CTL_DEL, c.fd, nullptr);
     ::close(c.fd);
-    metrics().count("rt.net.closed");
-    metrics().gauge_set(
-        "rt.net.connections",
-        static_cast<double>(
-            owner->conn_count_.fetch_sub(1, std::memory_order_relaxed) - 1));
+    metrics().count(Counter::net_closed);
+    metrics().connections.add(-1);
     conns.erase(c.id);  // destroys c; caller must not touch it again
   }
 
@@ -192,8 +189,8 @@ struct TcpServer::Reactor {
       if (w > 0) {
         c.woff += static_cast<std::size_t>(w);
         c.last_activity = Clock::now();
-        metrics().count("rt.net.send_calls");
-        metrics().count("rt.net.bytes_out", static_cast<std::uint64_t>(w));
+        metrics().count(Counter::net_send_calls);
+        metrics().count(Counter::net_bytes_out, static_cast<std::uint64_t>(w));
         continue;
       }
       if (w < 0 && errno == EINTR) continue;
@@ -204,7 +201,7 @@ struct TcpServer::Reactor {
         }
         return true;
       }
-      metrics().count("rt.net.resets");  // peer reset mid-write
+      metrics().count(Counter::net_resets);  // peer reset mid-write
       close_conn(c);
       return false;
     }
@@ -229,13 +226,13 @@ struct TcpServer::Reactor {
 
   /// Queue the one-and-only protocol-error frame and start closing.
   void protocol_error(Conn& c) {
-    metrics().count("rt.net.protocol_errors");
+    metrics().count(Counter::net_protocol_errors);
     netio::Frame err;
     err.kind = netio::Frame::Kind::response;
     err.status = static_cast<std::uint8_t>(Errc::invalid_argument);
     err.flags = netio::kFlagProtocolError;
     netio::encode_frame(err, c.wbuf);
-    metrics().count("rt.net.frames_out");
+    metrics().count(Counter::net_frames_out);
     c.read_open = false;
     c.closing = true;
     update_interest(c);
@@ -300,10 +297,9 @@ struct TcpServer::Reactor {
         if (!try_flush(c)) return false;
         return maybe_close(c);
       }
-      metrics().observe(
-          "rt.net.frame_decode_s",
+      metrics().frame_decode_s.add(
           std::chrono::duration<double>(Clock::now() - t0).count());
-      metrics().count("rt.net.frames_in");
+      metrics().count(Counter::net_frames_in);
       if (f.kind != netio::Frame::Kind::request) {
         // A client pushing response frames is as malformed as bad magic.
         protocol_error(c);
@@ -322,7 +318,7 @@ struct TcpServer::Reactor {
       const ssize_t r = ::recv(c.fd, buf, sizeof(buf), 0);
       if (r > 0) {
         c.last_activity = Clock::now();
-        metrics().count("rt.net.bytes_in", static_cast<std::uint64_t>(r));
+        metrics().count(Counter::net_bytes_in, static_cast<std::uint64_t>(r));
         c.decoder.feed(buf, static_cast<std::size_t>(r));
         if (!process_frames(c)) return false;
         if (static_cast<std::size_t>(r) < sizeof(buf)) break;
@@ -336,7 +332,7 @@ struct TcpServer::Reactor {
       }
       if (errno == EINTR) continue;
       if (errno == EAGAIN || errno == EWOULDBLOCK) break;
-      metrics().count("rt.net.resets");  // hard read error (ECONNRESET)
+      metrics().count(Counter::net_resets);  // hard read error (ECONNRESET)
       close_conn(c);
       return false;
     }
@@ -356,7 +352,7 @@ struct TcpServer::Reactor {
         // level-triggered listener would fire again at once and spin
         // the reactor. Spend the spare fd to accept the oldest pending
         // connection and close it, then take the spare back.
-        metrics().count("rt.net.accept_errors");
+        metrics().count(Counter::net_accept_errors);
         if (spare_fd < 0) spare_fd = ::open("/dev/null", O_RDONLY | O_CLOEXEC);
         if (spare_fd < 0) return;
         ::close(spare_fd);
@@ -383,12 +379,8 @@ struct TcpServer::Reactor {
         continue;
       }
       conns.emplace(conn->id, std::move(conn));
-      metrics().count("rt.net.accepted");
-      metrics().gauge_set(
-          "rt.net.connections",
-          static_cast<double>(
-              owner->conn_count_.fetch_add(1, std::memory_order_relaxed) +
-              1));
+      metrics().count(Counter::net_accepted);
+      metrics().connections.add(1);
     }
   }
 
@@ -417,14 +409,14 @@ struct TcpServer::Reactor {
     const auto now = Clock::now();
     for (Conn* cp : touched) {
       Conn& c = *cp;
-      metrics().count("rt.net.frames_out", c.drain_frames);
+      metrics().count(Counter::net_frames_out, c.drain_frames);
       c.drain_frames = 0;
       c.last_activity = now;
       if (!try_flush(c)) continue;
       // A client that pipelines requests but never drains responses
       // gets cut off -- its buffered responses must not pin memory.
       if (c.unsent() > opt().max_write_buffer) {
-        metrics().count("rt.net.slow_client_disconnects");
+        metrics().count(Counter::net_slow_client_disconnects);
         close_conn(c);
         continue;
       }
@@ -452,7 +444,7 @@ struct TcpServer::Reactor {
     for (const std::uint64_t id : idle) {
       const auto it = conns.find(id);
       if (it == conns.end()) continue;
-      metrics().count("rt.net.idle_reaps");
+      metrics().count(Counter::net_idle_reaps);
       close_conn(*it->second);
     }
   }

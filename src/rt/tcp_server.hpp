@@ -38,6 +38,10 @@
 // level-triggered listener readable, which would spin the reactor at
 // full CPU. Each failed accept counts in rt.net.accept_errors.
 //
+// Metrics: reactors record rt.net.* in the server's fixed instrument
+// table (rt/serving_metrics.hpp): atomic counters and connection gauge,
+// and a frame-decode histogram whose mutex no worker takes.
+//
 // Shutdown drains: stop accepting, keep serving until every connection
 // has zero in-flight ops and an empty write buffer (responses for
 // frames already on the wire still go out), then close; connections
@@ -88,7 +92,6 @@ class TcpServer {
 
   /// The bound port (the ephemeral one when Options::port was 0).
   std::uint16_t port() const { return port_; }
-  std::size_t reactors() const { return reactors_.size(); }
 
   /// Graceful drain (see file comment). Idempotent; the destructor
   /// calls it.
@@ -101,8 +104,6 @@ class TcpServer {
   Options opt_;
   std::uint16_t port_ = 0;
   std::atomic<bool> stopped_{false};
-  /// Live connection count across reactors (feeds rt.net.connections).
-  std::atomic<long> conn_count_{0};
   std::vector<std::unique_ptr<Reactor>> reactors_;
 };
 

@@ -22,10 +22,15 @@ Result<std::uint32_t> TenantRegistry::register_tenant(TenantConfig cfg) {
     return {Errc::invalid_argument, "rs policy needs both k and m"};
   if (cfg.rs.enabled() && cfg.rs.k + cfg.rs.m > 255)
     return {Errc::invalid_argument, "rs policy k+m exceeds 255"};
+  if (cfg.name.empty())
+    return {Errc::invalid_argument, "tenant name is empty"};
   std::lock_guard lk(register_mu_);
   const std::uint32_t id = count_.load(std::memory_order_relaxed);
   if (id >= slots_.size())
     return {Errc::invalid_argument, "tenant table full"};
+  for (std::uint32_t i = 0; i < id; ++i)
+    if (slots_[i]->cfg.name == cfg.name)
+      return {Errc::invalid_argument, "tenant name already registered"};
   auto st = std::make_unique<State>();
   st->ops = TokenBucket(cfg.ops_per_s, cfg.ops_burst);
   st->bytes = TokenBucket(cfg.bytes_per_s, cfg.bytes_burst);

@@ -13,7 +13,10 @@
 //     exactly by rt::ShardedStore (charge-before-insert /
 //     release-after-remove, mirroring the aggregate cap protocol), so
 //     sum-over-tenants >= aggregate used() at every instant and equals
-//     it at quiescence.
+//     it at quiescence;
+//   - serving counters (ops, put bytes, overloaded and rejected sheds):
+//     relaxed atomics bumped by slot id, exported under the tenant's
+//     unique name as rt.tenant.<name>.<metric> only at snapshot time.
 //
 // Registration is mutex-guarded and publication is release/acquire on
 // the slot count; the slot table never reallocates (fixed capacity at
@@ -22,11 +25,13 @@
 // which is exactly the isolation boundary.
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/result.hpp"
@@ -49,6 +54,11 @@ struct RsPolicy {
   std::size_t m = 0;  ///< parity shards (>= 1 to enable; k + m <= 255)
   bool enabled() const { return k >= 1 && m >= 1; }
 };
+
+/// Per-tenant serving counters, in kTenantCounterNames order.
+enum class TenantCounter : std::size_t { ops, bytes, overloaded, rejected };
+inline constexpr std::array<std::string_view, 4> kTenantCounterNames{
+    "ops", "bytes", "overloaded", "rejected"};
 
 struct TenantConfig {
   std::string name = "default";
@@ -74,7 +84,8 @@ class TenantRegistry {
   TenantRegistry& operator=(const TenantRegistry&) = delete;
 
   /// Add a tenant; returns its slot id. Fails with invalid_argument
-  /// when the table is full or the priority is out of range.
+  /// when the table is full, the name is empty or already registered,
+  /// or the priority is out of range.
   Result<std::uint32_t> register_tenant(TenantConfig cfg);
 
   std::uint32_t tenant_count() const {
@@ -122,6 +133,15 @@ class TenantRegistry {
   /// left-hand side; >= ShardedStore::used() at every instant).
   Bytes total_resident() const;
 
+  void count(std::uint32_t id, TenantCounter c, std::uint64_t delta = 1) {
+    state(id).counters[static_cast<std::size_t>(c)].fetch_add(
+        delta, std::memory_order_relaxed);
+  }
+  std::uint64_t counter(std::uint32_t id, TenantCounter c) const {
+    return state(id).counters[static_cast<std::size_t>(c)].load(
+        std::memory_order_relaxed);
+  }
+
  private:
   struct State {
     TenantConfig cfg;
@@ -130,6 +150,9 @@ class TenantRegistry {
     TokenBucket bytes;
     std::atomic<Bytes> resident{0};
     std::unique_ptr<const erasure::ReedSolomon> rs;  ///< set iff cfg.rs on
+    /// Off the admit line: workers bump ops/bytes on every op.
+    alignas(64) std::array<std::atomic<std::uint64_t>,
+                           kTenantCounterNames.size()> counters{};
   };
 
   const State& state(std::uint32_t id) const { return *slots_[id]; }

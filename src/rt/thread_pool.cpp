@@ -51,11 +51,6 @@ std::size_t ThreadPool::queue_depth(std::size_t worker,
   return w.lanes[lane]->q.size();
 }
 
-double ThreadPool::occupancy(std::size_t worker) const {
-  return static_cast<double>(queue_depth(worker)) /
-         static_cast<double>(cap_);
-}
-
 ThreadPool::Job ThreadPool::take_locked(Worker& w) {
   // Deficit round robin over lanes: a non-empty lane is granted
   // `weight` job credits when the cursor arrives and is served until

@@ -75,9 +75,6 @@ class ThreadPool {
   std::size_t queue_depth(std::size_t worker) const;
   /// Jobs waiting in one lane of one worker.
   std::size_t queue_depth(std::size_t worker, std::uint32_t lane) const;
-  /// queue_depth / capacity for one worker -- the overload signal the
-  /// server's shedding policy keys off.
-  double occupancy(std::size_t worker) const;
 
   /// Stop admission, drain every lane, join all workers. Idempotent.
   void stop();

@@ -54,9 +54,6 @@ class FluidResource {
   double average_utilization(SimTime t_end) const {
     return util_.average(t_end);
   }
-  double current_utilization() const {
-    return capacity_ > 0 ? total_rate_ / capacity_ : 0.0;
-  }
   double peak_utilization() const { return util_.peak(); }
 
   /// Utilization integral for window averages (see TimeWeighted).

@@ -67,7 +67,6 @@ class Semaphore {
   Semaphore& operator=(const Semaphore&) = delete;
 
   std::size_t available() const { return count_; }
-  std::size_t waiting() const { return waiters_.size(); }
 
   auto acquire() {
     struct Awaiter {

@@ -58,7 +58,6 @@ class Dag {
   /// Fails if a file has two producers or the graph has a cycle.
   static Result<Dag> build(const Workflow& wf);
 
-  std::size_t task_count() const { return deps_.size(); }
   const std::vector<std::size_t>& dependencies(std::size_t task) const {
     return deps_[task];
   }

@@ -433,6 +433,7 @@ TEST(RtEc, ServerGhostPutsBypassCoding) {
   // Ghost blobs carry no bytes to code; EC tenants store them plainly.
   TenantRegistry tenants;
   TenantConfig cfg;
+  cfg.name = "ec";
   cfg.rs = {4, 2};
   const auto id = tenants.register_tenant(cfg);
   ASSERT_TRUE(id.ok());
@@ -463,6 +464,7 @@ TEST(RtEc, RegistryRejectsHalfOrOversizedPolicies) {
   big.rs = {250, 6};  // k + m > 255
   EXPECT_EQ(tenants.register_tenant(big).code(), Errc::invalid_argument);
   TenantConfig ok;
+  ok.name = "ec";
   ok.rs = {4, 2};
   auto id = tenants.register_tenant(ok);
   ASSERT_TRUE(id.ok());

@@ -130,6 +130,19 @@ TEST(TenantRegistry, RegisterHandsOutDenseIdsAndRejectsOverflow) {
             Errc::invalid_argument);
 }
 
+// Each tenant's counters export as rt.tenant.<name>.<metric>, so a
+// name must identify one slot: an empty or repeated name is refused.
+TEST(TenantRegistry, RejectsEmptyAndDuplicateNames) {
+  TenantRegistry reg(8);
+  EXPECT_EQ(reg.register_tenant({.name = ""}).code(), Errc::invalid_argument);
+  EXPECT_EQ(reg.register_tenant({.name = "default"}).code(),
+            Errc::invalid_argument);
+  ASSERT_TRUE(reg.register_tenant({.name = "a"}).ok());
+  EXPECT_EQ(reg.register_tenant({.name = "a"}).code(),
+            Errc::invalid_argument);
+  EXPECT_EQ(reg.tenant_count(), 2u);
+}
+
 TEST(TenantRegistry, AdmitShedsOverRateWithRetryHint) {
   TenantRegistry reg;
   TenantConfig cfg;

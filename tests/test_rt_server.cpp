@@ -2,8 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <future>
 #include <string>
 #include <thread>
 #include <vector>
@@ -162,6 +164,97 @@ TEST(RuntimeServer, MetricsFeedTheSink) {
   // Snapshot carries the queue-depth gauge too.
   const auto snap = server.metrics().snapshot();
   EXPECT_NE(snap.find("rt.queue.depth"), nullptr);
+}
+
+// Submitters, sheds and a reader racing snapshot(): once the server is
+// quiescent every counter is exact and every fixed row appears once.
+TEST(RuntimeServer, ConcurrentSnapshotsLeaveExactTotals) {
+  TenantRegistry reg;
+  TenantConfig limited;
+  limited.name = "limited";
+  limited.ops_per_s = 1.0;  // its burst is admitted, the rest overloaded
+  limited.ops_burst = 200.0;
+  const std::uint32_t tids[] = {reg.register_tenant({.name = "open"}).value(),
+                                reg.register_tenant(limited).value()};
+  ShardedStore store({4, 1 << 20, ""});
+  RuntimeServer::Options opt;
+  opt.threads = 2;
+  opt.queue_capacity = 12;  // lanes of 4: some ops are rejected
+  opt.service_time = std::chrono::microseconds(20);
+  opt.tenants = &reg;
+  RuntimeServer server(store, opt);
+
+  constexpr int kThreads = 4, kOpsPerThread = 1500;
+  std::atomic<bool> done{false};
+  std::thread reader([&] {
+    std::uint64_t last_rejected = 0;
+    while (!done.load()) {
+      EXPECT_FALSE(server.metrics().snapshot().rows.empty());
+      const std::uint64_t r = server.metrics().counter_value("rt.ops.rejected");
+      EXPECT_GE(r, last_rejected);
+      last_rejected = r;
+    }
+  });
+  std::atomic<std::uint64_t> shed{0}, executed{0};
+  std::vector<std::thread> submitters;
+  for (int t = 0; t < kThreads; ++t)
+    submitters.emplace_back([&, t] {
+      // Windows of four in flight: enough to fill the small lanes now
+      // and then, not so many that nearly every op is shed.
+      std::vector<std::future<OpResult>> futs;
+      for (int i = 0; i < kOpsPerThread; ++i) {
+        const auto type = static_cast<Op::Type>(i % 5);
+        futs.push_back(server.submit(
+            "", {type, "k" + std::to_string((t * 7 + i) % 64),
+                 type == Op::Type::put ? bytes_blob("value") : kvstore::Blob{},
+                 tids[i % 4 == 3]}));
+        if (futs.size() < 4 && i + 1 < kOpsPerThread) continue;
+        for (auto& f : futs) {
+          const Errc code = f.get().code;
+          (code == Errc::rejected || code == Errc::overloaded ? shed
+                                                               : executed)
+              .fetch_add(1);
+        }
+        futs.clear();
+      }
+    });
+  for (auto& th : submitters) th.join();
+  done.store(true);
+  reader.join();
+
+  const ServingMetrics& m = server.metrics();
+  std::uint64_t outcomes = 0;
+  for (const char* name :
+       {"rt.ops.put", "rt.ops.get", "rt.ops.del", "rt.ops.exists",
+        "rt.ops.auth", "rt.ops.failed", "rt.ops.rejected", "rt.ops.overloaded"})
+    outcomes += m.counter_value(name);
+  EXPECT_EQ(outcomes, std::uint64_t{kThreads} * kOpsPerThread);
+  EXPECT_EQ(m.counter_value("rt.ops.rejected") +
+                m.counter_value("rt.ops.overloaded"),
+            shed.load());
+  EXPECT_GT(m.counter_value("rt.ops.rejected"), 0u);
+  EXPECT_GT(m.counter_value("rt.ops.overloaded"), 0u);
+  const std::uint64_t tenant_ops = m.counter_value("rt.tenant.default.ops") +
+                                   m.counter_value("rt.tenant.open.ops") +
+                                   m.counter_value("rt.tenant.limited.ops");
+  EXPECT_EQ(tenant_ops, executed.load());
+  EXPECT_EQ(m.histogram_summary("rt.op.latency_s").count, executed.load());
+
+  const auto snap = m.snapshot();
+  std::vector<std::string> fixed(kCounterNames.begin(), kCounterNames.end());
+  for (const char* name : {"rt.queue.depth", "rt.net.connections",
+                           "rt.op.latency_s", "rt.net.frame_decode_s"})
+    fixed.emplace_back(name);
+  for (const char* tenant : {"default", "open", "limited"})
+    for (const auto metric : kTenantCounterNames)
+      fixed.push_back(std::string("rt.tenant.") + tenant + "." +
+                      std::string(metric));
+  for (const auto& name : fixed)
+    EXPECT_EQ(std::count_if(snap.rows.begin(), snap.rows.end(),
+                            [&](const auto& row) { return row.name == name; }),
+              1)
+        << name;
+  EXPECT_EQ(snap.rows.size(), fixed.size());
 }
 
 TEST(RuntimeServer, ServiceTimeIsApplied) {
