@@ -7,6 +7,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -18,6 +19,7 @@
 #include "rt/tenant_registry.hpp"
 #include "rt/thread_pool.hpp"
 #include "rt/token_bucket.hpp"
+#include "worker_hold.hpp"
 
 namespace memfss::rt {
 namespace {
@@ -418,6 +420,59 @@ TEST(QosServer, DegradedPathSkipsServiceTimeUnderLoad) {
   for (const auto& r : rs) EXPECT_EQ(r.code, Errc::not_found);
   EXPECT_LT(wall, 0.5);
   EXPECT_GT(server.metrics().counter_value("rt.ops.degraded"), 0u);
+}
+
+// Gate 3's weighted fairness through the server at service_time 0:
+// with the only worker held, two tenants queue ops with weights 3:1;
+// once released, the worker interleaves about three of A per one of B
+// instead of draining whichever tenant queued first.
+TEST(QosServer, WeightedLanesInterleaveAtZeroServiceTime) {
+  TenantRegistry reg;
+  const auto a = reg.register_tenant({.name = "a", .weight = 3}).value();
+  const auto b = reg.register_tenant({.name = "b", .weight = 1}).value();
+  ShardedStore store({4, 1 << 20, ""});
+  RuntimeServer::Options opt;
+  opt.threads = 1;
+  opt.queue_capacity = 256;
+  opt.tenants = &reg;
+  RuntimeServer server(store, opt);
+
+  std::mutex mu;
+  std::vector<char> order;
+  std::atomic<int> left{40};
+  auto record = [&](char who) {
+    return [&, who](OpResult) {
+      {
+        std::lock_guard lk(mu);
+        order.push_back(who);
+      }
+      left.fetch_sub(1);
+      left.notify_all();
+    };
+  };
+  {
+    WorkerHold hold(server, "held");
+    for (int i = 0; i < 30; ++i)
+      server.submit_async("", {Op::Type::get, "a" + std::to_string(i), {}, a},
+                          record('A'));
+    for (int i = 0; i < 10; ++i)
+      server.submit_async("", {Op::Type::get, "b" + std::to_string(i), {}, b},
+                          record('B'));
+    EXPECT_EQ(server.metrics().counter_value("rt.ops.rejected"), 0u);
+  }
+  for (int n = left.load(); n > 0; n = left.load()) left.wait(n);
+  ASSERT_EQ(order.size(), 40u);
+  std::size_t b_seen = 0;
+  for (std::size_t i = 0; i < order.size(); ++i) {
+    const std::size_t a_seen = i + 1 - (b_seen + (order[i] == 'B'));
+    if (order[i] == 'B') ++b_seen;
+    if (b_seen == 0) {
+      ASSERT_LE(a_seen, 3u) << "tenant b starved for " << i + 1 << " ops";
+    } else {
+      ASSERT_LE(a_seen, 3 * (b_seen + 1)) << "weight ratio violated at " << i;
+    }
+    ASSERT_LE(b_seen, a_seen / 3 + 1) << "tenant b overtook its weight at " << i;
+  }
 }
 
 TEST(QosServer, InvalidTenantFailsFast) {
