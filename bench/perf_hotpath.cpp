@@ -43,8 +43,9 @@
 // Serving-path allocation benches (DESIGN.md §11):
 //   - rt.put_1k_allocs / get_1k_allocs: heap allocations of one
 //     in-process RuntimeServer::submit_async round trip (1 KiB put,
-//     then get) on the default tenant with one worker, counted exactly
-//     like the EC rows and gated the same way.
+//     then get) on the default tenant with one idle worker -- so each
+//     op runs to completion on the submitter -- counted exactly like
+//     the EC rows and gated the same way.
 //
 // Every byte-pump, codec and EC row is the best of five trials
 // (best_calls_per_sec): on a shared host single trials swing 30-50%.
@@ -414,8 +415,9 @@ void bench_ec() {
 // --- rt: in-process RuntimeServer round trips --------------------------
 
 void bench_rt() {
-  // One worker; the submitter waits for each completion, so the count
-  // covers the worker's half of the round trip too. Every key is put
+  // One worker, idle at every submit because the submitter waits for
+  // each completion: every op runs inline on the submitting thread
+  // (DESIGN.md §11), and the count is that whole path. Every key is put
   // once first (store nodes, lanes and map entries exist before the
   // count), and the ops are built before counting: the payload copy is
   // the caller's, not the server's.

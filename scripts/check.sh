@@ -160,12 +160,16 @@ declare -A trees=(
 
 # build_tree <row> [targets...]: configure the row's tree and build the
 # targets (everything when none are named). Leaves $dir and $envs set;
-# the phase runs its binaries as `env $envs ...`.
+# the phase runs its binaries as `env $envs ...`. A fresh tree gets
+# Ninja; an existing one keeps the generator it was configured with
+# (build/ is also the tier-1 tree, which plain `cmake -B build -S .`
+# configures with the default generator, and CMake refuses a switch).
 build_tree() {
-  local flags
+  local flags gen=()
   IFS='|' read -r dir flags envs <<<"${trees[$1]}"
   shift
-  cmake -B "$dir" -G Ninja $flags
+  [[ -f $dir/CMakeCache.txt ]] || gen=(-G Ninja)
+  cmake -B "$dir" "${gen[@]}" $flags
   cmake --build "$dir" ${1:+--target} "$@"
 }
 

@@ -16,7 +16,11 @@ if [[ "${1:-}" == "--fast" ]]; then
   echo "== fast mode (MEMFSS_FAST=1) =="
 fi
 
-cmake -B build -G Ninja
+# Ninja for a fresh tree; an existing build/ keeps its generator (CMake
+# refuses to switch one, and the tier-1 command uses the default).
+gen=()
+[[ -f build/CMakeCache.txt ]] || gen=(-G Ninja)
+cmake -B build "${gen[@]}"
 cmake --build build
 
 echo "== tests =="

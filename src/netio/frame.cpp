@@ -34,51 +34,62 @@ std::uint64_t get_u64(const std::uint8_t* p) {
          (static_cast<std::uint64_t>(get_u32(p + 4)) << 32);
 }
 
+/// Patch the body checksum of the frame that starts at out[header].
+void seal(std::vector<std::uint8_t>& out, std::size_t header) {
+  const std::uint32_t crc = body_checksum(out.data() + header + kHeaderLen,
+                                          out.size() - header - kHeaderLen);
+  for (int i = 0; i < 4; ++i)
+    out[header + 8 + i] = static_cast<std::uint8_t>(crc >> (8 * i));
+}
+
 }  // namespace
 
 std::uint32_t body_checksum(const std::uint8_t* body, std::size_t n) {
   return hash::crc32c(body, n);
 }
 
-void encode_frame(const Frame& f, std::vector<std::uint8_t>& out) {
+void encode_response(const Frame& f, std::span<const std::uint8_t> value,
+                     std::vector<std::uint8_t>& out) {
   const std::size_t header = out.size();
-  if (f.kind == Frame::Kind::request) {
-    const std::size_t body =
-        kRequestFixedLen + f.key.size() + f.value.size();
-    out.reserve(out.size() + kHeaderLen + body);
-    put_u32(out, kRequestMagic);
-    put_u32(out, static_cast<std::uint32_t>(body));
-    put_u32(out, 0);  // body_crc, patched below
-    out.push_back(f.opcode);
-    out.push_back(f.flags);
-    put_u16(out, 0);
-    put_u32(out, f.tenant);
-    put_u64(out, f.request_id);
-    put_u32(out, static_cast<std::uint32_t>(f.key.size()));
-    put_u32(out, static_cast<std::uint32_t>(f.value.size()));
-    out.insert(out.end(), f.key.begin(), f.key.end());
-    out.insert(out.end(), f.value.begin(), f.value.end());
-  } else {
-    const std::size_t body = kResponseFixedLen + f.value.size();
-    out.reserve(out.size() + kHeaderLen + body);
-    put_u32(out, kResponseMagic);
-    put_u32(out, static_cast<std::uint32_t>(body));
-    put_u32(out, 0);  // body_crc, patched below
-    out.push_back(f.status);
-    out.push_back(f.flags);
-    put_u16(out, 0);
-    put_u32(out, f.retry_after_us);
-    put_u64(out, f.request_id);
-    put_u64(out, f.seq);
-    put_u64(out, f.checksum);
-    put_u32(out, static_cast<std::uint32_t>(f.value.size()));
-    put_u32(out, f.value_size);
-    out.insert(out.end(), f.value.begin(), f.value.end());
+  const std::size_t body = kResponseFixedLen + value.size();
+  out.reserve(out.size() + kHeaderLen + body);
+  put_u32(out, kResponseMagic);
+  put_u32(out, static_cast<std::uint32_t>(body));
+  put_u32(out, 0);  // body_crc, patched by seal()
+  out.push_back(f.status);
+  out.push_back(f.flags);
+  put_u16(out, 0);
+  put_u32(out, f.retry_after_us);
+  put_u64(out, f.request_id);
+  put_u64(out, f.seq);
+  put_u64(out, f.checksum);
+  put_u32(out, static_cast<std::uint32_t>(value.size()));
+  put_u32(out, f.value_size);
+  out.insert(out.end(), value.begin(), value.end());
+  seal(out, header);
+}
+
+void encode_frame(const Frame& f, std::vector<std::uint8_t>& out) {
+  if (f.kind == Frame::Kind::response) {
+    encode_response(f, f.value, out);
+    return;
   }
-  const std::uint32_t crc = body_checksum(out.data() + header + kHeaderLen,
-                                          out.size() - header - kHeaderLen);
-  for (int i = 0; i < 4; ++i)
-    out[header + 8 + i] = static_cast<std::uint8_t>(crc >> (8 * i));
+  const std::size_t header = out.size();
+  const std::size_t body = kRequestFixedLen + f.key.size() + f.value.size();
+  out.reserve(out.size() + kHeaderLen + body);
+  put_u32(out, kRequestMagic);
+  put_u32(out, static_cast<std::uint32_t>(body));
+  put_u32(out, 0);  // body_crc, patched by seal()
+  out.push_back(f.opcode);
+  out.push_back(f.flags);
+  put_u16(out, 0);
+  put_u32(out, f.tenant);
+  put_u64(out, f.request_id);
+  put_u32(out, static_cast<std::uint32_t>(f.key.size()));
+  put_u32(out, static_cast<std::uint32_t>(f.value.size()));
+  out.insert(out.end(), f.key.begin(), f.key.end());
+  out.insert(out.end(), f.value.begin(), f.value.end());
+  seal(out, header);
 }
 
 std::vector<std::uint8_t> encode(const Frame& f) {

@@ -37,6 +37,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -115,6 +116,12 @@ std::uint32_t body_checksum(const std::uint8_t* body, std::size_t n);
 
 /// Serialize `f` (using the fields of its kind) and append to `out`.
 void encode_frame(const Frame& f, std::vector<std::uint8_t>& out);
+
+/// Serialize response `f` with `value` as its value bytes (`f.value` is
+/// not read) and append to `out`: a server encodes a GET hit straight
+/// from the stored bytes, with no Frame-owned copy.
+void encode_response(const Frame& f, std::span<const std::uint8_t> value,
+                     std::vector<std::uint8_t>& out);
 
 /// Convenience: encode into a fresh buffer.
 std::vector<std::uint8_t> encode(const Frame& f);

@@ -106,33 +106,35 @@ std::future<OpResult> RuntimeServer::submit(const std::string& token, Op op) {
   return fut;
 }
 
-void RuntimeServer::submit_async(const std::string& token, Op op,
-                                 Completion done) {
-  struct Work {
-    Completion done;
-    std::string token;
-    Op op;
-    Clock::time_point start;
-    bool degraded = false;  ///< admitted past degrade_at: cheap path
-  };
-  auto w = std::make_shared<Work>();
-  w->done = std::move(done);
-  w->token = token;
-  w->op = std::move(op);
-  w->start = Clock::now();
+void RuntimeServer::finish(const std::string& token, Op& op,
+                           Clock::time_point start, const Completion& done) {
+  // execute() moves the put payload into the store; size it first.
+  const Bytes put_bytes = op.type == Op::Type::put ? op.value.size() : 0;
+  OpResult r = execute(token, op);
+  r.latency_s = seconds_since(start);
+  metrics_.count(r.code == Errc::ok ? static_cast<Counter>(op.type)
+                                    : Counter::failed);
+  metrics_.op_latency_s.add(r.latency_s);
+  tenants_->count(op.tenant, TenantCounter::ops);
+  if (put_bytes > 0) tenants_->count(op.tenant, TenantCounter::bytes, put_bytes);
+  done(std::move(r));
+}
 
-  const std::uint32_t tid = w->op.tenant;
+void RuntimeServer::submit_async(const std::string& token, Op op,
+                                 Completion done, bool allow_inline) {
+  const auto start = Clock::now();
+  const std::uint32_t tid = op.tenant;
   auto complete_now = [&](Errc code, double retry_after_s, Counter metric) {
     OpResult r;
     r.code = code;
     r.retry_after_s = retry_after_s;
-    r.latency_s = seconds_since(w->start);
+    r.latency_s = seconds_since(start);
     metrics_.count(metric);
     if (metric != Counter::invalid_tenant)
       tenants_->count(tid, metric == Counter::overloaded
                                ? TenantCounter::overloaded
                                : TenantCounter::rejected);
-    w->done(std::move(r));
+    done(std::move(r));
   };
 
   if (!tenants_->valid(tid)) {
@@ -141,14 +143,13 @@ void RuntimeServer::submit_async(const std::string& token, Op op,
   }
 
   // auth carries no key; route it like an empty key so it still flows
-  // through a real worker queue (and shows up in queue metrics).
-  const std::size_t shard = store_.shard_of(w->op.key);
+  // through a real worker (queued or claimed, like any other op).
+  const std::size_t shard = store_.shard_of(op.key);
   const std::size_t worker = shard % pool_.size();
 
   // Gate 1: the tenant's own rate limits. Over-rate bursters are shed
   // here regardless of load, so they can never displace other tenants.
-  const Bytes payload =
-      w->op.type == Op::Type::put ? w->op.value.size() : 0;
+  const Bytes payload = op.type == Op::Type::put ? op.value.size() : 0;
   const auto adm = tenants_->admit(tid, payload, now_s());
   if (adm.code != Errc::ok) {
     complete_now(Errc::overloaded, adm.retry_after_s, Counter::overloaded);
@@ -168,7 +169,7 @@ void RuntimeServer::submit_async(const std::string& token, Op op,
   const std::uint32_t prio = tenants_->priority(tid);
   if (occupancy >= opt_.shed_at && prio < kTopPriority) {
     const double biased = std::min(
-        1.0, occupancy + (op_is_write(w->op.type) ? kWriteShedBias : 0.0));
+        1.0, occupancy + (op_is_write(op.type) ? kWriteShedBias : 0.0));
     const double level = (biased - opt_.shed_at) / (1.0 - opt_.shed_at);
     const auto required = static_cast<std::uint32_t>(
         std::ceil(level * kTopPriority));
@@ -181,11 +182,29 @@ void RuntimeServer::submit_async(const std::string& token, Op op,
       return;
     }
   }
-  w->degraded = occupancy >= opt_.degrade_at;
+
+  // Run to completion here when the op is cheap and plain and its
+  // worker is idle (server.hpp); the claim holds the worker meanwhile.
+  if (allow_inline && opt_.service_time.count() == 0 &&
+      tenants_->rs_coder(tid) == nullptr && payload <= kInlineMaxValue &&
+      pool_.try_run_inline(worker, [&] {
+        metrics_.count(Counter::inline_ops);
+        finish(token, op, start, done);
+      }))
+    return;
 
   // Gate 3: the tenant's lane in the owning worker. Each tenant gets a
   // weight-proportional share of the worker's aggregate capacity, so a
   // flooding tenant fills only its own lane.
+  struct Work {
+    Completion done;
+    std::string token;
+    Op op;
+    Clock::time_point start;
+    bool degraded = false;  ///< admitted past degrade_at: cheap path
+  };
+  auto w = std::make_shared<Work>(Work{std::move(done), token, std::move(op),
+                                       start, occupancy >= opt_.degrade_at});
   const std::uint64_t total_weight = std::max<std::uint64_t>(
       tenants_->total_weight(), 1);
   const std::size_t lane_cap = std::max<std::size_t>(
@@ -197,23 +216,15 @@ void RuntimeServer::submit_async(const std::string& token, Op op,
           std::this_thread::sleep_for(opt_.service_time);
         else if (opt_.service_time.count() > 0)
           metrics_.count(Counter::degraded);
-        // execute() moves the put payload into the store; size it first.
-        const Bytes put_bytes =
-            w->op.type == Op::Type::put ? w->op.value.size() : 0;
-        OpResult r = execute(w->token, w->op);
-        r.latency_s = seconds_since(w->start);
-        metrics_.count(r.code == Errc::ok ? static_cast<Counter>(w->op.type)
-                                          : Counter::failed);
-        metrics_.op_latency_s.add(r.latency_s);
-        tenants_->count(w->op.tenant, TenantCounter::ops);
-        if (put_bytes > 0)
-          tenants_->count(w->op.tenant, TenantCounter::bytes, put_bytes);
-        w->done(std::move(r));
+        finish(w->token, w->op, w->start, w->done);
       });
-  if (!accepted)
+  if (!accepted) {
+    // complete_now's `done` was moved into the Work; answer through it.
+    done = std::move(w->done);
     complete_now(Errc::rejected, 0.0, Counter::rejected);
-  else
+  } else {
     metrics_.queue_depth.set(static_cast<std::int64_t>(depth) + 1);
+  }
 }
 
 std::vector<OpResult> RuntimeServer::run_batch(const std::string& token,

@@ -27,6 +27,18 @@
 // tenant lanes (rt::ThreadPool), so a deep abusive lane cannot delay
 // other tenants' ops beyond its weight share.
 //
+// Run to completion: an admitted op executes on the submitting thread,
+// with no worker handoff, when all of these hold (DESIGN.md §11):
+//   - service_time is 0 (a modeled remote access stays on a worker);
+//   - the tenant has no RS policy (erasure coding stays on workers);
+//   - it is not a put of a value over kInlineMaxValue;
+//   - the owning worker is idle: nothing queued, nothing running
+//     (ThreadPool::try_run_inline claims it for the op's duration).
+// The last condition keeps per-shard FIFO order, the shard seq and DRR
+// fairness exactly as on the worker: an op runs inline only when no
+// queue exists to be fair about, and it holds the worker meanwhile.
+// Every other admitted op posts to the worker as before.
+//
 // An optional per-op service time models the remote-access latency of a
 // disaggregated deployment (NIC + fabric round trip); workers sleep it
 // off before touching the shard, so a latency-bound workload scales
@@ -50,6 +62,7 @@
 #include <vector>
 
 #include "common/result.hpp"
+#include "common/types.hpp"
 #include "kvstore/blob.hpp"
 #include "rt/serving_metrics.hpp"
 #include "rt/sharded_store.hpp"
@@ -66,6 +79,11 @@ struct Op {
   kvstore::Blob value;         ///< put only
   std::uint32_t tenant = 0;    ///< TenantRegistry slot (0 = default)
 };
+
+/// Largest put value submit_async may execute on the submitting thread;
+/// a larger put always posts, so one big copy never runs on a caller
+/// (a reactor) that other connections share.
+inline constexpr Bytes kInlineMaxValue = 16 * 1024;
 
 constexpr bool op_is_write(Op::Type t) {
   return t == Op::Type::put || t == Op::Type::del;
@@ -115,13 +133,16 @@ class RuntimeServer {
   /// Errc::rejected, when admission sheds it).
   std::future<OpResult> submit(const std::string& token, Op op);
 
-  /// Callback-style submit: `done` runs exactly once -- on the owning
-  /// worker thread for executed ops, or inline on the submitter's
-  /// thread when admission sheds the op. This is the path the TCP
-  /// front-end uses: no future/promise allocation per network request,
-  /// and the callback can hand the result straight back to the
-  /// reactor's completion queue.
-  void submit_async(const std::string& token, Op op, Completion done);
+  /// Callback-style submit: `done` runs exactly once -- on the
+  /// submitter's thread, before submit_async returns, when admission
+  /// sheds the op or the op runs to completion inline (file comment;
+  /// `allow_inline` false forces the post path); otherwise later, on the
+  /// owning worker thread. A caller must therefore not hold, across the
+  /// call, a lock that `done` takes. This is the path the TCP front-end
+  /// uses: no future/promise allocation per network request, and a
+  /// reactor can write an inline result straight into its connection.
+  void submit_async(const std::string& token, Op op, Completion done,
+                    bool allow_inline = true);
 
   /// Closed-loop batch: submit every op, then wait for all results
   /// (returned in input order).
@@ -138,6 +159,10 @@ class RuntimeServer {
 
  private:
   OpResult execute(const std::string& token, Op& op);
+  /// Execute an admitted op, record it, and hand the result to `done`.
+  void finish(const std::string& token, Op& op,
+              std::chrono::steady_clock::time_point start,
+              const Completion& done);
   double now_s() const {
     return std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                          epoch_).count();

@@ -2,9 +2,11 @@
 // counter, gauge and histogram RuntimeServer and TcpServer record is
 // declared here once, next to its exported name; per-tenant counters
 // live in the tenant's TenantRegistry slot. An update is a relaxed
-// atomic add picked by enum, or a histogram add under a mutex that only
-// one writer class (workers or reactors) takes: no update builds a
-// string, looks up a map or shares a lock between reactors and workers.
+// atomic add picked by enum, or a histogram add under the histogram's
+// own mutex: no update builds a string or looks up a map, and no lock
+// is shared with anything else. A worker and a reactor meet only on
+// rt.op.latency_s, when the reactor runs an op inline on an idle worker
+// -- whose own thread is then asleep.
 // Names are built only at read time: snapshot() copies the table into a
 // temporary obs::MetricsRegistry (the simulator's rows, kinds and sort
 // order; every fixed instrument appears, even at zero). A snapshot taken
@@ -27,21 +29,23 @@ namespace memfss::rt {
 
 /// Serving counters. The first five follow Op::Type, so an executed
 /// verb indexes its own counter. The first kWorkerCounters are written
-/// by workers, the rest by submitters (inline sheds) and reactors.
+/// by the thread executing an op (a worker, or a submitter running it
+/// inline), the rest by submitters (sheds, inline claims) and reactors.
 enum class Counter : std::size_t {
   put, get, del, exists, auth, failed, degraded, ec_puts,
   ec_reconstructed_gets,
-  rejected, overloaded, invalid_tenant, net_accepted, net_closed,
+  rejected, overloaded, invalid_tenant, inline_ops, net_accepted, net_closed,
   net_accept_errors, net_bytes_in, net_bytes_out, net_frames_in,
   net_frames_out, net_send_calls, net_resets, net_protocol_errors,
   net_slow_client_disconnects, net_idle_reaps,
 };
 inline constexpr std::size_t kWorkerCounters = 9;
-inline constexpr std::array<std::string_view, 24> kCounterNames{
+inline constexpr std::array<std::string_view, 25> kCounterNames{
     "rt.ops.put", "rt.ops.get", "rt.ops.del", "rt.ops.exists",
     "rt.ops.auth", "rt.ops.failed", "rt.ops.degraded", "rt.ec.puts",
     "rt.ec.reconstructed_gets",
     "rt.ops.rejected", "rt.ops.overloaded", "rt.ops.invalid_tenant",
+    "rt.ops.inline",
     "rt.net.accepted", "rt.net.closed", "rt.net.accept_errors",
     "rt.net.bytes_in", "rt.net.bytes_out", "rt.net.frames_in",
     "rt.net.frames_out", "rt.net.send_calls", "rt.net.resets",
@@ -49,8 +53,9 @@ inline constexpr std::array<std::string_view, 24> kCounterNames{
     "rt.net.idle_reaps"};
 static_assert(static_cast<std::size_t>(Counter::net_idle_reaps) + 1 ==
               kCounterNames.size());
-/// Storage slot of counter i: worker counters fill [0, 9) and the rest
-/// start at 16, two cache lines in, so the writer classes share no line.
+/// Storage slot of counter i: executor counters fill [0, 9) and the rest
+/// start at 16, two cache lines in, so a worker's updates share no line
+/// with a reactor's front-end updates.
 constexpr std::size_t counter_slot(std::size_t i) {
   return i < kWorkerCounters ? i : 16 + i - kWorkerCounters;
 }
@@ -78,7 +83,7 @@ struct AtomicGauge {
   std::atomic<std::int64_t> value{0}, peak{0};
 };
 
-/// A histogram with one writer class, behind its own mutex.
+/// A histogram behind its own mutex.
 class alignas(64) LockedHistogram {
  public:
   void add(double x) {
@@ -105,7 +110,7 @@ class ServingMetrics {
   }
   AtomicGauge queue_depth;         ///< rt.queue.depth (submitters)
   AtomicGauge connections;         ///< rt.net.connections (reactors)
-  LockedHistogram op_latency_s;    ///< rt.op.latency_s (workers)
+  LockedHistogram op_latency_s;    ///< rt.op.latency_s (executors)
   LockedHistogram frame_decode_s;  ///< rt.net.frame_decode_s (reactors)
 
   obs::MetricsSnapshot snapshot() const { return registry()->snapshot(); }

@@ -36,6 +36,11 @@ constexpr std::uint64_t kFirstConnId = 8;
 // force-closing them.
 constexpr std::chrono::milliseconds kDrainTimeout{5000};
 
+// Ops one connection may complete in place per handle_read pass; its
+// later frames in that pass post to the workers, so a pipelining client
+// cannot keep the reactor from its other connections.
+constexpr std::size_t kInlineBudget = 64;
+
 int make_listen_socket(std::uint16_t port, std::uint16_t* bound_port,
                        std::string* err) {
   const int fd =
@@ -122,6 +127,7 @@ struct Conn {
   std::size_t woff = 0;      ///< flushed prefix of wbuf
   std::size_t pending = 0;   ///< ops submitted, response not yet queued
   std::size_t drain_frames = 0;  ///< responses appended by this drain
+  std::size_t inline_ops = 0;    ///< completed in place this handle_read
   std::string token;         ///< set by AUTH, used by every later op
   bool want_write = false;   ///< EPOLLOUT currently armed
   bool read_open = true;     ///< still accepting request frames
@@ -132,6 +138,37 @@ struct Conn {
 
   explicit Conn(std::size_t max_body) : decoder(max_body) {}
 };
+
+/// The submit_async call a reactor has on its stack, set only around
+/// that call (never on a worker thread). A completion that finds it set
+/// fired synchronously -- the op ran inline or admission shed it -- and
+/// appends its response straight to the connection's write buffer.
+struct InSubmit {
+  Conn* conn;
+  bool completed = false;
+};
+thread_local InSubmit* tl_in_submit = nullptr;
+
+/// The response to request `rid` without its value bytes, which are
+/// encoded straight from `r.value` (netio::encode_response).
+netio::Frame response_head(const OpResult& r, std::uint64_t rid, bool is_get,
+                           bool is_exists) {
+  netio::Frame resp;
+  resp.kind = netio::Frame::Kind::response;
+  resp.status = static_cast<std::uint8_t>(r.code);
+  resp.request_id = rid;
+  resp.retry_after_us = retry_after_us(r.retry_after_s);
+  if (r.seq.has_value()) {
+    resp.flags |= netio::kFlagHasSeq;
+    resp.seq = *r.seq;
+  }
+  if (is_exists && r.found) resp.flags |= netio::kFlagFound;
+  if (is_get && r.code == Errc::ok) {
+    resp.checksum = r.value.checksum();
+    resp.value_size = static_cast<std::uint32_t>(r.value.size());
+  }
+  return resp;
+}
 
 }  // namespace
 
@@ -260,28 +297,31 @@ struct TcpServer::Reactor {
     ++c.pending;
     const bool is_get = op.type == Op::Type::get;
     const bool is_exists = op.type == Op::Type::exists;
+    InSubmit here{&c};
+    tl_in_submit = &here;
     owner->server_.submit_async(
         c.token, std::move(op),
         [q = completions, cid = c.id, rid = f.request_id, is_get,
          is_exists](OpResult r) {
-          netio::Frame resp;
-          resp.kind = netio::Frame::Kind::response;
-          resp.status = static_cast<std::uint8_t>(r.code);
-          resp.request_id = rid;
-          resp.retry_after_us = retry_after_us(r.retry_after_s);
-          if (r.seq.has_value()) {
-            resp.flags |= netio::kFlagHasSeq;
-            resp.seq = *r.seq;
+          // Only a GET hit carries a value; every other result's is empty.
+          const netio::Frame head = response_head(r, rid, is_get, is_exists);
+          const auto value = r.value.bytes();
+          if (InSubmit* s = tl_in_submit) {
+            netio::encode_response(head, value, s->conn->wbuf);
+            --s->conn->pending;
+            s->completed = true;
+            return;
           }
-          if (is_exists && r.found) resp.flags |= netio::kFlagFound;
-          if (is_get && r.code == Errc::ok) {
-            resp.checksum = r.value.checksum();
-            resp.value_size = static_cast<std::uint32_t>(r.value.size());
-            const auto bytes = r.value.bytes();
-            resp.value.assign(bytes.begin(), bytes.end());
-          }
-          q->post(cid, netio::encode(resp));
-        });
+          std::vector<std::uint8_t> bytes;
+          netio::encode_response(head, value, bytes);
+          q->post(cid, std::move(bytes));
+        },
+        c.inline_ops < kInlineBudget);
+    tl_in_submit = nullptr;
+    if (here.completed) {
+      ++c.inline_ops;
+      metrics().count(Counter::net_frames_out);
+    }
   }
 
   /// Decode and dispatch every complete frame buffered on `c`.
@@ -311,8 +351,20 @@ struct TcpServer::Reactor {
     return true;
   }
 
+  /// Flush, then cut a client that pipelines requests but never drains
+  /// responses -- its buffered responses must not pin memory. Returns
+  /// false when the connection died.
+  bool flush_or_cut(Conn& c) {
+    if (!try_flush(c)) return false;
+    if (c.unsent() <= opt().max_write_buffer) return true;
+    metrics().count(Counter::net_slow_client_disconnects);
+    close_conn(c);
+    return false;
+  }
+
   /// Returns false when the connection died.
   bool handle_read(Conn& c) {
+    c.inline_ops = 0;
     while (c.read_open) {
       std::uint8_t buf[64 * 1024];
       const ssize_t r = ::recv(c.fd, buf, sizeof(buf), 0);
@@ -336,7 +388,8 @@ struct TcpServer::Reactor {
       close_conn(c);
       return false;
     }
-    if (!try_flush(c)) return false;
+    // One flush for every response completed in place this pass.
+    if (!flush_or_cut(c)) return false;
     return maybe_close(c);
   }
 
@@ -412,15 +465,7 @@ struct TcpServer::Reactor {
       metrics().count(Counter::net_frames_out, c.drain_frames);
       c.drain_frames = 0;
       c.last_activity = now;
-      if (!try_flush(c)) continue;
-      // A client that pipelines requests but never drains responses
-      // gets cut off -- its buffered responses must not pin memory.
-      if (c.unsent() > opt().max_write_buffer) {
-        metrics().count(Counter::net_slow_client_disconnects);
-        close_conn(c);
-        continue;
-      }
-      maybe_close(c);
+      if (flush_or_cut(c)) maybe_close(c);
     }
     touched.clear();
   }

@@ -10,11 +10,19 @@
 // thread, so per-connection state needs no locks. Frames decode into
 // rt::Op and dispatch through RuntimeServer::submit_async, which runs
 // the existing admission ladder (rate -> pressure -> lane, DESIGN.md
-// §12) and executes on the shard-pinned workers; completions are
-// encoded on the worker thread and handed back to the owning reactor
-// through a mutex-guarded completion queue + eventfd wakeup, then
-// written out of the connection's write buffer (EPOLLOUT armed only
-// while a partial write is outstanding).
+// §12). A small plain op whose worker is idle runs to completion right
+// there on the reactor (server.hpp); its completion -- like an
+// admission shed's -- fires inside the reactor's own submit_async call,
+// so the response is encoded straight into the connection's write
+// buffer: no completion-queue push, no eventfd write. At most
+// kInlineBudget ops per connection complete in place per read pass;
+// later frames post, so one pipelining client cannot hold the reactor.
+// Every other op executes on its shard-pinned worker, whose completion
+// is encoded there and handed back to the owning reactor through a
+// mutex-guarded completion queue + eventfd wakeup. Responses leave from
+// the connection's write buffer, flushed once per read pass or per
+// completion drain (EPOLLOUT armed only while a partial write is
+// outstanding).
 //
 // Protocol: netio::Frame (length-prefixed binary, pipelined). AUTH
 // binds the token in the frame's key field to the connection; every
@@ -23,8 +31,8 @@
 // in microseconds -- the QoS contract survives the wire intact.
 //
 // Slow clients: a connection whose write buffer exceeds
-// `max_write_buffer` (it is not draining responses as fast as it
-// pipelines requests) is disconnected and counted in
+// `max_write_buffer` after a flush (it is not draining responses as
+// fast as it pipelines requests) is disconnected and counted in
 // rt.net.slow_client_disconnects -- one stalled reader must not pin
 // response memory for everyone else. A malformed stream (bad magic,
 // oversized length prefix, inconsistent lengths) gets one final

@@ -78,18 +78,33 @@ ThreadPool::Job ThreadPool::take_locked(Worker& w) {
 }
 
 void ThreadPool::run(Worker& w) {
-  while (true) {
+  for (bool ran = false;; ran = true) {
     Job job;
     {
       std::unique_lock lk(w.mu);
+      if (ran) w.busy = false;  // our previous job has returned
+      // A queued job waits out an inline claim; a stopping, drained
+      // worker exits without waiting (no job can be posted any more).
       w.cv.wait(lk, [&] {
-        return w.total > 0 || stopping_.load(std::memory_order_relaxed);
+        return (w.total > 0 && !w.busy) ||
+               (w.total == 0 && stopping_.load(std::memory_order_relaxed));
       });
       if (w.total == 0) return;  // stopping and drained
       job = take_locked(w);
+      w.busy = true;
     }
     job();
   }
+}
+
+void ThreadPool::release_claim(Worker& w) {
+  bool queued = false;
+  {
+    std::lock_guard lk(w.mu);
+    w.busy = false;
+    queued = w.total > 0;
+  }
+  if (queued) w.cv.notify_one();
 }
 
 void ThreadPool::stop() {

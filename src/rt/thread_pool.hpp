@@ -22,6 +22,15 @@
 // posts there with weight 1, preserving the pre-QoS FIFO behavior for
 // single-tenant callers.
 //
+// Inline claim: try_run_inline() lets the caller run one job on its own
+// thread *as* a worker, when that worker is idle -- nothing queued in
+// any lane and nothing running. The claim marks the worker busy, so its
+// own thread waits it out and every job posted meanwhile queues behind
+// it. A worker therefore still executes one job at a time, in
+// submission order, whichever thread runs it; and because a claim
+// exists only when no lane holds a job, DRR has nothing to be fair
+// about while one runs.
+//
 // Shutdown drains: stop() stops admission, lets every worker finish all
 // jobs queued in every lane, then joins. The destructor calls stop().
 #pragma once
@@ -35,6 +44,7 @@
 #include <memory>
 #include <mutex>
 #include <thread>
+#include <utility>
 #include <vector>
 
 namespace memfss::rt {
@@ -70,6 +80,13 @@ class ThreadPool {
     return try_post(worker, 0, 1, cap_, std::move(job));
   }
 
+  /// Run `fn` on the calling thread as worker `worker % size()`'s next
+  /// job if that worker is idle (no job queued, none running, pool not
+  /// stopping); returns false, without running `fn`, otherwise. While
+  /// `fn` runs the worker counts as busy (see the file comment).
+  template <class Fn>
+  bool try_run_inline(std::size_t worker, Fn&& fn);
+
   /// Jobs waiting on one worker across all lanes (not the one
   /// executing).
   std::size_t queue_depth(std::size_t worker) const;
@@ -92,6 +109,7 @@ class ThreadPool {
     std::vector<std::unique_ptr<Lane>> lanes;  ///< slot-indexed, lazy
     std::size_t total = 0;   ///< queued jobs across lanes
     std::size_t cursor = 0;  ///< round-robin position
+    bool busy = false;       ///< a job is running (own thread or a claim)
     std::thread th;
   };
 
@@ -99,10 +117,30 @@ class ThreadPool {
   /// guarantees w.total > 0.
   Job take_locked(Worker& w);
   void run(Worker& w);
+  /// End an inline claim: clear busy, wake the worker if jobs queued.
+  void release_claim(Worker& w);
 
   std::size_t cap_;
   std::atomic<bool> stopping_{false};
   std::vector<std::unique_ptr<Worker>> workers_;
 };
+
+template <class Fn>
+bool ThreadPool::try_run_inline(std::size_t worker, Fn&& fn) {
+  Worker& w = *workers_[worker % workers_.size()];
+  {
+    std::lock_guard lk(w.mu);
+    if (w.total > 0 || w.busy || stopping_.load(std::memory_order_relaxed))
+      return false;
+    w.busy = true;
+  }
+  struct Release {
+    ThreadPool* pool;
+    Worker& w;
+    ~Release() { pool->release_claim(w); }
+  } release{this, w};
+  std::forward<Fn>(fn)();
+  return true;
+}
 
 }  // namespace memfss::rt

@@ -87,6 +87,22 @@ TEST(NetioCodec, RoundTripRandomFrames) {
   }
 }
 
+// A response whose value is passed apart from the Frame encodes to the
+// same bytes as the Frame holding that value.
+TEST(NetioCodec, ResponseWithExternalValueEncodesIdentically) {
+  Rng rng(5);
+  for (int iter = 0; iter < 500; ++iter) {
+    const Frame in = random_response(rng);
+    Frame head = in;
+    head.value.clear();
+    std::vector<std::uint8_t> out{0xee};  // appends after existing bytes
+    encode_response(head, in.value, out);
+    std::vector<std::uint8_t> want{0xee};
+    encode_frame(in, want);
+    ASSERT_EQ(out, want) << "iter " << iter;
+  }
+}
+
 TEST(NetioCodec, OneByteAtATimeDecoding) {
   Rng rng(2);
   std::vector<Frame> frames;

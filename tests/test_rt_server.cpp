@@ -6,11 +6,13 @@
 #include <atomic>
 #include <chrono>
 #include <future>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "rt/thread_pool.hpp"
+#include "worker_hold.hpp"
 
 namespace memfss::rt {
 namespace {
@@ -67,6 +69,54 @@ TEST(ThreadPool, RejectsAfterStop) {
   ThreadPool pool({1, 8});
   pool.stop();
   EXPECT_FALSE(pool.try_post(0, [] {}));
+}
+
+// try_run_inline claims an idle worker for the caller: `fn` runs on the
+// calling thread. A running or a queued job, or a stopped pool, refuses
+// the claim.
+TEST(ThreadPool, InlineClaimRunsOnTheCallerOnlyWhenTheWorkerIsIdle) {
+  ThreadPool pool({1, 8});
+  std::thread::id ran_on;
+  ASSERT_TRUE(pool.try_run_inline(0, [&] { ran_on = std::this_thread::get_id(); }));
+  EXPECT_EQ(ran_on, std::this_thread::get_id());
+
+  std::atomic<bool> started{false}, release{false};
+  ASSERT_TRUE(pool.try_post(0, [&] {
+    started.store(true);
+    while (!release.load()) std::this_thread::yield();
+  }));
+  while (!started.load()) std::this_thread::yield();
+  ASSERT_EQ(pool.queue_depth(0), 0u);
+  bool ran = false;
+  EXPECT_FALSE(pool.try_run_inline(0, [&] { ran = true; }));  // running
+  ASSERT_TRUE(pool.try_post(0, [] {}));
+  release.store(true);
+  pool.stop();
+  EXPECT_FALSE(pool.try_run_inline(0, [&] { ran = true; }));  // stopped
+  EXPECT_FALSE(ran);
+}
+
+// While a claim runs, the worker's own thread waits it out: a job posted
+// meanwhile runs only after the claim returns, and a second claim fails.
+TEST(ThreadPool, JobPostedDuringAClaimRunsAfterIt) {
+  ThreadPool pool({1, 8});
+  std::mutex mu;
+  std::vector<int> order;
+  std::atomic<bool> posted_ran{false};
+  ASSERT_TRUE(pool.try_run_inline(0, [&] {
+    ASSERT_TRUE(pool.try_post(0, [&] {
+      std::lock_guard lk(mu);
+      order.push_back(2);
+      posted_ran.store(true);
+    }));
+    EXPECT_FALSE(pool.try_run_inline(0, [] {}));
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    EXPECT_FALSE(posted_ran.load());
+    std::lock_guard lk(mu);
+    order.push_back(1);
+  }));
+  pool.stop();
+  EXPECT_EQ(order, (std::vector<int>{1, 2}));
 }
 
 // --- RuntimeServer --------------------------------------------------------
@@ -255,6 +305,105 @@ TEST(RuntimeServer, ConcurrentSnapshotsLeaveExactTotals) {
               1)
         << name;
   EXPECT_EQ(snap.rows.size(), fixed.size());
+}
+
+// --- Run to completion on an idle worker ----------------------------------
+
+/// Submit `op` and return the id of the thread its completion ran on.
+std::thread::id completing_thread(RuntimeServer& server, Op op,
+                                  Errc want = Errc::ok) {
+  std::promise<std::thread::id> ran_on;
+  auto fut = ran_on.get_future();
+  server.submit_async("", std::move(op), [&](OpResult r) {
+    EXPECT_EQ(r.code, want);
+    ran_on.set_value(std::this_thread::get_id());
+  });
+  return fut.get();
+}
+
+kvstore::Blob sized_blob(std::size_t n) {
+  return kvstore::Blob::materialized(std::vector<std::uint8_t>(n, 0x3c));
+}
+
+// An eligible op on an idle worker completes on the submitter's thread
+// before submit_async returns, and counts in rt.ops.inline.
+TEST(RuntimeServerInline, EligibleOpOnAnIdleWorkerCompletesOnTheSubmitter) {
+  ShardedStore store({4, 1 << 20, ""});
+  RuntimeServer server(store, {1, 64});
+  bool done = false;
+  std::thread::id ran_on;
+  server.submit_async("", {Op::Type::put, "k", bytes_blob("v")},
+                      [&](OpResult r) {
+                        EXPECT_EQ(r.code, Errc::ok);
+                        EXPECT_TRUE(r.seq.has_value());
+                        ran_on = std::this_thread::get_id();
+                        done = true;
+                      });
+  EXPECT_TRUE(done);
+  EXPECT_EQ(ran_on, std::this_thread::get_id());
+  EXPECT_EQ(completing_thread(server, {Op::Type::get, "k", {}}),
+            std::this_thread::get_id());
+  const auto& m = server.metrics();
+  EXPECT_EQ(m.counter_value("rt.ops.inline"), 2u);
+  EXPECT_EQ(m.counter_value("rt.ops.put"), 1u);
+  EXPECT_EQ(m.counter_value("rt.ops.get"), 1u);
+  EXPECT_EQ(m.counter_value("rt.tenant.default.ops"), 2u);
+  EXPECT_EQ(m.histogram_summary("rt.op.latency_s").count, 2u);
+}
+
+// The same op on a held worker queues behind the hold and completes on
+// the worker's thread once it is released.
+TEST(RuntimeServerInline, OpOnABusyWorkerPostsToTheWorker) {
+  ShardedStore store({4, 1 << 20, ""});
+  RuntimeServer server(store, {1, 64});
+  std::promise<std::thread::id> ran_on;
+  auto fut = ran_on.get_future();
+  {
+    WorkerHold hold(server, "held");  // runs inline on its helper thread
+    server.submit_async("", {Op::Type::put, "k", bytes_blob("v")},
+                        [&](OpResult r) {
+                          EXPECT_EQ(r.code, Errc::ok);
+                          ran_on.set_value(std::this_thread::get_id());
+                        });
+    EXPECT_EQ(fut.wait_for(std::chrono::milliseconds(20)),
+              std::future_status::timeout);
+  }
+  EXPECT_NE(fut.get(), std::this_thread::get_id());
+  EXPECT_EQ(server.metrics().counter_value("rt.ops.inline"), 1u);
+}
+
+// Erasure-coded tenants, modeled service time and puts over
+// kInlineMaxValue always take the worker.
+TEST(RuntimeServerInline, CodedSlowAndLargeOpsNeverRunInline) {
+  TenantRegistry reg;
+  TenantConfig coded_cfg;
+  coded_cfg.name = "coded";
+  coded_cfg.rs = {4, 2};
+  const auto coded = reg.register_tenant(coded_cfg).value();
+  ShardedStore store({8, 16 << 20, ""});
+  RuntimeServer::Options opt;
+  opt.threads = 1;
+  opt.tenants = &reg;
+  RuntimeServer server(store, opt);
+  const auto me = std::this_thread::get_id();
+  EXPECT_NE(completing_thread(server,
+                              {Op::Type::put, "c", sized_blob(1024), coded}),
+            me);
+  EXPECT_NE(completing_thread(server, {Op::Type::get, "c", {}, coded}), me);
+  EXPECT_NE(completing_thread(server, {Op::Type::exists, "c", {}, coded}), me);
+  EXPECT_NE(completing_thread(server, {Op::Type::put, "big",
+                                       sized_blob(kInlineMaxValue + 1)}),
+            me);
+  EXPECT_EQ(server.metrics().counter_value("rt.ops.inline"), 0u);
+  // At the bound itself the put is still eligible.
+  EXPECT_EQ(completing_thread(server,
+                              {Op::Type::put, "edge", sized_blob(kInlineMaxValue)}),
+            me);
+  EXPECT_EQ(server.metrics().counter_value("rt.ops.inline"), 1u);
+
+  RuntimeServer slow(store, {1, 64, std::chrono::microseconds(100)});
+  EXPECT_NE(completing_thread(slow, {Op::Type::get, "edge", {}}), me);
+  EXPECT_EQ(slow.metrics().counter_value("rt.ops.inline"), 0u);
 }
 
 TEST(RuntimeServer, ServiceTimeIsApplied) {
