@@ -2,9 +2,8 @@
 //
 // The paper argues HRW's O(n) decision is acceptable because MemFSS
 // hashes over *classes* first (two evaluations) and then only over the
-// nodes of one class; the hierarchical (skeleton) variant from the cited
-// optimization trades weights for O(log n). These benchmarks quantify
-// those costs on real hardware.
+// nodes of one class. These benchmarks quantify those costs on real
+// hardware.
 #include <benchmark/benchmark.h>
 
 #include <string>
@@ -15,7 +14,6 @@
 #include "hash/hashes.hpp"
 #include "hash/consistent.hpp"
 #include "hash/hrw.hpp"
-#include "hash/skeleton.hpp"
 #include "hash/weight_solver.hpp"
 
 using namespace memfss;
@@ -75,15 +73,6 @@ void BM_ConsistentRing(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ConsistentRing)->Arg(8)->Arg(32)->Arg(128)->Arg(512);
-
-void BM_SkeletonHrw(benchmark::State& state) {
-  hash::SkeletonHrw skel(nodes(std::size_t(state.range(0))), 8);
-  int k = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(skel.select(strformat("key-%d", k++ & 1023)));
-  }
-}
-BENCHMARK(BM_SkeletonHrw)->Arg(8)->Arg(32)->Arg(128)->Arg(512)->Arg(4096);
 
 void BM_HrwTop3(benchmark::State& state) {
   const auto servers = nodes(std::size_t(state.range(0)));

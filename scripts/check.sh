@@ -29,12 +29,12 @@
 #
 # --tsan builds with ThreadSanitizer (-DMEMFSS_SANITIZE=thread) in
 # build-tsan/ and runs only the `concurrency`-labeled ctest targets --
-# the multithreaded runtime suite (src/rt) plus the network chaos
-# suites. TSan is mutually exclusive with ASan, so this is a separate
-# mode rather than part of the default sanitize pass; only the
-# concurrency_tests target (every test tests/CMakeLists.txt labels
-# `concurrency`) is built since the single-threaded sim suite has
-# nothing for TSan to find.
+# the multithreaded runtime suite (src/rt), the network chaos suites and
+# the threaded slowdown sweep (exp::run_slowdown_sweep). TSan is
+# mutually exclusive with ASan, so this is a separate mode rather than
+# part of the default sanitize pass; only the concurrency_tests target
+# (every test tests/CMakeLists.txt labels `concurrency`) is built since
+# the rest of the single-threaded sim suite has nothing for TSan to find.
 #
 # --qos runs the adversarial multi-tenant isolation scenario
 # (bench/loadgen --qos: 8 small tenants + 1 abusive tenant at >= 10x its

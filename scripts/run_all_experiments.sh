@@ -5,10 +5,8 @@
 #   scripts/run_all_experiments.sh [--fast]
 #
 # --fast sets MEMFSS_FAST=1 (small clusters / short workloads) for a
-# quick smoke pass. Figure-level slowdown cells are cached in
-# bench/memfss_slowdown_cache.csv (override with MEMFSS_SLOWDOWN_CACHE)
-# so Fig. 6 reuses the Fig. 3-5 sweeps; delete that file to force fresh
-# runs.
+# quick smoke pass. Every figure is computed fresh; bench/fig3_6_slowdown
+# runs the Fig. 3-5 sweeps once and prints Fig. 6 from the same cells.
 set -euo pipefail
 
 if [[ "${1:-}" == "--fast" ]]; then

@@ -1,7 +1,9 @@
 #include "exp/experiments.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <cassert>
+#include <thread>
 
 #include "cluster/fault.hpp"
 #include "common/log.hpp"
@@ -202,22 +204,42 @@ std::vector<SlowdownCell> run_slowdown_sweep(
     const std::vector<tenant::TenantApp>& suite,
     const std::vector<Workload>& workloads, double alpha,
     const SlowdownOptions& opt) {
+  SlowdownOptions base_opt = opt;
+  base_opt.scenario.own_fraction = alpha;
+
+  // Every (app, run) simulation is independent and builds its own
+  // Scenario, so they run on a small thread pool. Job j is app
+  // j / runs.size() under runs[j % runs.size()] (run 0 is the clean
+  // baseline); each job writes only its own slot, so neither the values
+  // nor their order depend on scheduling.
+  std::vector<Workload> runs{Workload::none};
+  runs.insert(runs.end(), workloads.begin(), workloads.end());
+  const std::size_t jobs = suite.size() * runs.size();
+  std::vector<SimTime> duration(jobs, 0.0);
+  std::atomic<std::size_t> next{0};
+  const auto work = [&] {
+    for (std::size_t j; (j = next.fetch_add(1)) < jobs;)
+      duration[j] = run_tenant_under_scavenging(suite[j / runs.size()],
+                                                runs[j % runs.size()],
+                                                base_opt)
+                        .duration;
+  };
+  const std::size_t n_threads = std::min<std::size_t>(
+      std::max(1u, std::thread::hardware_concurrency()), jobs);
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < n_threads; ++t) threads.emplace_back(work);
+  for (auto& t : threads) t.join();
+
   std::vector<SlowdownCell> out;
-  for (const auto& app : suite) {
-    SlowdownOptions base_opt = opt;
-    base_opt.scenario.own_fraction = alpha;
-    const TenantRun clean =
-        run_tenant_under_scavenging(app, Workload::none, base_opt);
-    for (Workload w : workloads) {
-      const TenantRun loaded =
-          run_tenant_under_scavenging(app, w, base_opt);
+  for (std::size_t a = 0; a < suite.size(); ++a) {
+    const SimTime clean = duration[a * runs.size()];
+    for (std::size_t r = 1; r < runs.size(); ++r) {
       SlowdownCell cell;
-      cell.tenant = app.name;
-      cell.workload = w;
+      cell.tenant = suite[a].name;
+      cell.workload = runs[r];
       cell.alpha = alpha;
-      cell.slowdown = clean.duration > 0
-                          ? loaded.duration / clean.duration - 1.0
-                          : 0.0;
+      cell.slowdown =
+          clean > 0 ? duration[a * runs.size() + r] / clean - 1.0 : 0.0;
       out.push_back(cell);
     }
   }

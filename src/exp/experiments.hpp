@@ -92,7 +92,10 @@ struct SlowdownCell {
 };
 
 /// Full sweep for one tenant suite at one alpha: every benchmark x every
-/// MemFSS workload. Baselines are computed once per benchmark.
+/// MemFSS workload. Baselines are computed once per benchmark. The
+/// independent simulations run on up to hardware_concurrency() threads;
+/// cells come back in (benchmark, workload) order with the same values a
+/// serial run gives.
 std::vector<SlowdownCell> run_slowdown_sweep(
     const std::vector<tenant::TenantApp>& suite,
     const std::vector<Workload>& workloads, double alpha,

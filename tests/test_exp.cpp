@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "exp/experiments.hpp"
 #include "tenant/suites.hpp"
 
@@ -146,6 +148,54 @@ TEST(Slowdown, SweepProducesOneCellPerPair) {
     EXPECT_LT(c.slowdown, 2.0);
   }
 }
+
+// Two HiBench/Spark apps at the MEMFSS_FAST shape of Fig. 5 (4 own + 12
+// victim nodes, alpha = 50%), clean and under two workloads. The
+// durations are pinned to the last bit, so a simulator change that moves
+// a Fig. 3-6 cell fails here instead of passing unseen. One simulation
+// per test case keeps each case inside the timeout of a sanitized build.
+struct PinnedRun {
+  const char* app;
+  Workload workload;
+  SimTime duration;
+};
+
+// Names each case in test listings; the default would dump raw bytes,
+// pointer included.
+void PrintTo(const PinnedRun& pin, std::ostream* os) {
+  *os << pin.app << " under " << workload_name(pin.workload);
+}
+
+class FastScaleSuiteCellsArePinned
+    : public ::testing::TestWithParam<PinnedRun> {};
+
+TEST_P(FastScaleSuiteCellsArePinned, Duration) {
+  const PinnedRun& pin = GetParam();
+  const auto suite = tenant::hibench_spark_suite();
+  const auto app = std::find_if(suite.begin(), suite.end(), [&](auto& a) {
+    return a.name == pin.app;
+  });
+  ASSERT_NE(app, suite.end()) << pin.app;
+  SlowdownOptions opt;
+  opt.scenario.total_nodes = 16;
+  opt.scenario.own_nodes = 4;
+  opt.scenario.own_fraction = 0.5;
+  EXPECT_EQ(run_tenant_under_scavenging(*app, pin.workload, opt).duration,
+            pin.duration);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Slowdown, FastScaleSuiteCellsArePinned,
+    ::testing::Values(PinnedRun{"KMeans", Workload::none, 133.50000000000017},
+                      PinnedRun{"KMeans", Workload::blast, 158.83814201666127},
+                      PinnedRun{"KMeans", Workload::dd, 161.14754929774494},
+                      PinnedRun{"TeraSort", Workload::none, 129.99999999999991},
+                      PinnedRun{"TeraSort", Workload::blast, 173.97264664375945},
+                      PinnedRun{"TeraSort", Workload::dd, 171.58743184713998}),
+    [](const auto& info) {
+      return std::string(info.param.app) + "_" +
+             workload_name(info.param.workload);
+    });
 
 TEST(Table2, InfeasibleWhenDataDoesNotFit) {
   Table2Options opt;
