@@ -112,6 +112,54 @@ TEST(Rebalance, ReplicatedFilesKeepAllCopies) {
   });
 }
 
+TEST(Rebalance, ErasureFilesFollowTheNewEpoch) {
+  auto cfg = Rig::base_config();
+  cfg.redundancy = RedundancyMode::erasure;
+  cfg.ec_k = 4;
+  cfg.ec_m = 2;
+  Rig rig(std::move(cfg));
+  rig.run([](Rig& r) -> sim::Task<> {
+    Client c = r.fs.client(0);
+    Rng rng(11);
+    std::vector<std::uint8_t> payload(6 * units::MiB + 5);
+    for (auto& b : payload) b = std::uint8_t(rng.next_u64());
+    // Written under epoch 0: every shard on own nodes.
+    CO_ASSERT_TRUE((co_await c.write_file_bytes("/ec", payload)).ok());
+    const Bytes before = r.fs.total_bytes();
+    CO_ASSERT_TRUE(
+        r.fs.add_victim_class(1, offers({4, 5, 6, 7, 8, 9, 10, 11}), 0.25)
+            .ok());
+    const auto report = co_await r.fs.rebalance_all();
+    CO_ASSERT_OK(report.status);
+    EXPECT_EQ(report.files_updated, 1u);
+    EXPECT_GT(report.stripes_moved, 0u);
+    EXPECT_EQ(r.fs.total_bytes(), before);  // moved, not copied
+
+    auto st = co_await c.stat("/ec");
+    CO_ASSERT_TRUE(st.ok());
+    EXPECT_EQ(st.value().attr.epoch, r.fs.current_epoch());
+    // Shard j of stripe i lives on rank j (mod class size) of the new
+    // epoch's probe order.
+    const ClassHrwPolicy policy = r.fs.policy_for_epoch(r.fs.current_epoch());
+    for (std::size_t i = 0; i < st.value().stripe_count; ++i) {
+      const auto order =
+          policy.probe_order(Namespace::stripe_key_digest(st.value().inode, i));
+      CO_ASSERT_FALSE(order.empty());
+      for (std::size_t j = 0; j < 6; ++j) {
+        const std::string sk = Namespace::stripe_key(st.value().inode, i) +
+                               ".s" + std::to_string(j);
+        EXPECT_TRUE(r.fs.server(order[j % order.size()])
+                        .resident_size(r.fs.token(), sk)
+                        .ok())
+            << sk;
+      }
+    }
+    auto back = co_await c.read_file_bytes("/ec");
+    CO_ASSERT_TRUE(back.ok());
+    EXPECT_EQ(back.value(), payload);
+  });
+}
+
 TEST(Repair, RestoresMissingReplicas) {
   auto cfg = Rig::base_config();
   cfg.redundancy = RedundancyMode::replicated;
