@@ -86,31 +86,29 @@ class Client {
   // (kvstore key, logs) and its precomputed placement digest
   // (Namespace::stripe_key_digest), so retry/probe loops re-resolve
   // placement against live membership without re-hashing the key.
+  /// One stripe, in any redundancy mode: the copies or shards, the
+  /// stripe counter and the fs.write_stripe latency and span.
   sim::Task<> write_stripe(const ClassHrwPolicy& policy, const FileAttr& attr,
                            std::string key, std::uint64_t key_digest,
                            kvstore::Blob blob, OpState& state);
-  sim::Task<> write_stripe_erasure(const ClassHrwPolicy& policy,
-                                   const FileAttr& attr, std::string key,
-                                   std::uint64_t key_digest,
-                                   kvstore::Blob blob, OpState& state);
+  sim::Task<> write_shards(const ClassHrwPolicy& policy, const FileAttr& attr,
+                           const std::string& key, std::uint64_t key_digest,
+                           kvstore::Blob blob, OpState& state);
+  /// One stripe, in any redundancy mode, with the stripe counter and the
+  /// fs.read_stripe latency and span.
   sim::Task<Result<kvstore::Blob>> read_stripe(const ClassHrwPolicy& policy,
                                                const FileAttr& attr,
                                                std::string key,
                                                std::uint64_t key_digest,
                                                double extra_requests_per_mib);
-  sim::Task<Result<kvstore::Blob>> read_stripe_erasure(
-      const ClassHrwPolicy& policy, const FileAttr& attr, std::string key,
-      std::uint64_t key_digest);
+  sim::Task<Result<kvstore::Blob>> read_shards(const ClassHrwPolicy& policy,
+                                               const FileAttr& attr,
+                                               const std::string& key,
+                                               std::uint64_t key_digest);
   sim::Task<Result<kvstore::Blob>> probe_ranked(const ClassHrwPolicy& policy,
                                                 const FileAttr& attr,
                                                 const std::string& key,
                                                 std::uint64_t key_digest);
-
-  /// get() under the config's rpc_timeout; a deadline miss counts as a
-  /// timeout, reports the node suspect, and maps to `unavailable`.
-  /// `faulted` (optional) is set on timeout/unavailable/io_error.
-  sim::Task<Result<kvstore::Blob>> timed_get(NodeId node, std::string key,
-                                             bool* faulted);
 
   /// Record one finished stripe operation in the deployment's metrics
   /// registry (latency histogram `hist`) and, when fs tracing is on, as a

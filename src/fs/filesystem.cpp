@@ -195,27 +195,12 @@ sim::Task<Status> FileSystem::remove_own_node(NodeId node) {
     co_return Status{Errc::invalid_argument, "cannot remove the last own node"};
   if (draining_.count(node)) co_return Status{};
 
-  // Same protocol as victim evacuation, within class 0: leave the
-  // membership first so each key's new HRW primary is the migration
-  // target, then drain.
-  draining_.insert(node);
-  membership_.remove_member(kOwnClass, node);
   config_.own_nodes.erase(std::remove(config_.own_nodes.begin(),
                                       config_.own_nodes.end(), node),
                           config_.own_nodes.end());
   meta_.set_own_nodes(config_.own_nodes);
-  const auto& remaining = membership_.members(kOwnClass);
-  auto& src = server(node);
-  Status result{};
-  for (const auto& k : src.store().keys()) {
-    const NodeId dst = hash::hrw_select(k, remaining, config_.score_fn);
-    if (auto st = co_await src.migrate_key(config_.auth_token, k,
-                                           server(dst));
-        !st.ok())
-      result = st;
-  }
-  src.close();
-  draining_.erase(node);
+  // Same protocol as victim evacuation, within class 0.
+  const Status result = co_await migrate_out(node, kOwnClass);
   LOG_INFO("fs") << "own node " << node << " retired ("
                  << config_.own_nodes.size() << " remain)";
   co_return result;
@@ -234,18 +219,22 @@ sim::Task<Status> FileSystem::evacuate_victim(NodeId node) {
   if (cls == kOwnClass)
     co_return Status{Errc::invalid_argument, "cannot evacuate an own node"};
   if (draining_.count(node)) co_return Status{};  // already in progress
-
-  // Leave the membership first: new writes stop targeting the node, and
-  // each key's new HRW primary is exactly where we migrate it (minimal
-  // disruption property). Reads that race the migration fall back to
-  // probing draining nodes (Client::read_stripe).
-  draining_.insert(node);
-  membership_.remove_member(cls, node);
-  const auto& remaining = membership_.members(cls);
   auto& src = server(node);
   LOG_INFO("fs") << "evacuating node " << node << ": "
                  << src.all_keys().size() << " keys, "
                  << format_bytes(src.store().used() + src.tier_bytes());
+  co_return co_await migrate_out(node, cls);
+}
+
+sim::Task<Status> FileSystem::migrate_out(NodeId node, std::uint32_t cls) {
+  // Leave the membership first: new writes stop targeting the node, and
+  // each key's new HRW primary is exactly where we migrate it (minimal
+  // disruption property). Reads that race the migration fall back to
+  // probing draining nodes (HolderSearch).
+  draining_.insert(node);
+  membership_.remove_member(cls, node);
+  const auto& remaining = membership_.members(cls);
+  auto& src = server(node);
   // Pick each key's target from the *current* membership: `remaining` is
   // a live view, and a concurrent evacuation can drain the rest of the
   // class while a migrate_key is awaited. Once the class is empty, keys
@@ -306,19 +295,19 @@ void FileSystem::arm_victim_monitors(double threshold_fraction) {
             cluster_.sim().spawn(demote_coldest(victim));
             return;
           }
-          if (injector_ != nullptr) {
-            // Route through the fault bus: shared accounting, and the
-            // eviction gets graceful-drain-or-kill handling plus targeted
-            // repair instead of an unbounded best-effort evacuation.
-            injector_->evict_now(victim);
-            return;
-          }
           start_evacuation(victim);
         }));
   }
 }
 
 void FileSystem::start_evacuation(NodeId node) {
+  if (injector_ != nullptr) {
+    // Route through the fault bus: shared accounting, and the eviction
+    // gets graceful-drain-or-kill handling plus targeted repair instead of
+    // an unbounded best-effort evacuation.
+    injector_->evict_now(node);
+    return;
+  }
   cluster_.sim().spawn([](FileSystem& fs, NodeId v) -> sim::Task<> {
     const SimTime t0 = fs.cluster_.sim().now();
     const Status st = co_await fs.evacuate_victim(v);
@@ -377,10 +366,7 @@ sim::Task<> FileSystem::demote_coldest(NodeId node) {
     // (A node whose hot store simply ran dry is NOT escalated -- its pool
     // contribution is already zero, and evicting cold-resident data frees
     // no tenant memory.)
-    if (injector_ != nullptr)
-      injector_->evict_now(node);
-    else
-      start_evacuation(node);
+    start_evacuation(node);
   }
 }
 
@@ -444,7 +430,7 @@ void FileSystem::detect_failure(NodeId node) {
   LOG_INFO("fs") << "node " << node << " declared failed ("
                  << pf.affected.size() << " stripes affected)";
   retire_node(node);
-  cluster_.sim().spawn(run_targeted_repair(std::move(pf.affected), pf.at));
+  cluster_.sim().spawn(recover(std::move(pf.affected), pf.at));
 }
 
 void FileSystem::set_resilience_tuning(BreakerConfig breaker,
@@ -483,10 +469,21 @@ void FileSystem::retire_node(NodeId node) {
   draining_.erase(node);
 }
 
-sim::Task<> FileSystem::run_targeted_repair(
-    std::vector<std::pair<InodeId, std::size_t>> affected,
-    SimTime failed_at) {
-  const std::size_t n_stripes = affected.size();
+sim::Task<> FileSystem::recover(
+    std::vector<std::pair<InodeId, std::size_t>> affected, SimTime failed_at) {
+  const std::string detail = strformat("stripes=%zu", affected.size());
+  const Status st = co_await run_targeted_repair(std::move(affected),
+                                                 failed_at, "fs.recovery",
+                                                 detail);
+  if (!st.ok()) {
+    LOG_WARN("fs") << "targeted repair incomplete: "
+                   << st.error().to_string();
+  }
+}
+
+sim::Task<Status> FileSystem::run_targeted_repair(
+    std::vector<std::pair<InodeId, std::size_t>> affected, SimTime failed_at,
+    const char* span, std::string detail) {
   auto report = co_await repair_affected(std::move(affected));
   ++recovery_.repairs;
   recovery_.stripes_repaired += report.stripes_repaired;
@@ -496,15 +493,11 @@ sim::Task<> FileSystem::run_targeted_repair(
   obs.metrics.histogram("fs.recovery.latency")
       .add(cluster_.sim().now() - failed_at);
   if (obs.tracer.enabled(obs::Component::cluster)) {
-    obs.tracer.span(obs::Component::cluster, kInvalidNode, "fs.recovery",
-                    failed_at,
-                    strformat("stripes=%zu repaired=%zu", n_stripes,
-                              report.stripes_repaired));
+    obs.tracer.span(
+        obs::Component::cluster, kInvalidNode, span, failed_at,
+        detail + strformat(" repaired=%zu", report.stripes_repaired));
   }
-  if (!report.status.ok()) {
-    LOG_WARN("fs") << "targeted repair incomplete: "
-                   << report.status.error().to_string();
-  }
+  co_return report.status;
 }
 
 void FileSystem::handle_revoke(std::uint32_t class_id) {
@@ -557,21 +550,9 @@ sim::Task<Status> FileSystem::revoke_victim_class(std::uint32_t class_id,
   for (NodeId n : members) drains.push_back(drain_or_kill(n, grace));
   co_await sim::when_all(cluster_.sim(), std::move(drains));
 
-  auto report = co_await repair_affected(std::move(affected));
-  ++recovery_.repairs;
-  recovery_.stripes_repaired += report.stripes_repaired;
-  recovery_.bytes_re_replicated += report.bytes_moved;
-  recovery_.total_repair_time += cluster_.sim().now() - started;
-  auto& obs = cluster_.obs();
-  obs.metrics.histogram("fs.recovery.latency")
-      .add(cluster_.sim().now() - started);
-  if (obs.tracer.enabled(obs::Component::cluster)) {
-    obs.tracer.span(obs::Component::cluster, kInvalidNode, "fs.revoke_class",
-                    started,
-                    strformat("class=%u repaired=%zu", class_id,
-                              report.stripes_repaired));
-  }
-  co_return report.status;
+  co_return co_await run_targeted_repair(std::move(affected), started,
+                                         "fs.revoke_class",
+                                         strformat("class=%u", class_id));
 }
 
 sim::Task<> FileSystem::drain_or_kill(NodeId node, SimTime grace) {
@@ -610,23 +591,24 @@ NodeId FileSystem::drain_target(const std::string& key, NodeId src) {
   };
   // Placement-correct home: parse the key back to its file, rank under the
   // file's epoch (the revoked class is empty, so select_class falls back),
-  // and land on the first live expected holder that lacks the key.
+  // and land on the first live node in holder-search order that lacks the
+  // key. A shard key names one copy, so only that shard's home comes first.
   if (auto ref = Namespace::parse_stripe_key(key)) {
     if (auto st = meta_.ns().stat(ref->inode); st.ok()) {
-      const FileAttr& attr = st.value().attr;
-      const ClassHrwPolicy policy = policy_for_epoch(attr.epoch);
+      const ClassHrwPolicy policy = policy_for_epoch(st.value().attr.epoch);
       const std::uint64_t base =
           Namespace::stripe_key_digest(ref->inode, ref->stripe);
-      std::vector<NodeId> cand;
       const auto order = policy.probe_order(base);
-      if (ref->is_shard && !order.empty())
-        cand.push_back(order[ref->shard % order.size()]);
-      else if (attr.redundancy == RedundancyMode::replicated)
-        cand = policy.place(base, std::max<std::size_t>(1, attr.copies));
-      for (NodeId n : order) cand.push_back(n);
-      for (NodeId n : cand) {
-        if (!live(n)) continue;
-        if (!servers_.at(n)->resident_size(config_.auth_token, key).ok())
+      std::span<const NodeId> homes;
+      const auto nodes = home_nodes(policy, st.value().attr, base);
+      if (!ref->is_shard)
+        homes = nodes;
+      else if (ref->shard < nodes.size())
+        homes = std::span(nodes).subspan(ref->shard, 1);
+      HolderSearch search(*this, homes, order);
+      for (NodeId n; (n = search.next()) != kInvalidNode;) {
+        if (live(n) &&
+            !servers_.at(n)->resident_size(config_.auth_token, key).ok())
           return n;
       }
       return kInvalidNode;  // every expected holder already has it
@@ -666,8 +648,31 @@ void FileSystem::handle_evict(NodeId node) {
           fs.server(n).crash();
           fs.draining_.erase(n);
         }
-        co_await fs.run_targeted_repair(std::move(aff), t0);
+        co_await fs.recover(std::move(aff), t0);
       }(*this, node, started, std::move(affected)));
+}
+
+NodeId HolderSearch::next() {
+  while (pos_ < homes_.size() + order_.size()) {
+    const std::size_t i = pos_++;
+    const bool home = i < homes_.size();
+    const NodeId n = home ? homes_[i] : order_[i - homes_.size()];
+    if ((home || std::ranges::find(homes_, n) == homes_.end()) &&
+        fs_.has_server(n))
+      return n;
+  }
+  // Walk the live drain set the way a range-for would: step past the
+  // previous candidate only when asked for the next one.
+  const auto& draining = fs_.draining_nodes();
+  if (!in_drain_) {
+    in_drain_ = true;
+    drain_ = draining.begin();
+  } else if (drain_ != draining.end()) {
+    ++drain_;
+  }
+  for (; drain_ != draining.end(); ++drain_)
+    if (fs_.has_server(*drain_)) return *drain_;
+  return kInvalidNode;
 }
 
 }  // namespace memfss::fs

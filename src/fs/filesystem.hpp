@@ -24,6 +24,7 @@
 #include <map>
 #include <memory>
 #include <set>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -331,9 +332,10 @@ class FileSystem {
 
   void make_server(NodeId node, Bytes capacity, Rate net_cap, bool victim);
 
-  /// Begin a full victim evacuation (monitor path without an injector, or
-  /// tiered-pressure escalation): spawns evacuate_victim and records the
-  /// reclaim stall in fs.victim_reclaim.latency.
+  /// Begin a full victim eviction (monitor path, or tiered-pressure
+  /// escalation): through the attached fault injector's bus if there is
+  /// one, else spawns evacuate_victim and records the reclaim stall in
+  /// fs.victim_reclaim.latency.
   void start_evacuation(NodeId node);
 
   // --- fault handling internals (filesystem.cpp / maintenance.cpp) --------
@@ -347,9 +349,19 @@ class FileSystem {
   /// Dedupe raw storage keys into (inode, stripe) pairs.
   std::vector<std::pair<InodeId, std::size_t>> collect_affected(
       const std::vector<std::string>& keys) const;
-  sim::Task<> run_targeted_repair(
+  /// Repair the stripes a failure at `failed_at` touched and record it as
+  /// one recovery: RecoveryStats, fs.recovery.latency, and a cluster span
+  /// named `span` whose detail is `detail` + " repaired=<n>".
+  sim::Task<Status> run_targeted_repair(
       std::vector<std::pair<InodeId, std::size_t>> affected,
-      SimTime failed_at);
+      SimTime failed_at, const char* span, std::string detail);
+  /// run_targeted_repair after a crash or an eviction; warns on data loss.
+  sim::Task<> recover(std::vector<std::pair<InodeId, std::size_t>> affected,
+                      SimTime failed_at);
+  /// Take `node` out of class `cls` and migrate every key it holds to the
+  /// key's HRW home among the class's remaining members (the own class
+  /// once `cls` is empty), then close its store.
+  sim::Task<Status> migrate_out(NodeId node, std::uint32_t cls);
   /// Migrate every key off `node` to its placement-correct home.
   sim::Task<Status> drain_node(NodeId node);
   sim::Task<> drain_or_kill(NodeId node, SimTime grace);
@@ -387,6 +399,39 @@ class FileSystem {
     std::vector<std::pair<InodeId, std::size_t>> affected;
   };
   std::map<NodeId, PendingFailure> pending_failures_;
+};
+
+/// The one order in which fs paths look for a stored copy of a stripe:
+/// its expected homes, then the rest of the probe order, then nodes that
+/// are mid-drain. A membership change shifts every HRW rank below the
+/// departed node, so a surviving copy is often one rank off its home; a
+/// draining node holds keys with no rank at all. Nodes without a server
+/// are skipped. The drain set is read live, and only once the homes and
+/// the probe order are used up, so a caller that awaits between
+/// candidates sees the drains that began meanwhile.
+class HolderSearch {
+ public:
+  /// `homes` and `order` must outlive the search.
+  HolderSearch(const FileSystem& fs, std::span<const NodeId> homes,
+               std::span<const NodeId> order)
+      : fs_(fs), homes_(homes), order_(order) {}
+
+  /// The next candidate, or kInvalidNode once every one was offered.
+  NodeId next();
+
+  /// Which of the three sources the last candidate came from.
+  enum class From { home, probe_order, drain };
+  From from() const {
+    if (in_drain_) return From::drain;
+    return pos_ <= homes_.size() ? From::home : From::probe_order;
+  }
+
+ private:
+  const FileSystem& fs_;
+  std::span<const NodeId> homes_, order_;
+  std::size_t pos_ = 0;  ///< into homes_, then on into order_
+  bool in_drain_ = false;
+  std::set<NodeId>::const_iterator drain_;
 };
 
 }  // namespace memfss::fs

@@ -23,20 +23,6 @@
 
 namespace memfss::fs {
 
-namespace {
-
-std::string shard_key(const std::string& stripe, std::size_t j) {
-  return stripe + ".s" + std::to_string(j);
-}
-
-std::size_t copies_of(const FileAttr& attr) {
-  return attr.redundancy == RedundancyMode::replicated
-             ? std::max<std::size_t>(1, attr.copies)
-             : 1;
-}
-
-}  // namespace
-
 sim::Task<FileSystem::MaintenanceReport> FileSystem::rebalance_all() {
   MaintenanceReport report;
   const NodeId admin = config_.own_nodes.front();
@@ -52,15 +38,15 @@ sim::Task<FileSystem::MaintenanceReport> FileSystem::rebalance_all() {
     for (std::size_t i = 0; i < st.stripe_count; ++i) {
       const std::string key = Namespace::stripe_key(st.inode, i);
       const std::uint64_t digest = Namespace::stripe_key_digest(st.inode, i);
+      const auto old_nodes = home_nodes(old, st.attr, digest);
+      const auto new_nodes = home_nodes(target, st.attr, digest);
       if (st.attr.redundancy == RedundancyMode::erasure) {
-        const auto old_order = old.probe_order(digest);
-        const auto new_order = target.probe_order(digest);
-        const std::size_t shards = st.attr.ec_k + st.attr.ec_m;
-        for (std::size_t j = 0; j < shards; ++j) {
-          const NodeId src = old_order[j % old_order.size()];
-          const NodeId dst = new_order[j % new_order.size()];
+        // Each shard moves from its old home to its new one.
+        for (std::size_t j = 0; j < old_nodes.size() && j < new_nodes.size();
+             ++j) {
+          const NodeId src = old_nodes[j], dst = new_nodes[j];
           if (src == dst || !has_server(src) || !has_server(dst)) continue;
-          const std::string sk = shard_key(key, j);
+          const std::string sk = Namespace::shard_key(key, j);
           auto sz = server(src).resident_size(config_.auth_token, sk);
           if (!sz.ok()) continue;  // not there (already moved / lost)
           auto stt = co_await server(src).migrate_key(config_.auth_token,
@@ -72,12 +58,7 @@ sim::Task<FileSystem::MaintenanceReport> FileSystem::rebalance_all() {
           }
         }
       } else {
-        const std::size_t copies = copies_of(st.attr);
-        const auto old_nodes = old.place(digest, copies);
-        const auto new_nodes = target.place(digest, copies);
         if (old_nodes == new_nodes) continue;
-        const std::set<NodeId> old_set(old_nodes.begin(), old_nodes.end());
-        const std::set<NodeId> new_set(new_nodes.begin(), new_nodes.end());
         // Source: any old holder that still has the stripe.
         NodeId holder = kInvalidNode;
         Bytes size = 0;
@@ -92,7 +73,7 @@ sim::Task<FileSystem::MaintenanceReport> FileSystem::rebalance_all() {
         }
         if (holder == kInvalidNode) continue;  // lazy move already done
         for (NodeId dst : new_nodes) {
-          if (old_set.count(dst) || !has_server(dst)) continue;
+          if (std::ranges::count(old_nodes, dst) || !has_server(dst)) continue;
           auto stt = co_await server(holder).replicate_key(
               config_.auth_token, key, server(dst));
           if (stt.ok()) {
@@ -104,7 +85,7 @@ sim::Task<FileSystem::MaintenanceReport> FileSystem::rebalance_all() {
           }
         }
         for (NodeId src : old_nodes) {
-          if (new_set.count(src) || !has_server(src)) continue;
+          if (std::ranges::count(new_nodes, src) || !has_server(src)) continue;
           (void)co_await server(src).del(admin, config_.auth_token, key);
         }
       }
@@ -127,54 +108,33 @@ sim::Task<> FileSystem::repair_stripe(const ClassHrwPolicy& policy,
   const std::string key = Namespace::stripe_key(st.inode, stripe_index);
   const std::uint64_t digest =
       Namespace::stripe_key_digest(st.inode, stripe_index);
+  const auto order = policy.probe_order(digest);
+  // The first node in holder-search order that holds `k`.
+  const auto find_holder = [&](std::span<const NodeId> expected,
+                               const std::string& k) {
+    HolderSearch search(*this, expected, order);
+    NodeId n;
+    while ((n = search.next()) != kInvalidNode &&
+           !server(n).resident_size(config_.auth_token, k).ok()) {
+    }
+    return n;
+  };
   if (st.attr.redundancy == RedundancyMode::replicated) {
-    const auto targets = policy.place(digest, copies_of(st.attr));
-    NodeId holder = kInvalidNode;
-    Bytes size = 0;
+    const auto homes = home_nodes(policy, st.attr, digest);
     std::vector<NodeId> missing;
-    for (NodeId n : targets) {
-      if (!has_server(n)) continue;
-      if (auto sz = server(n).resident_size(config_.auth_token, key);
-          sz.ok()) {
-        if (holder == kInvalidNode) {
-          holder = n;
-          size = sz.value();
-        }
-      } else {
+    for (NodeId n : homes) {
+      if (has_server(n) &&
+          !server(n).resident_size(config_.auth_token, key).ok())
         missing.push_back(n);
-      }
     }
-    if (holder == kInvalidNode) {
-      // Last resort before declaring data loss: a survivor outside the
-      // expected ranks. A node retirement shifts every HRW rank below the
-      // dead node's, so copies can sit one rank off; mid-drain nodes hold
-      // keys with no rank at all.
-      for (NodeId n : policy.probe_order(digest)) {
-        if (!has_server(n)) continue;
-        if (auto sz = server(n).resident_size(config_.auth_token, key);
-            sz.ok()) {
-          holder = n;
-          size = sz.value();
-          break;
-        }
-      }
-    }
-    if (holder == kInvalidNode) {
-      for (NodeId n : draining_) {
-        if (!has_server(n)) continue;
-        if (auto sz = server(n).resident_size(config_.auth_token, key);
-            sz.ok()) {
-          holder = n;
-          size = sz.value();
-          break;
-        }
-      }
-    }
+    const NodeId holder = find_holder(homes, key);
     if (holder == kInvalidNode) {
       if (report.status.ok())
         report.status = {Errc::corruption, "all copies lost: " + key};
       co_return;
     }
+    const Bytes size =
+        server(holder).resident_size(config_.auth_token, key).value();
     for (NodeId dst : missing) {
       auto stt = co_await server(holder).replicate_key(config_.auth_token,
                                                        key, server(dst));
@@ -184,44 +144,17 @@ sim::Task<> FileSystem::repair_stripe(const ClassHrwPolicy& policy,
       }
     }
   } else {  // erasure
-    const auto order = policy.probe_order(digest);
-    if (order.empty()) co_return;
+    const auto homes = stripe_homes(policy, st.attr, key, digest);
+    if (homes.empty()) co_return;
     const std::size_t k = st.attr.ec_k, m = st.attr.ec_m;
     std::vector<std::pair<std::size_t, kvstore::Blob>> have;
     std::vector<std::size_t> missing;
-    for (std::size_t j = 0; j < k + m; ++j) {
-      const std::string sk = shard_key(key, j);
-      // Expected node first, then the rest of the order and mid-drain
-      // nodes: a retirement shifts the ranks below the dead node, so a
-      // surviving shard is often one rank off its expected home.
-      const NodeId expected = order[j % order.size()];
-      NodeId shard_holder = kInvalidNode;
-      auto present = [&](NodeId n) {
-        return has_server(n) &&
-               server(n).resident_size(config_.auth_token, sk).ok();
-      };
-      if (present(expected)) {
-        shard_holder = expected;
-      } else {
-        for (NodeId n : order) {
-          if (n != expected && present(n)) {
-            shard_holder = n;
-            break;
-          }
-        }
-      }
-      if (shard_holder == kInvalidNode) {
-        for (NodeId n : draining_) {
-          if (present(n)) {
-            shard_holder = n;
-            break;
-          }
-        }
-      }
+    for (std::size_t j = 0; j < homes.size(); ++j) {
+      const NodeId holder = find_holder({&homes[j].node, 1}, homes[j].key);
       bool found = false;
-      if (shard_holder != kInvalidNode) {
-        auto r =
-            co_await server(shard_holder).get(admin, config_.auth_token, sk);
+      if (holder != kInvalidNode) {
+        auto r = co_await server(holder).get(admin, config_.auth_token,
+                                             homes[j].key);
         if (r.ok()) {
           have.emplace_back(j, std::move(r.value()));
           found = true;
@@ -253,12 +186,11 @@ sim::Task<> FileSystem::repair_stripe(const ClassHrwPolicy& policy,
     co_await cluster_.node(admin).cpu().consume(
         0.6e-9 * static_cast<double>(ss) * static_cast<double>(k), 1.0);
     for (std::size_t j : missing) {
-      const NodeId dst = order[j % order.size()];
+      const auto& [dst, sk] = homes[j];
       if (!has_server(dst)) continue;
       kvstore::Blob shard = ghost ? kvstore::Blob::ghost(ss, 0)
                                   : kvstore::Blob::materialized(slots[j]);
-      auto stt = co_await server(dst).put(admin, config_.auth_token,
-                                          shard_key(key, j),
+      auto stt = co_await server(dst).put(admin, config_.auth_token, sk,
                                           std::move(shard));
       if (stt.ok()) {
         ++report.stripes_repaired;
@@ -318,18 +250,8 @@ sim::Task<FileSystem::MaintenanceReport> FileSystem::scrub_all() {
     for (std::size_t i = 0; i < st.stripe_count; ++i) {
       const std::string key = Namespace::stripe_key(st.inode, i);
       const std::uint64_t digest = Namespace::stripe_key_digest(st.inode, i);
-      // Enumerate every (node, key) copy this stripe should have.
-      std::vector<std::pair<NodeId, std::string>> copies;
-      if (st.attr.redundancy == RedundancyMode::erasure) {
-        const auto order = policy.probe_order(digest);
-        const std::size_t shards = st.attr.ec_k + st.attr.ec_m;
-        for (std::size_t j = 0; j < shards && !order.empty(); ++j)
-          copies.emplace_back(order[j % order.size()], shard_key(key, j));
-      } else {
-        for (NodeId n : policy.place(digest, copies_of(st.attr)))
-          copies.emplace_back(n, key);
-      }
-      for (const auto& [node, ck] : copies) {
+      for (const auto& [node, ck] :
+           stripe_homes(policy, st.attr, key, digest)) {
         if (!has_server(node)) continue;
         // The verification read is charged like any client read.
         auto r = co_await server(node).get(admin, config_.auth_token, ck);

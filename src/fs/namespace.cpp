@@ -252,6 +252,13 @@ std::string Namespace::stripe_key(InodeId ino, std::size_t index) {
   return strformat("i%llu:%zu", static_cast<unsigned long long>(ino), index);
 }
 
+std::string Namespace::shard_key(std::string_view stripe_key, std::size_t j) {
+  std::string out(stripe_key);
+  out += ".s";
+  out += std::to_string(j);
+  return out;
+}
+
 std::uint64_t Namespace::stripe_key_digest(InodeId ino, std::size_t index) {
   // FNV-1a over the exact character sequence of stripe_key(), folded
   // incrementally: 'i', the decimal inode, ':', the decimal index.

@@ -93,6 +93,10 @@ class Namespace {
   /// rename never relocates data.
   static std::string stripe_key(InodeId ino, std::size_t index);
 
+  /// The storage key of erasure shard `j` of a stripe: the stripe key with
+  /// a ".s<j>" suffix.
+  static std::string shard_key(std::string_view stripe_key, std::size_t j);
+
   /// Placement digest of stripe_key(ino, index), computed without forming
   /// the string: equals hash::key_digest(stripe_key(ino, index)) exactly,
   /// so digest-path placements select the same nodes as string-key ones.
@@ -110,8 +114,8 @@ class Namespace {
     std::size_t shard = 0;
   };
 
-  /// Inverse of stripe_key (and of the shard-key suffixing in the client
-  /// and maintenance paths). Nullopt for keys in neither format.
+  /// Inverse of stripe_key and shard_key. Nullopt for keys in neither
+  /// format.
   static std::optional<StripeRef> parse_stripe_key(std::string_view key);
 
  private:

@@ -129,6 +129,39 @@ std::string ClassHrwPolicy::describe() const {
   return s + ")";
 }
 
+// --- Stripe layout -----------------------------------------------------------
+
+std::size_t replica_count(const FileAttr& attr) {
+  return attr.redundancy == RedundancyMode::replicated
+             ? std::max<std::size_t>(1, attr.copies)
+             : 1;
+}
+
+std::vector<NodeId> home_nodes(const ClassHrwPolicy& policy,
+                               const FileAttr& attr, std::uint64_t digest) {
+  if (attr.redundancy != RedundancyMode::erasure)
+    return policy.place(digest, replica_count(attr));
+  const auto order = policy.probe_order(digest);
+  std::vector<NodeId> out;
+  for (std::size_t j = 0; !order.empty() && j < attr.ec_k + attr.ec_m; ++j)
+    out.push_back(order[j % order.size()]);
+  return out;
+}
+
+std::vector<StripeHome> stripe_homes(const ClassHrwPolicy& policy,
+                                     const FileAttr& attr,
+                                     std::string_view key,
+                                     std::uint64_t digest) {
+  const bool sharded = attr.redundancy == RedundancyMode::erasure;
+  const auto nodes = home_nodes(policy, attr, digest);
+  std::vector<StripeHome> out;
+  out.reserve(nodes.size());
+  for (std::size_t j = 0; j < nodes.size(); ++j)
+    out.push_back({nodes[j], sharded ? Namespace::shard_key(key, j)
+                                     : std::string(key)});
+  return out;
+}
+
 // --- UniformHrwPolicy -------------------------------------------------------
 
 UniformHrwPolicy::UniformHrwPolicy(std::vector<NodeId> nodes,

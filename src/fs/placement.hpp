@@ -22,6 +22,7 @@
 #include <vector>
 
 #include "common/types.hpp"
+#include "fs/namespace.hpp"
 #include "hash/class_hrw.hpp"
 #include "hash/consistent.hpp"
 
@@ -111,6 +112,36 @@ class ClassHrwPolicy final : public PlacementPolicy {
   mutable std::vector<hash::NodeClass> snapshot_cache_;
   mutable std::uint64_t snapshot_generation_ = ~0ull;
 };
+
+// --- Stripe layout -----------------------------------------------------------
+//
+// Where the copies of one stripe live. Every fs path that writes, reads,
+// moves, repairs, scrubs or deletes stored copies asks these two functions
+// instead of re-deriving the layout.
+
+/// Full copies of each stripe a file keeps: `copies` for replicated files,
+/// 1 otherwise (erasure files keep k+m shards instead).
+std::size_t replica_count(const FileAttr& attr);
+
+/// Expected node of every stored copy of a stripe, copy j at index j.
+/// Erasure files: shard j of k+m sits on rank j (mod class size) of the
+/// probe order. Other modes: place(digest, replica_count(attr)). Empty
+/// when no node is eligible.
+std::vector<NodeId> home_nodes(const ClassHrwPolicy& policy,
+                               const FileAttr& attr, std::uint64_t digest);
+
+/// One stored copy of a stripe: its expected node and its kvstore key.
+struct StripeHome {
+  NodeId node = kInvalidNode;
+  std::string key;  ///< the stripe key, or Namespace::shard_key for shards
+};
+
+/// home_nodes() paired with each copy's key (`key` is the stripe key,
+/// `digest` its Namespace::stripe_key_digest).
+std::vector<StripeHome> stripe_homes(const ClassHrwPolicy& policy,
+                                     const FileAttr& attr,
+                                     std::string_view key,
+                                     std::uint64_t digest);
 
 /// Uniform HRW over one flat node set (no classes, no weights).
 class UniformHrwPolicy final : public PlacementPolicy {

@@ -100,6 +100,45 @@ TEST(ClassHrwPolicy, DescribeMentionsWeights) {
   EXPECT_NE(d.find("0.2500"), std::string::npos);
 }
 
+TEST(StripeLayout, ErasureShardsWrapAroundTheProbeOrder) {
+  ClassMembership members;
+  members.set_members(0, iota_nodes(4, 0));
+  const ClassHrwPolicy policy(PlacementEpoch{0, {{0, 1.0}}}, members);
+  FileAttr attr;
+  attr.redundancy = RedundancyMode::erasure;
+  attr.ec_k = 4;
+  attr.ec_m = 2;
+  const std::uint64_t d = Namespace::stripe_key_digest(5, 2);
+  const auto order = policy.probe_order(d);
+  const auto homes = stripe_homes(policy, attr, "i5:2", d);
+  ASSERT_EQ(homes.size(), 6u);  // k + m shards on a 4-node class
+  for (std::size_t j = 0; j < homes.size(); ++j) {
+    EXPECT_EQ(homes[j].node, order[j % 4]) << j;
+    EXPECT_EQ(homes[j].key, "i5:2.s" + std::to_string(j));
+  }
+  EXPECT_EQ(replica_count(attr), 1u);
+}
+
+TEST(StripeLayout, ReplicasSitOnTheTopRanksUnderTheStripeKey) {
+  ClassMembership members;
+  members.set_members(0, iota_nodes(4, 0));
+  const ClassHrwPolicy policy(PlacementEpoch{0, {{0, 1.0}}}, members);
+  FileAttr attr;
+  attr.redundancy = RedundancyMode::replicated;
+  attr.copies = 3;
+  const std::uint64_t d = Namespace::stripe_key_digest(5, 2);
+  const auto homes = stripe_homes(policy, attr, "i5:2", d);
+  const auto top = policy.place(d, 3);
+  ASSERT_EQ(homes.size(), 3u);
+  for (std::size_t j = 0; j < homes.size(); ++j) {
+    EXPECT_EQ(homes[j].node, top[j]);
+    EXPECT_EQ(homes[j].key, "i5:2");
+  }
+  attr.redundancy = RedundancyMode::none;  // one copy, copies ignored
+  EXPECT_EQ(replica_count(attr), 1u);
+  EXPECT_EQ(home_nodes(policy, attr, d), policy.place(d, 1));
+}
+
 TEST(UniformHrwPolicy, SpreadsAcrossAllNodes) {
   UniformHrwPolicy policy(iota_nodes(10, 0));
   std::map<NodeId, int> counts;
