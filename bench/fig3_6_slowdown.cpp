@@ -2,9 +2,12 @@
 //
 // Each tenant suite runs on the victim nodes while MemFSS (8 own nodes)
 // loops one of its applications (Montage, BLAST, dd), storing alpha of
-// the data on own nodes. Every (suite, alpha) sweep runs once, fresh;
-// its cells feed both the suite's table and the Fig. 6 aggregate.
-// MEMFSS_FAST=1 shrinks the cluster to 4 own + 12 victim nodes.
+// the data on own nodes. Every (suite, alpha) sweep runs once, fresh, and
+// all five share one pool of simulation threads; each sweep's cells feed
+// both the suite's table and the Fig. 6 aggregate. Cells whose workload
+// failed iterations (it never completed, so the cell is suspect) are
+// listed on stderr. MEMFSS_FAST=1 shrinks the cluster to 4 own + 12
+// victim nodes.
 //
 // Fig. 3 (a, b) -- HPCC, alpha = 25% / 50%. Expected shape: most
 // benchmarks < 10%; STREAM and the latency probe are hit hardest at
@@ -106,6 +109,12 @@ int main() {
               "overall avg %"});
   fig6.set_title("Fig. 6: per-suite average slowdown");
 
+  std::vector<exp::SweepSpec> specs;
+  for (const auto& f : figures)
+    for (double alpha : f.alphas) specs.push_back({f.suite, workloads, alpha});
+  const auto sweeps = exp::run_slowdown_sweeps(specs, opt);
+  auto sweep = sweeps.begin();
+
   for (const auto& f : figures) {
     const bool one_alpha = f.alphas.size() == 1;
     std::printf("Figure %d: %s slowdown under memory scavenging "
@@ -117,9 +126,14 @@ int main() {
                           : "");
     for (double alpha : f.alphas) {
       SuiteResult res;
-      for (const auto& c :
-           exp::run_slowdown_sweep(f.suite, workloads, alpha, opt))
+      for (const auto& c : *sweep++) {
         res.cells[c.tenant][c.workload] = c.slowdown;
+        if (c.workload_failures > 0)
+          std::fprintf(stderr, "%s, alpha %.0f%%, %s under %s: %zu failed "
+                       "workload iterations\n", f.label, alpha * 100,
+                       c.tenant.c_str(), exp::workload_name(c.workload).c_str(),
+                       c.workload_failures);
+      }
       print_suite_table(
           strformat("Fig. %d%s: alpha = %.0f%% of data on own nodes",
                     f.number, one_alpha ? "" : alpha == 0.25 ? "a" : "b",

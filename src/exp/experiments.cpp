@@ -153,7 +153,7 @@ namespace {
 struct LoopCtl {
   bool stop = false;
   SimTime tenant_duration = 0.0;
-  std::size_t workload_iterations = 0;
+  std::size_t workload_failures = 0;
 };
 
 sim::Task<> workload_loop(Scenario& sc, Workload w, std::uint64_t seed,
@@ -164,11 +164,11 @@ sim::Task<> workload_loop(Scenario& sc, Workload w, std::uint64_t seed,
     auto wf = make_workload(w, rng);
     auto rep = co_await engine.run(std::move(wf));
     if (!rep.status.ok()) {
+      ++ctl.workload_failures;
       LOG_WARN("exp") << "workload iteration failed: "
                       << rep.status.error().to_string();
     }
     sc.fs().wipe_data();
-    ++ctl.workload_iterations;
   }
 }
 
@@ -197,53 +197,65 @@ TenantRun run_tenant_under_scavenging(const tenant::TenantApp& app,
     sc.sim().spawn(workload_loop(sc, workload, opt.seed, ctl));
   sc.sim().spawn(tenant_once(runner, app, ctl));
   sc.sim().run();
-  return {app.name, ctl.tenant_duration};
+  return {app.name, ctl.tenant_duration, ctl.workload_failures};
+}
+
+std::vector<std::vector<SlowdownCell>> run_slowdown_sweeps(
+    const std::vector<SweepSpec>& sweeps, const SlowdownOptions& opt) {
+  // Every (sweep, app, run) simulation is independent and builds its own
+  // Scenario, so they all share one small thread pool. Per sweep, run 0
+  // of each app is its clean baseline, followed by the sweep's workloads.
+  // Each job writes only its own slot, so neither the values nor their
+  // order depend on scheduling.
+  struct Job {
+    const tenant::TenantApp* app;
+    Workload run;
+    SlowdownOptions opt;
+  };
+  std::vector<Job> jobs;
+  for (const auto& sw : sweeps) {
+    SlowdownOptions o = opt;
+    o.scenario.own_fraction = sw.alpha;
+    for (const auto& app : sw.suite) {
+      jobs.push_back({&app, Workload::none, o});
+      for (Workload w : sw.workloads) jobs.push_back({&app, w, o});
+    }
+  }
+  std::vector<TenantRun> result(jobs.size());
+  std::atomic<std::size_t> next{0};
+  const auto work = [&] {
+    for (std::size_t j; (j = next.fetch_add(1)) < jobs.size();)
+      result[j] = run_tenant_under_scavenging(*jobs[j].app, jobs[j].run,
+                                              jobs[j].opt);
+  };
+  const std::size_t n_threads = std::min<std::size_t>(
+      std::max(1u, std::thread::hardware_concurrency()), jobs.size());
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < n_threads; ++t) threads.emplace_back(work);
+  for (auto& t : threads) t.join();
+
+  std::vector<std::vector<SlowdownCell>> out;
+  std::size_t j = 0;
+  for (const auto& sw : sweeps) {
+    auto& cells = out.emplace_back();
+    for (const auto& app : sw.suite) {
+      const SimTime clean = result[j++].duration;
+      for (Workload w : sw.workloads) {
+        const TenantRun& run = result[j++];
+        cells.push_back({app.name, w, sw.alpha,
+                         clean > 0 ? run.duration / clean - 1.0 : 0.0,
+                         run.workload_failures});
+      }
+    }
+  }
+  return out;
 }
 
 std::vector<SlowdownCell> run_slowdown_sweep(
     const std::vector<tenant::TenantApp>& suite,
     const std::vector<Workload>& workloads, double alpha,
     const SlowdownOptions& opt) {
-  SlowdownOptions base_opt = opt;
-  base_opt.scenario.own_fraction = alpha;
-
-  // Every (app, run) simulation is independent and builds its own
-  // Scenario, so they run on a small thread pool. Job j is app
-  // j / runs.size() under runs[j % runs.size()] (run 0 is the clean
-  // baseline); each job writes only its own slot, so neither the values
-  // nor their order depend on scheduling.
-  std::vector<Workload> runs{Workload::none};
-  runs.insert(runs.end(), workloads.begin(), workloads.end());
-  const std::size_t jobs = suite.size() * runs.size();
-  std::vector<SimTime> duration(jobs, 0.0);
-  std::atomic<std::size_t> next{0};
-  const auto work = [&] {
-    for (std::size_t j; (j = next.fetch_add(1)) < jobs;)
-      duration[j] = run_tenant_under_scavenging(suite[j / runs.size()],
-                                                runs[j % runs.size()],
-                                                base_opt)
-                        .duration;
-  };
-  const std::size_t n_threads = std::min<std::size_t>(
-      std::max(1u, std::thread::hardware_concurrency()), jobs);
-  std::vector<std::thread> threads;
-  for (std::size_t t = 0; t < n_threads; ++t) threads.emplace_back(work);
-  for (auto& t : threads) t.join();
-
-  std::vector<SlowdownCell> out;
-  for (std::size_t a = 0; a < suite.size(); ++a) {
-    const SimTime clean = duration[a * runs.size()];
-    for (std::size_t r = 1; r < runs.size(); ++r) {
-      SlowdownCell cell;
-      cell.tenant = suite[a].name;
-      cell.workload = runs[r];
-      cell.alpha = alpha;
-      cell.slowdown =
-          clean > 0 ? duration[a * runs.size() + r] / clean - 1.0 : 0.0;
-      out.push_back(cell);
-    }
-  }
-  return out;
+  return run_slowdown_sweeps({{suite, workloads, alpha}}, opt).front();
 }
 
 // --- Table II / Fig. 7 --------------------------------------------------------

@@ -75,6 +75,10 @@ struct SlowdownOptions {
 struct TenantRun {
   std::string tenant;
   SimTime duration = 0.0;
+  /// Workload iterations that ended in an error. The loop wipes the store
+  /// and starts over, so such a workload loads the cluster without ever
+  /// completing.
+  std::size_t workload_failures = 0;
 };
 
 /// Duration of `app` on the victim nodes while MemFSS loops `workload`
@@ -89,13 +93,25 @@ struct SlowdownCell {
   Workload workload = Workload::none;
   double alpha = 0.0;
   double slowdown = 0.0;  ///< T_scavenged / T_clean - 1
+  std::size_t workload_failures = 0;  ///< of the scavenged run
 };
 
-/// Full sweep for one tenant suite at one alpha: every benchmark x every
-/// MemFSS workload. Baselines are computed once per benchmark. The
-/// independent simulations run on up to hardware_concurrency() threads;
-/// cells come back in (benchmark, workload) order with the same values a
-/// serial run gives.
+/// One tenant suite at one alpha, under every listed MemFSS workload.
+struct SweepSpec {
+  std::vector<tenant::TenantApp> suite;
+  std::vector<Workload> workloads;
+  double alpha = 0.0;
+};
+
+/// Full sweeps: every benchmark x every workload of each spec, with one
+/// clean baseline per benchmark. All their independent simulations form
+/// one job list on one pool of min(hardware_concurrency(), jobs) threads,
+/// so no sweep waits for another's tail. Returns one cell list per spec,
+/// in (benchmark, workload) order, with the values a serial run gives.
+std::vector<std::vector<SlowdownCell>> run_slowdown_sweeps(
+    const std::vector<SweepSpec>& sweeps, const SlowdownOptions& opt);
+
+/// run_slowdown_sweeps() for a single spec.
 std::vector<SlowdownCell> run_slowdown_sweep(
     const std::vector<tenant::TenantApp>& suite,
     const std::vector<Workload>& workloads, double alpha,

@@ -147,6 +147,13 @@ TEST(Slowdown, SweepProducesOneCellPerPair) {
     EXPECT_GT(c.slowdown, -0.05);  // no speedup beyond noise
     EXPECT_LT(c.slowdown, 2.0);
   }
+  // The dd bag (1024 x 128 MiB) never fits this scenario's 4 GiB victim
+  // cap: its iterations fail, and the cell says so.
+  EXPECT_GT(cells[0].workload_failures, 0u);
+  // A clean baseline runs no workload at all.
+  EXPECT_EQ(run_tenant_under_scavenging(app, Workload::none, opt)
+                .workload_failures,
+            0u);
 }
 
 // Two HiBench/Spark apps at the MEMFSS_FAST shape of Fig. 5 (4 own + 12
