@@ -37,6 +37,9 @@ Task<> FluidResource::consume(double work, double max_rate) {
   jobs_.emplace_back(sim_, work, max_rate);
   auto it = std::prev(jobs_.end());
   recompute();
+  // Work within kWorkEpsilon is done on arrival: recompute() has already
+  // erased the job, `done` included, so there is nothing to await.
+  if (work <= kWorkEpsilon) co_return;
   co_await it->done;
   // The completion handler erases the job before triggering `done`, so
   // nothing to clean up here.

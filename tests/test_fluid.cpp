@@ -111,6 +111,24 @@ TEST(Fluid, ZeroWorkCompletesInstantly) {
   EXPECT_EQ(sim.now(), 0.0);
 }
 
+// A job this small finishes inside consume() itself; a later job still
+// runs at full capacity.
+TEST(Fluid, WorkWithinEpsilonCompletesInstantly) {
+  Simulator sim;
+  FluidResource res(sim, 1.0);
+  SimTime tiny_done = -1, next_done = -1;
+  sim.spawn([](Simulator& s, FluidResource& r, SimTime& t,
+               SimTime& n) -> Task<> {
+    co_await r.consume(5e-10);
+    t = s.now();
+    co_await r.consume(2.0);
+    n = s.now();
+  }(sim, res, tiny_done, next_done));
+  sim.run();
+  EXPECT_EQ(tiny_done, 0.0);
+  EXPECT_NEAR(next_done, 2.0, 1e-9);
+}
+
 TEST(Fluid, CapacityChangeTakesEffect) {
   Simulator sim;
   FluidResource res(sim, 10.0);
