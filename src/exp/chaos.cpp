@@ -96,7 +96,7 @@ sim::Task<> tenant_pressure(SoakCtx& ctx, NodeId victim, std::size_t idx) {
   while (t < ctx.opt->horizon) {
     co_await sim.delay(t - sim.now() > 0 ? t - sim.now() : 0.0);
     const auto over = static_cast<Bytes>(
-        0.95 * static_cast<double>(pool.capacity()));
+        kPressureFill * static_cast<double>(pool.capacity()));
     if (pool.used() < over) {
       const Bytes want = over - pool.used();
       if (pool.try_alloc(want)) {
@@ -225,7 +225,7 @@ ChaosSoakRow run_chaos_soak(const ChaosSoakOptions& opt) {
                                 opt.hedge_min_samples);
   cluster::FaultInjector inj(sc.sim(), sc.cluster());
   sc.fs().attach_fault_injector(inj);
-  sc.fs().arm_victim_monitors(opt.monitor_threshold);
+  sc.fs().arm_victim_monitors(kMonitorThreshold);
 
   // One RNG stream per concern, all derived from the soak seed: fault
   // schedule, writer behavior, and tenant pressure never perturb each

@@ -61,7 +61,6 @@ struct ChaosSoakOptions {
   bool revoke_mid_run = true;
   SimTime revoke_at = 0.0;      ///< <= 0: auto (0.7 * horizon)
   double evict_rate = 0.4;      ///< tenant pressure events per victim node
-  double monitor_threshold = 0.85;
 
   // Client resilience tuning (all exercised by the soak).
   SimTime rpc_timeout = 0.25;

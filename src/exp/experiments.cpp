@@ -101,10 +101,8 @@ Fig2Row run_fig2(double alpha, const Fig2Options& opt) {
   UtilizationWindow vic_w(sc.cluster(), sc.victim_nodes());
   workflow::Engine engine(sc.cluster(), sc.fs(), sc.own_nodes());
 
-  TimeSeriesProbe own_probe(sc.cluster(), sc.own_nodes(),
-                            opt.sample_interval);
-  TimeSeriesProbe vic_probe(sc.cluster(), sc.victim_nodes(),
-                            opt.sample_interval);
+  TimeSeriesProbe own_probe(sc.cluster(), sc.own_nodes());
+  TimeSeriesProbe vic_probe(sc.cluster(), sc.victim_nodes());
 
   RunOut out;
   own_w.start();
@@ -443,7 +441,7 @@ FaultRunOut fault_run_once(const FaultRecoveryOptions& opt, bool with_faults) {
     // on tiered victims, evacuation otherwise -- runs under the
     // workflow. Allocations are plain pool accounting; they are not
     // released (the bench measures the faulty run only).
-    sc.fs().arm_victim_monitors(opt.monitor_threshold);
+    sc.fs().arm_victim_monitors(kMonitorThreshold);
     for (std::size_t i = 0; i < sc.victim_nodes().size(); ++i) {
       sc.sim().spawn([](Scenario& s, NodeId victim, double horizon,
                         double rate, std::uint64_t seed,
@@ -455,8 +453,8 @@ FaultRunOut fault_run_once(const FaultRecoveryOptions& opt, bool with_faults) {
         double t = rng.exponential(mean_gap);
         while (t < horizon) {
           if (t > sim.now()) co_await sim.delay(t - sim.now());
-          const auto over =
-              static_cast<Bytes>(0.95 * static_cast<double>(pool.capacity()));
+          const auto over = static_cast<Bytes>(
+              kPressureFill * static_cast<double>(pool.capacity()));
           if (pool.used() < over) (void)pool.try_alloc(over - pool.used());
           t += rng.exponential(mean_gap);
         }

@@ -37,7 +37,6 @@ struct Fig2Options {
   Bytes dd_bytes = 128 * units::MiB;
   /// Record utilization-vs-time sparklines (the actual Fig. 2a-e curves).
   bool with_timeseries = false;
-  SimTime sample_interval = 1.0;
   /// Enable the event tracer for all components and return the Chrome
   /// trace JSON + metrics CSV in the row (chrome://tracing / Perfetto).
   bool capture_trace = false;
@@ -145,7 +144,6 @@ struct FaultRecoveryOptions {
   /// pool past the monitor threshold: untiered victims evacuate, tiered
   /// victims (scenario.victim_tier_capacity > 0) demote coldest-first.
   double evict_rate = 0.0;
-  double monitor_threshold = 0.85;
 
   // Client fault tuning (see FileSystemConfig). rpc_timeout is ON here,
   // unlike the global default: fault rigs accept the deadline because the

@@ -25,8 +25,6 @@ Scenario::Scenario(const ScenarioParams& params) : params_(params) {
   cfg.redundancy = params.redundancy;
   cfg.copies = params.copies;
   cfg.victim_tier_capacity = params.victim_tier_capacity;
-  cfg.tier_costs = params.tier_costs;
-  cfg.heat_epoch = params.heat_epoch;
   fs_ = std::make_unique<fs::FileSystem>(*cluster_, std::move(cfg));
 
   const std::size_t tenant_count = params.total_nodes - params.own_nodes;

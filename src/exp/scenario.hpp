@@ -32,9 +32,13 @@ struct ScenarioParams {
   /// Cold-tier capacity per victim node; 0 keeps tiering off (untiered
   /// runs stay bit-identical -- see FileSystemConfig::victim_tier_capacity).
   Bytes victim_tier_capacity = 0;
-  kvstore::TierCosts tier_costs{};
-  SimTime heat_epoch = 1.0;
 };
+
+/// Victim-monitor threshold of every experiment that arms the monitors,
+/// and the pool fill a synthetic tenant pressure event allocates up to
+/// (fractions of a victim node's memory pool).
+inline constexpr double kMonitorThreshold = 0.85;
+inline constexpr double kPressureFill = 0.95;
 
 class Scenario {
  public:

@@ -9,6 +9,12 @@
 namespace memfss::exp {
 namespace {
 
+/// Share of the files re-read after the fill: the touched prefix becomes
+/// hot, the rest stays cold -- what makes coldest-first demotion cheaper
+/// than evacuating everything.
+constexpr double kHotFraction = 0.25;
+constexpr SimTime kPressureStagger = 0.25;  ///< between per-node events
+
 struct PressureCtx {
   const TierPressureOptions* opt = nullptr;
   Scenario* sc = nullptr;
@@ -17,7 +23,7 @@ struct PressureCtx {
 };
 
 /// Fill phase: `files` ghost files through the normal write path, then
-/// re-read the first `hot_fraction` of them so a deterministic prefix of
+/// re-read the first kHotFraction of them so a deterministic prefix of
 /// the data is hot when pressure arrives.
 sim::Task<> fill_and_heat(PressureCtx& ctx) {
   fs::Client c = ctx.sc->fs().client(ctx.sc->own_nodes().front());
@@ -28,7 +34,7 @@ sim::Task<> fill_and_heat(PressureCtx& ctx) {
     if (!st.ok()) ++ctx.writes_failed;
   }
   const auto hot = static_cast<std::size_t>(
-      std::ceil(ctx.opt->hot_fraction * static_cast<double>(ctx.opt->files)));
+      std::ceil(kHotFraction * static_cast<double>(ctx.opt->files)));
   for (std::size_t f = 0; f < hot && f < ctx.opt->files; ++f)
     (void)co_await c.read_file(strformat("/tier/f%zu", f));
 }
@@ -42,11 +48,11 @@ sim::Task<> apply_pressure(PressureCtx& ctx) {
   for (NodeId v : ctx.sc->victim_nodes()) {
     auto& pool = ctx.sc->cluster().node(v).memory();
     const auto want_total = static_cast<Bytes>(
-        ctx.opt->pressure_fill * static_cast<double>(pool.capacity()));
+        kPressureFill * static_cast<double>(pool.capacity()));
     if (pool.used() < want_total &&
         pool.try_alloc(want_total - pool.used()))
       ++ctx.pressure_events;
-    co_await sim.delay(ctx.opt->pressure_stagger);
+    co_await sim.delay(kPressureStagger);
   }
 }
 
@@ -64,7 +70,7 @@ TierPressureRow run_tier_pressure(const TierPressureOptions& opt) {
   sc.sim().spawn(fill_and_heat(ctx));
   sc.sim().run();
 
-  sc.fs().arm_victim_monitors(opt.monitor_threshold);
+  sc.fs().arm_victim_monitors(kMonitorThreshold);
   sc.sim().spawn(apply_pressure(ctx));
   sc.sim().run();  // drains every demote pass / evacuation
 

@@ -34,18 +34,6 @@ struct TierPressureOptions {
   /// normal HRW placement).
   std::size_t files = 24;
   Bytes file_bytes = 8 * units::MiB;
-
-  /// Fraction of each victim file re-read after the fill: the touched
-  /// prefix becomes hot, the rest stays cold -- what makes
-  /// coldest-first demotion cheaper than evacuating everything.
-  double hot_fraction = 0.25;
-
-  /// Victim-monitor threshold (fraction of the node's memory pool).
-  double monitor_threshold = 0.85;
-  /// Tenant allocation target when a pressure event fires.
-  double pressure_fill = 0.95;
-  /// Gap between successive per-node pressure events.
-  SimTime pressure_stagger = 0.25;
 };
 
 struct TierPressureRow {

@@ -14,6 +14,9 @@ namespace memfss::fs {
 
 namespace {
 
+/// In-flight stripes per file read or write.
+constexpr std::size_t kStripeWindow = 4;
+
 /// Content tag of a ghost stripe: deterministic in (stripe-key digest,
 /// file tag) so a parity-reconstructed ghost matches the original checksum.
 std::uint64_t ghost_tag(std::uint64_t key_digest, std::uint64_t file_tag) {
@@ -107,7 +110,7 @@ sim::Task<Status> Client::write_impl(std::string path, Bytes size,
   auto& sim = fs_->cluster().sim();
   OpState state;
   state.extra_requests_per_mib = extra_requests_per_mib;
-  sim::Semaphore window(sim, cfg.write_window);
+  sim::Semaphore window(sim, kStripeWindow);
   std::vector<sim::Task<>> tasks;
   tasks.reserve(n_stripes);
   for (std::size_t i = 0; i < n_stripes; ++i) {
@@ -145,11 +148,11 @@ sim::Task<> Client::put_stripe_copy(const ClassHrwPolicy& policy,
   const auto& cfg = fs_->config();
   auto& sim = fs_->cluster().sim();
   Status last{Errc::unavailable, "no servers: " + store_key};
-  for (int attempt = 0; attempt <= cfg.max_retries; ++attempt) {
+  for (int attempt = 0; attempt <= kMaxRetries; ++attempt) {
     if (attempt > 0) {
       ++fs_->counters().write_retries;
       fs_->cluster().obs().metrics.counter("fs.write.retries").inc();
-      co_await sim.delay(backoff_delay(cfg.retry_backoff, cfg.retry_backoff_max,
+      co_await sim.delay(backoff_delay(kRetryBackoff, kRetryBackoffMax,
                                        attempt - 1,
                                        backoff_draw(store_key, attempt - 1)));
     }
@@ -375,15 +378,13 @@ sim::Task<> hedge_arm(FileSystem* fs, NodeId client_node, NodeId n,
 sim::Task<Result<kvstore::Blob>> Client::probe_ranked(
     const ClassHrwPolicy& policy, const FileAttr& attr,
     const std::string& key, std::uint64_t key_digest) {
-  const auto& cfg = fs_->config();
   const std::size_t copies = replica_count(attr);
   auto& sim = fs_->cluster().sim();
   // A read is *degraded* when it succeeds after a fault-type failure
   // (timeout / unavailable / io_error); plain not_found misses from lazy
   // relocation do not count.
   bool faulted = false;
-  const int rounds = std::max(1, cfg.max_retries);
-  for (int round = 0; round < rounds; ++round) {
+  for (int round = 0; round < kMaxRetries; ++round) {
     // Refresh: members change. The digest spares the re-hash per round.
     // The replica homes are the first `copies` ranks of the order.
     const auto order = policy.probe_order(key_digest);
@@ -426,8 +427,7 @@ sim::Task<Result<kvstore::Blob>> Client::probe_ranked(
           if (st->winner_node == n1 && st->launched == 2)
             ++fs_->counters().hedge_wins;
           if (faulted) ++fs_->counters().degraded_reads;
-          if (st->winner_from == HolderSearch::From::probe_order &&
-              cfg.lazy_relocation)
+          if (st->winner_from == HolderSearch::From::probe_order)
             sim.spawn(relocate(fs_, key, st->winner_node, order[0]));
           co_return std::move(st->winner);
         }
@@ -444,7 +444,7 @@ sim::Task<Result<kvstore::Blob>> Client::probe_ranked(
         if (faulted) ++fs_->counters().degraded_reads;
         // Lazy relocation: a hit below the expected replica ranks means
         // the membership changed since the stripe was written.
-        if (from == HolderSearch::From::probe_order && cfg.lazy_relocation)
+        if (from == HolderSearch::From::probe_order)
           sim.spawn(relocate(fs_, key, n, order[0]));
         co_return r;
       }
@@ -455,10 +455,9 @@ sim::Task<Result<kvstore::Blob>> Client::probe_ranked(
     }
     ++fs_->counters().read_retries;
     fs_->cluster().obs().metrics.counter("fs.read.retries").inc();
-    if (round + 1 < rounds)
-      co_await sim.delay(backoff_delay(cfg.retry_backoff,
-                                       cfg.retry_backoff_max, round,
-                                       backoff_draw(key, round)));
+    if (round + 1 < kMaxRetries)
+      co_await sim.delay(backoff_delay(kRetryBackoff, kRetryBackoffMax,
+                                       round, backoff_draw(key, round)));
   }
   co_return Error{Errc::not_found, key};
 }
@@ -562,7 +561,7 @@ sim::Task<Result<Bytes>> Client::read_file(std::string path,
   auto& sim = fs_->cluster().sim();
   std::vector<Result<kvstore::Blob>> results(s.stripe_count,
                                              Error{Errc::not_found, ""});
-  sim::Semaphore window(sim, fs_->config().write_window);
+  sim::Semaphore window(sim, kStripeWindow);
   std::vector<sim::Task<>> tasks;
   for (std::size_t i = 0; i < s.stripe_count; ++i) {
     std::string key = Namespace::stripe_key(s.inode, i);
@@ -633,16 +632,24 @@ sim::Task<Status> Client::unlink(std::string path) {
   for (std::size_t i = 0; i < s.stripe_count; ++i) {
     const std::string key = Namespace::stripe_key(s.inode, i);
     const std::uint64_t digest = Namespace::stripe_key_digest(s.inode, i);
+    std::vector<std::string> keys;  // distinct store keys, copy order
     for (const auto& [n, k] : stripe_homes(policy, s.attr, key, digest)) {
+      if (std::find(keys.begin(), keys.end(), k) == keys.end())
+        keys.push_back(k);
       if (!fs_->has_server(n)) continue;
       auto st = co_await fs_->server(n).del(node_, fs_->token(), k);
       (void)st;  // not_found is fine: replica may have moved
     }
-    // Sweep draining nodes too so evacuations do not resurrect the file.
-    for (NodeId n : fs_->draining_nodes()) {
+    // Sweep draining nodes for every copy's key too (a snapshot: the set
+    // changes while the deletes are awaited).
+    const std::vector<NodeId> draining(fs_->draining_nodes().begin(),
+                                       fs_->draining_nodes().end());
+    for (NodeId n : draining) {
       if (!fs_->has_server(n)) continue;
-      auto st = co_await fs_->server(n).del(node_, fs_->token(), key);
-      (void)st;
+      for (const auto& k : keys) {
+        auto st = co_await fs_->server(n).del(node_, fs_->token(), k);
+        (void)st;
+      }
     }
   }
   co_return Status{};

@@ -35,6 +35,14 @@ namespace memfss::fs {
 
 class FileSystem;
 
+// Client retry schedule: probe/put rounds before a stripe operation gives
+// up, and the backoff between them (common/resilience.hpp backoff_delay,
+// jittered by backoff_draw): kRetryBackoff for the first retry, doubling
+// per round up to kRetryBackoffMax.
+inline constexpr int kMaxRetries = 4;
+inline constexpr SimTime kRetryBackoff = 0.02;
+inline constexpr SimTime kRetryBackoffMax = 0.5;
+
 class Client {
  public:
   Client(FileSystem& fs, NodeId node) : fs_(&fs), node_(node) {}

@@ -15,10 +15,17 @@
 
 namespace memfss::fs {
 
+/// Heat decay epoch of tiered victims (s): access counters halve per epoch.
+constexpr SimTime kHeatEpoch = 1.0;
+/// A demote pass stops once pool usage drops below
+/// (monitor threshold - kDemoteHeadroom) * capacity -- the slack keeps
+/// back-to-back tenant allocations from re-firing instantly.
+constexpr double kDemoteHeadroom = 0.05;
+
 FileSystem::FileSystem(cluster::Cluster& cluster, FileSystemConfig config)
     : cluster_(cluster),
       config_(std::move(config)),
-      meta_(cluster, config_.own_nodes, config_.metadata_costs),
+      meta_(cluster, config_.own_nodes),
       health_(config_.breaker, &cluster.obs()) {
   assert(!config_.own_nodes.empty());
   membership_.set_members(kOwnClass, config_.own_nodes);
@@ -53,12 +60,11 @@ void FileSystem::make_server(NodeId node, Bytes capacity, Rate net_cap,
   }
   servers_[node] = std::make_unique<kvstore::Server>(
       cluster_.sim(), cluster_.fabric(), node, capacity, config_.auth_token,
-      hooks, config_.server_costs);
+      hooks);
   if (victim && config_.victim_tier_capacity > 0) {
     servers_[node]->attach_tier(
-        std::make_unique<kvstore::ColdTier>(config_.victim_tier_capacity,
-                                            config_.tier_costs),
-        config_.heat_epoch);
+        std::make_unique<kvstore::ColdTier>(config_.victim_tier_capacity),
+        kHeatEpoch);
   }
 }
 
@@ -133,7 +139,7 @@ const PlacementEpoch& FileSystem::epoch(std::uint32_t id) const {
 }
 
 ClassHrwPolicy FileSystem::policy_for_epoch(std::uint32_t id) const {
-  return ClassHrwPolicy(epoch(id), membership_, config_.score_fn);
+  return ClassHrwPolicy(epoch(id), membership_);
 }
 
 kvstore::Server& FileSystem::server(NodeId node) {
@@ -243,7 +249,7 @@ sim::Task<Status> FileSystem::migrate_out(NodeId node, std::uint32_t cls) {
   const auto pick = [&](const std::string& k) {
     const auto& targets =
         remaining.empty() ? membership_.members(kOwnClass) : remaining;
-    return hash::hrw_select(k, targets, config_.score_fn);
+    return hash::hrw_select(k, targets);
   };
   Status result{};
   std::set<std::string> attempted;
@@ -333,7 +339,7 @@ sim::Task<> FileSystem::demote_coldest(NodeId node) {
   };
   const Bytes threshold = mark(monitor_threshold_);
   const Bytes floor =
-      mark(std::max(0.0, monitor_threshold_ - config_.demote_headroom));
+      mark(std::max(0.0, monitor_threshold_ - kDemoteHeadroom));
   const SimTime t0 = cluster_.sim().now();
   std::size_t demoted = 0;
   bool tier_full = false;
@@ -573,6 +579,12 @@ sim::Task<Status> FileSystem::drain_node(NodeId node) {
   auto& src = server(node);
   Status result{};
   for (const auto& k : src.all_keys()) {
+    if (auto ref = Namespace::parse_stripe_key(k);
+        ref && !meta_.ns().stat(ref->inode).ok()) {
+      // Unlinked mid-drain: drop the key rather than park an orphan.
+      (void)co_await src.del(node, config_.auth_token, k);
+      continue;
+    }
     const NodeId dst = drain_target(k, node);
     if (dst == kInvalidNode) continue;  // redundant copy: drop it
     if (auto st = co_await src.migrate_key(config_.auth_token, k,
@@ -614,10 +626,10 @@ NodeId FileSystem::drain_target(const std::string& key, NodeId src) {
       return kInvalidNode;  // every expected holder already has it
     }
   }
-  // Foreign or orphaned key: park it on the own class.
+  // Foreign key: park it on the own class.
   const auto& own = membership_.members(kOwnClass);
   if (own.empty()) return kInvalidNode;
-  const NodeId n = hash::hrw_select(key, own, config_.score_fn);
+  const NodeId n = hash::hrw_select(key, own);
   return live(n) ? n : kInvalidNode;
 }
 

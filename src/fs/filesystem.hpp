@@ -58,14 +58,9 @@ struct FileSystemConfig {
   std::uint8_t copies = 2;       ///< replicated mode: total copies
   std::uint8_t ec_k = 4;         ///< erasure mode: data shards
   std::uint8_t ec_m = 2;         ///< erasure mode: parity shards
-  hash::ScoreFn score_fn = hash::ScoreFn::mix64;
   std::string auth_token = "memfss-secret";
-  kvstore::ServerCosts server_costs{};
-  MetadataCosts metadata_costs{};
-  std::size_t write_window = 4;  ///< in-flight stripes per file operation
-  bool lazy_relocation = true;   ///< migrate misplaced stripes on read
 
-  // --- fault handling (client retries + failure detection) -----------------
+  // --- fault handling (failure detection; client retries: fs/client.hpp) ---
   /// Per-stripe RPC deadline (s); 0 disables the deadline. Off by default:
   /// under saturation a healthy stripe transfer can take seconds (fluid
   /// fair-sharing), so a fixed deadline must be chosen against the
@@ -73,9 +68,6 @@ struct FileSystemConfig {
   /// fail fast regardless (connection refused / io_error mid-transfer);
   /// the deadline matters for stalled-node failover.
   SimTime rpc_timeout = 0.0;
-  int max_retries = 4;             ///< probe/put rounds before giving up
-  SimTime retry_backoff = 0.02;    ///< first retry delay; doubles per round
-  SimTime retry_backoff_max = 0.5; ///< backoff ceiling
   /// Time between a node dying and the filesystem acting on it (membership
   /// removal + targeted repair). Clients that time out on the node first
   /// accelerate detection via report_suspect.
@@ -108,13 +100,6 @@ struct FileSystemConfig {
   /// instead of evacuating the whole node, and escalates to eviction only
   /// when the tier cannot absorb the overage.
   Bytes victim_tier_capacity = 0;
-  kvstore::TierCosts tier_costs{};
-  /// Heat decay epoch length (s): access counters halve per epoch.
-  SimTime heat_epoch = 1.0;
-  /// A demote pass stops once pool usage drops below
-  /// (monitor threshold - demote_headroom) * capacity -- the slack keeps
-  /// back-to-back tenant allocations from re-firing instantly.
-  double demote_headroom = 0.05;
 };
 
 struct FsCounters {
@@ -195,9 +180,9 @@ class FileSystem {
 
   /// One demote-coldest-first pass on a tiered victim: walk the node's
   /// keys coldest-first, demoting until pool usage drops below the
-  /// monitor threshold minus demote_headroom. Escalates to the normal
-  /// eviction path when demotion cannot relieve the pressure (cold tier
-  /// full, or nothing left to demote).
+  /// monitor threshold minus kDemoteHeadroom (filesystem.cpp). Escalates
+  /// to the normal eviction path when demotion cannot relieve the
+  /// pressure (cold tier full, or nothing left to demote).
   sim::Task<> demote_coldest(NodeId node);
 
   // --- fault handling ------------------------------------------------------
@@ -385,7 +370,7 @@ class FileSystem {
   std::set<NodeId> draining_;
   std::vector<std::unique_ptr<cluster::VictimMonitor>> monitors_;
   /// Threshold fraction the monitors were armed with (demote passes stop
-  /// at threshold - demote_headroom).
+  /// at threshold - kDemoteHeadroom).
   double monitor_threshold_ = 1.0;
   FsCounters counters_;
   HealthRegistry health_;

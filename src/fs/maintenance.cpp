@@ -136,6 +136,7 @@ sim::Task<> FileSystem::repair_stripe(const ClassHrwPolicy& policy,
     const Bytes size =
         server(holder).resident_size(config_.auth_token, key).value();
     for (NodeId dst : missing) {
+      if (!meta_.ns().stat(st.inode).ok()) co_return;  // unlinked meanwhile
       auto stt = co_await server(holder).replicate_key(config_.auth_token,
                                                        key, server(dst));
       if (stt.ok()) {
@@ -188,6 +189,7 @@ sim::Task<> FileSystem::repair_stripe(const ClassHrwPolicy& policy,
     for (std::size_t j : missing) {
       const auto& [dst, sk] = homes[j];
       if (!has_server(dst)) continue;
+      if (!meta_.ns().stat(st.inode).ok()) co_return;  // unlinked meanwhile
       kvstore::Blob shard = ghost ? kvstore::Blob::ghost(ss, 0)
                                   : kvstore::Blob::materialized(slots[j]);
       auto stt = co_await server(dst).put(admin, config_.auth_token, sk,

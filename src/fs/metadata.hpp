@@ -28,23 +28,18 @@
 #include "cluster/cluster.hpp"
 #include "common/result.hpp"
 #include "fs/namespace.hpp"
+#include "fs/placement.hpp"
 #include "net/fabric.hpp"
 #include "sim/task.hpp"
 
 namespace memfss::fs {
 
-struct MetadataCosts {
-  Bytes request_bytes = 256;   ///< request envelope on the wire
-  Bytes response_bytes = 512;  ///< response envelope
-  double cpu_seconds = 10e-6;  ///< shard-node CPU per operation
-};
-
 class MetadataService {
  public:
-  MetadataService(cluster::Cluster& cluster, std::vector<NodeId> own_nodes,
-                  MetadataCosts costs = {});
+  MetadataService(cluster::Cluster& cluster, std::vector<NodeId> own_nodes);
 
-  /// Shard node for a path-keyed operation (modulo placement).
+  /// Shard node for a path-keyed operation: rank 0 of the ModuloPolicy
+  /// over the own nodes.
   NodeId shard_for(std::string_view path_or_key) const;
 
   sim::Task<Status> mkdirs(NodeId client, std::string path);
@@ -70,7 +65,7 @@ class MetadataService {
   /// (Record redistribution is instantaneous in the model; the moved
   /// volume is metadata-sized and negligible next to data traffic.)
   void set_own_nodes(std::vector<NodeId> own_nodes) {
-    own_nodes_ = std::move(own_nodes);
+    shards_ = ModuloPolicy(std::move(own_nodes));
   }
 
   std::uint64_t operation_count() const { return ops_; }
@@ -84,13 +79,12 @@ class MetadataService {
   /// direction of the client<->shard link is cut.
   sim::Task<Status> round_trip(NodeId client, NodeId shard);
 
-  /// Round trip against the digest's primary shard, failing over through
+  /// Round trip against the key's primary shard, failing over through
   /// the remaining own nodes in shard order when links are cut.
-  sim::Task<Status> shard_call(NodeId client, std::uint64_t digest);
+  sim::Task<Status> shard_call(NodeId client, std::string_view key);
 
   cluster::Cluster& cluster_;
-  std::vector<NodeId> own_nodes_;
-  MetadataCosts costs_;
+  ModuloPolicy shards_;  ///< over the own nodes
   Namespace ns_;
   std::uint64_t ops_ = 0;
   std::uint64_t failovers_ = 0;

@@ -64,9 +64,8 @@ std::vector<NodeId> PlacementPolicy::probe_order(
 // --- ClassHrwPolicy ---------------------------------------------------------
 
 ClassHrwPolicy::ClassHrwPolicy(const PlacementEpoch& epoch,
-                               const ClassMembership& members,
-                               hash::ScoreFn fn)
-    : epoch_(epoch), members_(members), fn_(fn) {}
+                               const ClassMembership& members)
+    : epoch_(epoch), members_(members) {}
 
 const std::vector<hash::NodeClass>& ClassHrwPolicy::snapshot() const {
   // Rebuild only when the live membership has mutated since the cached
@@ -88,7 +87,7 @@ const std::vector<hash::NodeClass>& ClassHrwPolicy::snapshot() const {
 std::vector<NodeId> ClassHrwPolicy::place(std::uint64_t key_digest,
                                           std::size_t copies) const {
   const auto& classes = snapshot();
-  auto placements = hash::place_replicas(key_digest, classes, copies, fn_);
+  auto placements = hash::place_replicas(key_digest, classes, copies);
   std::vector<NodeId> out;
   out.reserve(placements.size());
   for (const auto& p : placements) out.push_back(p.node);
@@ -102,7 +101,7 @@ std::vector<NodeId> ClassHrwPolicy::place(std::string_view stripe_key,
 
 std::vector<NodeId> ClassHrwPolicy::probe_order(
     std::uint64_t key_digest) const {
-  return hash::rank_in_winning_class(key_digest, snapshot(), fn_);
+  return hash::rank_in_winning_class(key_digest, snapshot());
 }
 
 std::vector<NodeId> ClassHrwPolicy::probe_order(
@@ -112,7 +111,7 @@ std::vector<NodeId> ClassHrwPolicy::probe_order(
 
 std::uint32_t ClassHrwPolicy::winning_class(std::uint64_t key_digest) const {
   const auto& classes = snapshot();
-  const std::size_t i = hash::select_class(key_digest, classes, fn_);
+  const std::size_t i = hash::select_class(key_digest, classes);
   return classes[i].class_id;
 }
 
@@ -164,15 +163,14 @@ std::vector<StripeHome> stripe_homes(const ClassHrwPolicy& policy,
 
 // --- UniformHrwPolicy -------------------------------------------------------
 
-UniformHrwPolicy::UniformHrwPolicy(std::vector<NodeId> nodes,
-                                   hash::ScoreFn fn)
-    : nodes_(std::move(nodes)), fn_(fn) {
+UniformHrwPolicy::UniformHrwPolicy(std::vector<NodeId> nodes)
+    : nodes_(std::move(nodes)) {
   assert(!nodes_.empty());
 }
 
 std::vector<NodeId> UniformHrwPolicy::place(std::string_view stripe_key,
                                             std::size_t copies) const {
-  return hash::hrw_top(stripe_key, nodes_, copies, fn_);
+  return hash::hrw_top(stripe_key, nodes_, copies);
 }
 
 std::string UniformHrwPolicy::describe() const {

@@ -87,8 +87,7 @@ class PlacementPolicy {
 /// captured at construction (a new epoch is a new policy object).
 class ClassHrwPolicy final : public PlacementPolicy {
  public:
-  ClassHrwPolicy(const PlacementEpoch& epoch, const ClassMembership& members,
-                 hash::ScoreFn fn = hash::ScoreFn::mix64);
+  ClassHrwPolicy(const PlacementEpoch& epoch, const ClassMembership& members);
 
   std::vector<NodeId> place(std::string_view stripe_key,
                             std::size_t copies) const override;
@@ -106,7 +105,6 @@ class ClassHrwPolicy final : public PlacementPolicy {
   const std::vector<hash::NodeClass>& snapshot() const;
   PlacementEpoch epoch_;
   const ClassMembership& members_;
-  hash::ScoreFn fn_;
   // Membership snapshot cache, keyed on the membership generation. ~0 is
   // "never built" (generations count up from 0 and cannot reach it).
   mutable std::vector<hash::NodeClass> snapshot_cache_;
@@ -146,15 +144,13 @@ std::vector<StripeHome> stripe_homes(const ClassHrwPolicy& policy,
 /// Uniform HRW over one flat node set (no classes, no weights).
 class UniformHrwPolicy final : public PlacementPolicy {
  public:
-  explicit UniformHrwPolicy(std::vector<NodeId> nodes,
-                            hash::ScoreFn fn = hash::ScoreFn::mix64);
+  explicit UniformHrwPolicy(std::vector<NodeId> nodes);
   std::vector<NodeId> place(std::string_view stripe_key,
                             std::size_t copies) const override;
   std::string describe() const override;
 
  private:
   std::vector<NodeId> nodes_;
-  hash::ScoreFn fn_;
 };
 
 /// MemFS baseline: consistent hashing ring with virtual nodes.

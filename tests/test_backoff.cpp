@@ -14,7 +14,7 @@
 
 #include "common/resilience.hpp"
 #include "common/rng.hpp"
-#include "fs/filesystem.hpp"
+#include "fs/client.hpp"
 #include "fs/health.hpp"
 #include "hash/hashes.hpp"
 #include "netio/resilient_client.hpp"
@@ -56,9 +56,8 @@ double netio_reference(const Schedule& s, std::uint32_t fault_streak,
 // ResilientOptions default, the load driver's chaos transport and the
 // NetioChaos breaker test.
 std::vector<Schedule> schedules() {
-  const fs::FileSystemConfig fs_cfg;
   const netio::ResilientOptions rc;
-  return {{fs_cfg.retry_backoff, fs_cfg.retry_backoff_max},
+  return {{fs::kRetryBackoff, fs::kRetryBackoffMax},
           {rc.backoff_base_s, rc.backoff_max_s},
           {0.002, 0.05},
           {0.001, 0.01}};

@@ -181,6 +181,36 @@ TEST(FsClient, UnlinkRemovesAllStripes) {
   }
 }
 
+// Regression: unlink during a class revocation must leave no byte behind.
+// Three paths used to keep one: the unlink swept draining nodes for the
+// base stripe key only, missing erasure shard keys; a drain that met a
+// key of the unlinked file parked it on the own class; and the targeted
+// repair that ends the revocation could rebuild a shard of a file
+// unlinked while the repair read its siblings. Unlinking at once exercises
+// the first two, unlinking 0.05 s in the third.
+TEST(FsClient, UnlinkDuringRevocationDeletesShardsOnDrainingNodes) {
+  auto cfg = Rig::base_config();
+  cfg.redundancy = RedundancyMode::erasure;
+  cfg.ec_k = 4;
+  cfg.ec_m = 2;
+  for (const SimTime after : {0.0, 0.05}) {
+    SCOPED_TRACE(after);
+    Rig rig(cfg);
+    rig.add_victims(0.25);
+    rig.run([after](Rig& r) -> sim::Task<> {
+      Client c = r.fs.client(0);
+      CO_ASSERT_TRUE((co_await c.write_file("/f", 64 * units::MiB)).ok());
+      r.sim.spawn([](FileSystem& fs) -> sim::Task<> {
+        (void)co_await fs.revoke_victim_class(1, 30.0);
+      }(r.fs));
+      co_await r.sim.delay(after);
+      CO_ASSERT_TRUE((co_await c.unlink("/f")).ok());
+    });
+    EXPECT_TRUE(rig.fs.draining_nodes().empty());
+    EXPECT_EQ(rig.fs.total_bytes(), 0u);
+  }
+}
+
 TEST(FsClient, EpochRecordedAtCreationKeepsOldFilesResolvable) {
   Rig rig;
   rig.run([](Rig& r) -> sim::Task<> {

@@ -86,6 +86,32 @@ TEST(Metadata, FailsOverToNextShardWhenPrimaryIsCut) {
   rig.sim.run();
   ASSERT_TRUE(finished);
   EXPECT_EQ(rig.meta.failover_count(), 1u);
+
+  // After set_own_nodes the shards follow ModuloPolicy over the new set:
+  // rank 0 is the primary, and a cut primary fails over to rank 1 (the
+  // only node whose CPU the round trip then charges).
+  Rig grown;
+  const std::vector<NodeId> own = {0, 1, 2};
+  grown.meta.set_own_nodes(own);
+  const ModuloPolicy modulo(own);
+  for (int i = 0; i < 64; ++i) {
+    const auto p = strformat("/p%d", i);
+    EXPECT_EQ(grown.meta.shard_for(p), modulo.place(p, 1)[0]) << p;
+  }
+  const auto ranks = modulo.place(path, own.size());
+  ASSERT_EQ(ranks.size(), 3u);
+  grown.cl.fabric().cut_link(3, ranks[0]);
+  bool grown_finished = false;
+  grown.sim.spawn([](Rig& r, std::string p, bool& done) -> sim::Task<> {
+    CO_ASSERT_TRUE((co_await r.meta.mkdirs(3, p)).ok());
+    done = true;
+  }(grown, path, grown_finished));
+  grown.sim.run();
+  ASSERT_TRUE(grown_finished);
+  EXPECT_EQ(grown.meta.failover_count(), 1u);
+  EXPECT_EQ(grown.cl.node(ranks[0]).cpu().peak_utilization(), 0.0);
+  EXPECT_GT(grown.cl.node(ranks[1]).cpu().peak_utilization(), 0.0);
+  EXPECT_EQ(grown.cl.node(ranks[2]).cpu().peak_utilization(), 0.0);
 }
 
 TEST(Metadata, TotalPartitionFailsFastWithUnreachable) {
