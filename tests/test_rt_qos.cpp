@@ -545,6 +545,83 @@ TEST(QosAccounting, SameOwnerOverwriteChargesOnlyGrowth) {
   EXPECT_EQ(store.used(), 10 + kvstore::Store::kPerKeyOverhead);
 }
 
+TEST(QosAccounting, EvictAndClearShardReleaseEachOwner) {
+  TenantRegistry reg;
+  const auto a = reg.register_tenant({.name = "a"}).value();
+  const auto b = reg.register_tenant({.name = "b"}).value();
+  ShardedStore store({1, 1 << 20, "", &reg});
+  constexpr Bytes kOv = kvstore::Store::kPerKeyOverhead;
+
+  ASSERT_TRUE(store.put("", "a1", sized_blob(100), nullptr, a).ok());
+  ASSERT_TRUE(store.put("", "a2", sized_blob(30), nullptr, a).ok());
+  ASSERT_TRUE(store.put("", "b1", sized_blob(200), nullptr, b).ok());
+  ASSERT_TRUE(store.put("", "b2", sized_blob(7), nullptr, b).ok());
+  EXPECT_EQ(reg.memory_used(a), 130 + 2 * kOv);
+  EXPECT_EQ(reg.memory_used(b), 207 + 2 * kOv);
+  EXPECT_EQ(reg.total_resident(), store.used());
+
+  // Evicting releases exactly the evicted key's charge to its owner.
+  ASSERT_TRUE(store.evict("b1").has_value());
+  EXPECT_EQ(reg.memory_used(a), 130 + 2 * kOv);
+  EXPECT_EQ(reg.memory_used(b), 7 + kOv);
+  EXPECT_EQ(reg.total_resident(), store.used());
+  EXPECT_FALSE(store.evict("b1").has_value());
+  EXPECT_EQ(reg.memory_used(b), 7 + kOv);
+
+  // Clearing the shard releases every remaining owner's share.
+  EXPECT_EQ(store.clear_shard(0), 137 + 3 * kOv);
+  EXPECT_EQ(reg.memory_used(a), 0u);
+  EXPECT_EQ(reg.memory_used(b), 0u);
+  EXPECT_EQ(store.used(), 0u);
+  EXPECT_EQ(reg.total_resident(), store.used());
+}
+
+TEST(QosAccounting, CrossTenantOverwriteRefusedByQuotaChangesNothing) {
+  TenantRegistry reg;
+  const auto a = reg.register_tenant({.name = "a"}).value();
+  TenantConfig cfg;
+  cfg.name = "b";
+  cfg.memory_quota = 150 + kvstore::Store::kPerKeyOverhead;
+  const auto b = reg.register_tenant(cfg).value();
+  ShardedStore store({1, 1 << 20, "", &reg});
+
+  ASSERT_TRUE(store.put("", "k", bytes_blob("abc"), nullptr, a).ok());
+  const Bytes held_a = reg.memory_used(a), used = store.used();
+  // b would own the key outright, so it is charged the full 200 bytes,
+  // not the growth: the quota refuses, and a keeps the key.
+  EXPECT_EQ(store.put("", "k", sized_blob(200), nullptr, b).code(),
+            Errc::out_of_memory);
+  EXPECT_EQ(reg.memory_used(a), held_a);
+  EXPECT_EQ(reg.memory_used(b), 0u);
+  EXPECT_EQ(store.used(), used);
+  auto got = store.get("", "k");
+  ASSERT_TRUE(got.ok());
+  EXPECT_TRUE(got.value() == bytes_blob("abc"));
+  EXPECT_EQ(reg.total_resident(), store.used());
+}
+
+TEST(QosAccounting, AggregateCapRefusalRollsBackTenantCharge) {
+  TenantRegistry reg;
+  const auto a = reg.register_tenant({.name = "a"}).value();
+  const auto b = reg.register_tenant({.name = "b"}).value();
+  constexpr Bytes kOv = kvstore::Store::kPerKeyOverhead;
+  ShardedStore store({2, 2 * (100 + kOv), "", &reg});
+
+  ASSERT_TRUE(store.put("", "k1", sized_blob(100), nullptr, a).ok());
+  ASSERT_TRUE(store.put("", "k2", sized_blob(50), nullptr, b).ok());
+  // A fresh key past the aggregate cap: b's charge is taken, then undone.
+  EXPECT_EQ(store.put("", "k3", sized_blob(100), nullptr, b).code(),
+            Errc::out_of_memory);
+  EXPECT_EQ(reg.memory_used(b), 50 + kOv);
+  // So is a growing overwrite by the key's own tenant.
+  EXPECT_EQ(store.put("", "k2", sized_blob(120), nullptr, b).code(),
+            Errc::out_of_memory);
+  EXPECT_EQ(reg.memory_used(b), 50 + kOv);
+  EXPECT_EQ(reg.memory_used(a), 100 + kOv);
+  EXPECT_EQ(store.used(), 150 + 2 * kOv);
+  EXPECT_EQ(reg.total_resident(), store.used());
+}
+
 TEST(QosAccounting, ConcurrentMixedTenantsSumToAggregateAtQuiesce) {
   TenantRegistry reg;
   std::vector<std::uint32_t> ids;
