@@ -172,7 +172,7 @@ void check_accounting(SoakCtx& ctx, ChaosInvariants& inv) {
       const auto* tier = srv.tier();
       Bytes cold_by_keys = 0;
       for (const auto& k : tier->keys()) {
-        if (auto sz = tier->value_size(k); sz.ok())
+        if (auto sz = tier->value_size({}, k); sz.ok())
           cold_by_keys += sz.value() + kvstore::Store::kPerKeyOverhead;
         if (store.peek(k) != nullptr) {
           inv.violations.push_back(strformat(

@@ -55,8 +55,7 @@ void Server::wipe() {
 
 // --- tiered hot/cold memory (DESIGN.md §16) ---------------------------------
 
-void Server::attach_tier(std::unique_ptr<StorageTier> tier,
-                         SimTime heat_epoch) {
+void Server::attach_tier(std::unique_ptr<ColdTier> tier, SimTime heat_epoch) {
   tier_ = std::move(tier);
   heat_epoch_len_ = heat_epoch > 0 ? heat_epoch : 1.0;
   if (hooks_.obs && tier_) {
@@ -82,7 +81,7 @@ Result<Bytes> Server::resident_size(std::string_view token,
   auto hot = store_.value_size(token, key);
   if (hot.ok() || hot.code() != Errc::not_found) return hot;
   if (tier_) {
-    if (auto cold = tier_->value_size(key); cold.ok()) return cold;
+    if (auto cold = tier_->value_size({}, key); cold.ok()) return cold;
   }
   return hot;
 }
@@ -124,22 +123,15 @@ sim::Task<> Server::charge_tier(Bytes payload, bool write) {
 }
 
 bool Server::reinstall_hot(const std::string& key) {
-  if (!tier_ || !tier_->contains(key)) return false;
-  const auto size = tier_->value_size(key);
-  if (!size.ok()) return false;
-  const Bytes accounted = size.value() + Store::kPerKeyOverhead;
+  const Blob* cold = tier_ ? tier_->peek(key) : nullptr;
+  if (cold == nullptr) return false;
+  const Bytes accounted = Store::charge(cold->size());
   if (store_.available() < accounted) return false;
   if (hooks_.mem && !hooks_.mem->try_alloc(accounted)) return false;
-  auto blob = tier_->take(key);
-  if (!blob) {  // unreachable single-threaded, but keep accounting exact
-    if (hooks_.mem) hooks_.mem->free(accounted);
-    return false;
-  }
-  if (!store_.restore(key, std::move(*blob)).ok()) {
-    if (hooks_.mem) hooks_.mem->free(accounted);
-    return false;
-  }
-  if (g_tier_bytes_) g_tier_bytes_->add(-static_cast<double>(accounted));
+  // No await since the peek and the room check, so both moves succeed.
+  Store::Delta moved;
+  (void)store_.restore(key, *tier_->drain(key, &moved));
+  if (g_tier_bytes_) g_tier_bytes_->add(-static_cast<double>(moved.released));
   if (c_promotions_) c_promotions_->inc();
   return true;
 }
@@ -150,7 +142,7 @@ sim::Task<Status> Server::demote_key(std::string key) {
     co_return Status{Errc::unavailable, "node down"};
   const Blob* b = store_.peek(key);
   if (b == nullptr) co_return Status{Errc::not_found, key};
-  if (tier_->available() < b->size() + Store::kPerKeyOverhead)
+  if (tier_->available() < Store::charge(b->size()))
     co_return Status{Errc::out_of_memory, "cold tier full"};
   const std::uint64_t inc = incarnation_;
   // Device write is charged *before* the move: a crash landing inside it
@@ -163,14 +155,14 @@ sim::Task<Status> Server::demote_key(std::string key) {
   // deleted the entry, and a concurrent demotion may have won the space.
   const Blob* hot = store_.peek(key);
   if (hot == nullptr) co_return Status{Errc::not_found, key};
-  const Bytes accounted = hot->size() + Store::kPerKeyOverhead;
   // Copy into the tier before dropping the hot entry: a tier refusal then
   // leaves the entry exactly where it was. The moves below are synchronous
   // (no awaits), so no request ever observes the key in both tiers.
-  if (auto st = tier_->put(key, *hot); !st.ok()) co_return st;
-  (void)store_.drain(key);
-  if (hooks_.mem) hooks_.mem->free(accounted);
-  if (g_tier_bytes_) g_tier_bytes_->add(static_cast<double>(accounted));
+  Store::Delta in, out;
+  if (auto st = tier_->put({}, key, *hot, 0, &in); !st.ok()) co_return st;
+  (void)store_.drain(key, &out);
+  if (hooks_.mem) hooks_.mem->free(out.released);
+  if (g_tier_bytes_) g_tier_bytes_->add(static_cast<double>(in.charged));
   if (c_demotions_) c_demotions_->inc();
   co_return Status{};
 }
@@ -179,14 +171,14 @@ sim::Task<Status> Server::promote_key(std::string key) {
   if (!tier_) co_return Status{Errc::invalid_argument, "no cold tier"};
   if (live_ == Liveness::down)
     co_return Status{Errc::unavailable, "node down"};
-  const auto size = tier_->value_size(key);
+  const auto size = tier_->value_size({}, key);
   if (!size.ok()) co_return Status{Errc::not_found, key};
   const std::uint64_t inc = incarnation_;
   co_await charge_tier(size.value(), /*write=*/false);
   if (live_ == Liveness::down || incarnation_ != inc)
     co_return Status{Errc::io_error, "server died mid-promotion"};
   if (!reinstall_hot(key)) {
-    if (!tier_->contains(key))
+    if (tier_->peek(key) == nullptr)
       co_return Status{Errc::not_found, key};  // raced a migration
     co_return Status{Errc::out_of_memory, "hot tier full"};
   }
@@ -290,27 +282,23 @@ sim::Task<Status> Server::put_impl(NodeId client, std::string_view token,
   // The pool mirror must track overwrites the way the store does: a put
   // onto an existing key (client retry whose first attempt landed, repair
   // re-replicating onto a holder) releases the replaced value's bytes.
-  Bytes replaced = 0;
-  if (const Blob* old = store_.peek(key))
-    replaced = old->size() + Store::kPerKeyOverhead;
-  Status st = store_.put(token, key, std::move(value));
+  Store::Delta moved;
+  Status st = store_.put(token, key, std::move(value), 0, &moved);
   if (st.ok() && hooks_.mem) {
-    if (replaced > 0) hooks_.mem->free(replaced);
-    if (!hooks_.mem->try_alloc(payload + Store::kPerKeyOverhead)) {
+    if (moved.released > 0) hooks_.mem->free(moved.released);
+    if (!hooks_.mem->try_alloc(moved.charged)) {
       // Node memory exhausted even though the store cap allowed it:
       // undo and report. (Store cap <= node memory normally prevents this.)
       (void)store_.del(token, key);
       st = Status{Errc::out_of_memory, "node memory exhausted"};
     }
   }
-  if (st.ok() && tier_ && tier_->contains(key)) {
+  Store::Delta stale;
+  if (st.ok() && tier_ && tier_->drain(key, &stale) && g_tier_bytes_) {
     // Overwrite of a cold-resident key: the fresh hot value is
     // authoritative -- drop the stale cold copy so the key is never
     // resident in both tiers.
-    const auto stale = tier_->value_size(key);
-    if (tier_->del(key).ok() && g_tier_bytes_ && stale.ok())
-      g_tier_bytes_->add(
-          -static_cast<double>(stale.value() + Store::kPerKeyOverhead));
+    g_tier_bytes_->add(-static_cast<double>(stale.released));
   }
   if (st.ok()) touch_heat(key);
   co_await fabric_.message(node_, client);
@@ -331,13 +319,12 @@ sim::Task<Result<Blob>> Server::get_impl(NodeId client,
   if (r.ok()) touch_heat(key);
   bool cold_hit = false;
   const SimTime cold_t0 = sim_.now();
-  if (!r.ok() && r.code() == Errc::not_found && tier_ &&
-      tier_->contains(key)) {
+  if (!r.ok() && r.code() == Errc::not_found && tier_) {
     // Transparent cold hit: fetch from the tier (charging the device
     // read), serve the bytes, and promote-on-access so the next read is
     // hot. The hit is served even if promotion fails for space -- the
     // entry just stays cold.
-    auto cold = tier_->get(key);
+    auto cold = tier_->get({}, key);
     if (cold.ok()) {
       cold_hit = true;
       co_await charge_tier(cold.value().size(), /*write=*/false);
@@ -367,7 +354,7 @@ sim::Task<Result<bool>> Server::exists(NodeId client, std::string_view token,
   co_await stall_gate();
   meter_.record(sim_.now());
   Result<bool> r = store_.exists(token, key);
-  if (r.ok() && !r.value() && tier_ && tier_->contains(key)) r = true;
+  if (r.ok() && !r.value() && tier_ && tier_->peek(key)) r = true;
   co_await fabric_.message(node_, client);
   co_return r;
 }
@@ -381,21 +368,15 @@ sim::Task<Status> Server::del(NodeId client, std::string_view token,
     co_return Status{Errc::unavailable, "node down"};
   co_await stall_gate();
   meter_.record(sim_.now());
-  Bytes freed = 0;
-  if (auto sz = store_.value_size(token, key); sz.ok())
-    freed = sz.value() + Store::kPerKeyOverhead;
-  Status st = store_.del(token, key);
-  if (st.ok() && hooks_.mem && freed > 0) hooks_.mem->free(freed);
-  if (st.code() == Errc::not_found && tier_ && tier_->contains(key)) {
+  Store::Delta freed;
+  Status st = store_.del(token, key, &freed);
+  if (st.ok() && hooks_.mem) hooks_.mem->free(freed.released);
+  if (st.code() == Errc::not_found && tier_ && tier_->drain(key, &freed)) {
     // Cold-resident delete: no node memory to release (the bytes live in
     // the tier, outside the pool).
-    const auto cold = tier_->value_size(key);
-    if (tier_->del(key).ok()) {
-      st = Status{};
-      if (g_tier_bytes_ && cold.ok())
-        g_tier_bytes_->add(
-            -static_cast<double>(cold.value() + Store::kPerKeyOverhead));
-    }
+    st = Status{};
+    if (g_tier_bytes_)
+      g_tier_bytes_->add(-static_cast<double>(freed.released));
   }
   co_await fabric_.message(node_, client);
   co_return st;
@@ -423,7 +404,7 @@ sim::Task<Status> Server::replicate_key(std::string_view token,
     // Repair may source from a cold-resident copy: read it in place
     // (charging the device) without promoting -- repair traffic should
     // not displace hot tenant bytes.
-    auto cold = tier_->get(key);
+    auto cold = tier_->get({}, key);
     if (cold.ok()) {
       const std::uint64_t inc = incarnation_;
       co_await charge_tier(cold.value().size(), /*write=*/false);
@@ -443,23 +424,22 @@ sim::Task<Status> Server::migrate_key(std::string_view token, std::string key,
   // Local read (no wire cost), bulk ship, remote write. Used by lazy
   // rebalance and by victim evacuation.
   bool was_cold = false;
-  auto blob = store_.drain(key);
+  Store::Delta moved;
+  auto blob = store_.drain(key, &moved);
   if (!blob && tier_) {
-    blob = tier_->take(key);
+    blob = tier_->drain(key, &moved);
     was_cold = blob.has_value();
   }
   if (!blob) co_return Status{Errc::not_found, key};
-  const Bytes payload = blob->size();
   if (was_cold) {
     if (g_tier_bytes_)
-      g_tier_bytes_->add(
-          -static_cast<double>(payload + Store::kPerKeyOverhead));
+      g_tier_bytes_->add(-static_cast<double>(moved.released));
     const std::uint64_t inc = incarnation_;
-    co_await charge_tier(payload, /*write=*/false);  // device read-out
+    co_await charge_tier(blob->size(), /*write=*/false);  // device read-out
     if (live_ == Liveness::down || incarnation_ != inc)
       co_return Status{Errc::unavailable, "node down"};
   } else if (hooks_.mem) {
-    hooks_.mem->free(payload + Store::kPerKeyOverhead);
+    hooks_.mem->free(moved.released);
   }
   Status st = co_await dst.put(node_, token, key, *blob);
   if (!st.ok()) {
@@ -468,27 +448,24 @@ sim::Task<Status> Server::migrate_key(std::string_view token, std::string key,
     // migration degrades to "not moved yet" instead of silent data loss.
     // (If this node died mid-flight, the crash wiped the store and
     // repair owns the data now; don't resurrect bytes into a wiped pool.)
+    Store::Delta back;
     if (live_ != Liveness::down && was_cold) {
       // Cold copies go back where they came from -- unless a concurrent
       // writer re-created the key hot, in which case that value wins.
       if (store_.peek(key) == nullptr &&
-          tier_->put(key, std::move(*blob)).ok() && g_tier_bytes_) {
-        g_tier_bytes_->add(
-            static_cast<double>(payload + Store::kPerKeyOverhead));
+          tier_->put({}, key, std::move(*blob), 0, &back).ok() &&
+          g_tier_bytes_) {
+        g_tier_bytes_->add(static_cast<double>(back.charged));
       }
     } else if (live_ != Liveness::down) {
       // A concurrent writer may have re-created the key while the failed
       // migration was in flight; restore overwrites it, so the pool
       // mirror must release the replaced bytes like put does.
-      Bytes replaced = 0;
-      if (const Blob* now = store_.peek(key))
-        replaced = now->size() + Store::kPerKeyOverhead;
-      if (!hooks_.mem ||
-          hooks_.mem->try_alloc(payload + Store::kPerKeyOverhead)) {
-        if (store_.restore(key, std::move(*blob)).ok()) {
-          if (hooks_.mem && replaced > 0) hooks_.mem->free(replaced);
+      if (!hooks_.mem || hooks_.mem->try_alloc(moved.released)) {
+        if (store_.restore(key, std::move(*blob), &back).ok()) {
+          if (hooks_.mem && back.released > 0) hooks_.mem->free(back.released);
         } else if (hooks_.mem) {
-          hooks_.mem->free(payload + Store::kPerKeyOverhead);
+          hooks_.mem->free(moved.released);
         }
       }
     }

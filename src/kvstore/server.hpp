@@ -113,10 +113,10 @@ class Server {
   /// seconds (heat counters halve per epoch). Only tiered servers track
   /// heat, serve cold hits, or accept demote/promote -- an untiered
   /// server behaves bit-identically to builds without tiering.
-  void attach_tier(std::unique_ptr<StorageTier> tier, SimTime heat_epoch);
+  void attach_tier(std::unique_ptr<ColdTier> tier, SimTime heat_epoch);
   bool tiered() const { return tier_ != nullptr; }
-  StorageTier* tier() { return tier_.get(); }
-  const StorageTier* tier() const { return tier_.get(); }
+  ColdTier* tier() { return tier_.get(); }
+  const ColdTier* tier() const { return tier_.get(); }
 
   /// Current heat-decay epoch (floor of sim time / epoch length).
   std::uint64_t heat_epoch_now() const;
@@ -218,7 +218,7 @@ class Server {
   // Tiered memory (all null/empty until attach_tier; the instruments are
   // only created on tiered servers so untiered metric registries stay
   // byte-identical to builds without tiering).
-  std::unique_ptr<StorageTier> tier_;
+  std::unique_ptr<ColdTier> tier_;
   SimTime heat_epoch_len_ = 1.0;
   obs::Counter* c_demotions_ = nullptr;   ///< tier.demotions (shared)
   obs::Counter* c_promotions_ = nullptr;  ///< tier.promotions (shared)

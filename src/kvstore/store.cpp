@@ -56,26 +56,51 @@ Status Store::check(std::string_view token) const {
   return {};
 }
 
-Status Store::put(std::string_view token, std::string_view key, Blob value) {
+Status Store::put(std::string_view token, std::string_view key, Blob value,
+                  std::uint32_t owner, Delta* delta) {
   if (auto st = check(token); !st.ok()) return st;
   ++stats_.puts;
-  const Bytes incoming = value.size() + kPerKeyOverhead;
-  Bytes outgoing = 0;
+  const Bytes size = value.size();
+  auto st = install(key, std::move(value), owner, delta);
+  if (st.ok()) stats_.bytes_in += size;
+  return st;
+}
+
+Store::Delta Store::delta_at(Map::const_iterator it, Bytes size) const {
+  if (it == map_.end()) return {charge(size), 0, 0};
+  return {charge(size), charge(it->second.blob.size()), it->second.owner};
+}
+
+Store::Delta Store::quote_put(std::string_view key, Bytes size) const {
+  return delta_at(map_.find(std::string(key)), size);
+}
+
+Status Store::install(std::string_view key, Blob value, std::uint32_t owner,
+                      Delta* delta) {
   auto it = map_.find(std::string(key));
-  if (it != map_.end()) outgoing = it->second.size() + kPerKeyOverhead;
-  if (used_ - outgoing + incoming > capacity_)
+  const Delta d = delta_at(it, value.size());
+  if (used_ - d.released + d.charged > capacity_)
     return {Errc::out_of_memory, "store capacity exceeded"};
-  stats_.bytes_in += value.size();
-  used_ = used_ - outgoing + incoming;
-  assign(it, key, std::move(value));
+  used_ = used_ - d.released + d.charged;
+  if (it == map_.end()) {
+    map_.emplace(std::string(key), Entry{std::move(value), owner});
+  } else {
+    if (!it->second.blob.overwrite_same_size(value))
+      it->second.blob = std::move(value);
+    it->second.owner = owner;
+  }
+  if (delta) *delta = d;
   return {};
 }
 
-void Store::assign(Map::iterator it, std::string_view key, Blob value) {
-  if (it == map_.end())
-    map_.emplace(std::string(key), std::move(value));
-  else if (!it->second.overwrite_same_size(value))
-    it->second = std::move(value);
+Blob Store::erase(Map::iterator it, Delta* delta) {
+  const Delta d{0, charge(it->second.blob.size()), it->second.owner};
+  used_ -= d.released;
+  Blob b = std::move(it->second.blob);
+  heat_.erase(it->first);
+  map_.erase(it);
+  if (delta) *delta = d;
+  return b;
 }
 
 Result<const Blob*> Store::lookup(std::string_view token,
@@ -88,8 +113,8 @@ Result<const Blob*> Store::lookup(std::string_view token,
     return Error{Errc::not_found, std::string(key)};
   }
   ++stats_.hits;
-  stats_.bytes_out += it->second.size();
-  return &it->second;
+  stats_.bytes_out += it->second.blob.size();
+  return &it->second.blob;
 }
 
 Result<Blob> Store::get(std::string_view token, std::string_view key) {
@@ -104,14 +129,13 @@ Result<bool> Store::exists(std::string_view token,
   return map_.count(std::string(key)) > 0;
 }
 
-Status Store::del(std::string_view token, std::string_view key) {
+Status Store::del(std::string_view token, std::string_view key,
+                  Delta* delta) {
   if (auto st = check(token); !st.ok()) return st;
   ++stats_.dels;
   auto it = map_.find(std::string(key));
   if (it == map_.end()) return {Errc::not_found, std::string(key)};
-  used_ -= it->second.size() + kPerKeyOverhead;
-  map_.erase(it);
-  heat_.erase(std::string(key));
+  (void)erase(it, delta);
   return {};
 }
 
@@ -120,7 +144,7 @@ Result<Bytes> Store::value_size(std::string_view token,
   if (auto st = check(token); !st.ok()) return st.error();
   auto it = map_.find(std::string(key));
   if (it == map_.end()) return Error{Errc::not_found, std::string(key)};
-  return it->second.size();
+  return it->second.blob.size();
 }
 
 std::vector<std::string> Store::keys() const {
@@ -140,24 +164,20 @@ Bytes Store::clear() {
 
 const Blob* Store::peek(std::string_view key) const {
   auto it = map_.find(std::string(key));
-  return it == map_.end() ? nullptr : &it->second;
+  return it == map_.end() ? nullptr : &it->second.blob;
 }
 
 Status Store::corrupt_for_test(std::string_view key) {
   auto it = map_.find(std::string(key));
   if (it == map_.end()) return {Errc::not_found, std::string(key)};
-  it->second.corrupt_for_test();
+  it->second.blob.corrupt_for_test();
   return {};
 }
 
-std::optional<Blob> Store::drain(std::string_view key) {
+std::optional<Blob> Store::drain(std::string_view key, Delta* delta) {
   auto it = map_.find(std::string(key));
   if (it == map_.end()) return std::nullopt;
-  Blob b = std::move(it->second);
-  used_ -= b.size() + kPerKeyOverhead;
-  map_.erase(it);
-  heat_.erase(std::string(key));
-  return b;
+  return erase(it, delta);
 }
 
 // --- access heat (tiered memory, DESIGN.md §16) -----------------------------
@@ -213,16 +233,8 @@ std::vector<std::string> Store::keys_by_heat(std::uint64_t epoch) const {
   return out;
 }
 
-Status Store::restore(std::string_view key, Blob value) {
-  const Bytes incoming = value.size() + kPerKeyOverhead;
-  Bytes outgoing = 0;
-  auto it = map_.find(std::string(key));
-  if (it != map_.end()) outgoing = it->second.size() + kPerKeyOverhead;
-  if (used_ - outgoing + incoming > capacity_)
-    return {Errc::out_of_memory, "store capacity exceeded"};
-  used_ = used_ - outgoing + incoming;
-  assign(it, key, std::move(value));
-  return {};
+Status Store::restore(std::string_view key, Blob value, Delta* delta) {
+  return install(key, std::move(value), 0, delta);
 }
 
 }  // namespace memfss::kvstore

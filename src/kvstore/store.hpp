@@ -9,6 +9,14 @@
 //   - eviction/evacuation: close() flips the store to `unavailable` and
 //     the owner drains keys for migration.
 //
+// Store is the one byte-capped map in the tree and charge() the one
+// per-key charge rule: the cold tier (kvstore::ColdTier) is a Store, and
+// every mutation reports the bytes it charged and released (Delta), so
+// owners that mirror the accounting -- the node MemoryPool in
+// kvstore::Server, the aggregate gate and per-tenant quotas in
+// rt::ShardedStore -- never re-derive it. Each entry carries an owner
+// tag (0 unless the caller sets one) that removals report back.
+//
 // A single Store instance is not thread-safe and performs no locking:
 // in the simulator everything runs on one logical thread. The concurrent
 // deployment is rt::ShardedStore (src/rt/sharded_store.hpp), which
@@ -42,6 +50,22 @@ struct StoreStats {
 
 class Store {
  public:
+  /// What one mutation did to the accounting: the bytes charged for the
+  /// value it wrote, the bytes released for the value it replaced or
+  /// removed (0 = there was none), and that value's owner tag.
+  struct Delta {
+    Bytes charged = 0;
+    Bytes released = 0;
+    std::uint32_t prev_owner = 0;
+  };
+
+  /// Bytes of bookkeeping charged per key in addition to the payload.
+  static constexpr Bytes kPerKeyOverhead = 64;
+  /// The bytes a value of `payload` bytes is charged while resident.
+  static constexpr Bytes charge(Bytes payload) {
+    return payload + kPerKeyOverhead;
+  }
+
   /// `capacity`: memory cap in bytes. `auth_token`: required by every
   /// operation (empty disables auth, like a Redis with no requirepass).
   Store(Bytes capacity, std::string auth_token = {});
@@ -53,13 +77,20 @@ class Store {
   const StoreStats& stats() const { return stats_; }
   bool closed() const { return closed_; }
 
-  /// Store/overwrite a value. Fails with out_of_memory past the cap and
-  /// permission on a bad token. A same-size overwrite of a materialized
-  /// value by a materialized value copies the bytes into the resident
-  /// buffer instead of replacing it (Blob::overwrite_same_size), so a
-  /// rewrite on another thread never frees the buffer into one malloc
-  /// arena and allocates its successor in another (DESIGN.md §11).
-  Status put(std::string_view token, std::string_view key, Blob value);
+  /// Store/overwrite a value tagged with `owner`. Fails with
+  /// out_of_memory past the cap and permission on a bad token. A
+  /// same-size overwrite of a materialized value by a materialized value
+  /// copies the bytes into the resident buffer instead of replacing it
+  /// (Blob::overwrite_same_size), so a rewrite on another thread never
+  /// frees the buffer into one malloc arena and allocates its successor
+  /// in another (DESIGN.md §11). On success `*delta` (if given) says what
+  /// the put charged and released.
+  Status put(std::string_view token, std::string_view key, Blob value,
+             std::uint32_t owner = 0, Delta* delta = nullptr);
+
+  /// The Delta a successful put of a `size`-byte value at `key` would
+  /// report, without writing (for owners that charge before the insert).
+  Delta quote_put(std::string_view key, Bytes size) const;
 
   /// Fetch a value.
   Result<Blob> get(std::string_view token, std::string_view key);
@@ -78,8 +109,9 @@ class Store {
   /// Presence check (no bytes_out accounting).
   Result<bool> exists(std::string_view token, std::string_view key) const;
 
-  /// Delete; not_found if absent.
-  Status del(std::string_view token, std::string_view key);
+  /// Delete; not_found if absent. `*delta` (if given) reports the release.
+  Status del(std::string_view token, std::string_view key,
+             Delta* delta = nullptr);
 
   /// Size of a stored value without fetching it.
   Result<Bytes> value_size(std::string_view token,
@@ -93,14 +125,15 @@ class Store {
   void close() { closed_ = true; }
 
   /// Remove and return one key's value regardless of closed state
-  /// (the evacuation path uses this after close()).
-  std::optional<Blob> drain(std::string_view key);
+  /// (the evacuation path uses this after close()). `*delta` (if given)
+  /// reports the release.
+  std::optional<Blob> drain(std::string_view key, Delta* delta = nullptr);
 
-  /// Inverse of drain(): put a value back, bypassing auth and closed
-  /// state. Owner-side only -- the evacuation path uses it to undo a
-  /// drain whose migration failed (e.g. destination unreachable), so the
-  /// data survives until a later retry or repair.
-  Status restore(std::string_view key, Blob value);
+  /// Inverse of drain(): put a value back (owner tag 0), bypassing auth,
+  /// closed state and stats. Owner-side only -- the evacuation path uses
+  /// it to undo a drain whose migration failed (e.g. destination
+  /// unreachable), so the data survives until a later retry or repair.
+  Status restore(std::string_view key, Blob value, Delta* delta = nullptr);
 
   /// Drop everything; returns the bytes that were accounted (payloads +
   /// per-key overhead) so owners can release external accounting.
@@ -141,18 +174,24 @@ class Store {
   /// low enough that counter + quantum can never wrap.
   static constexpr std::uint64_t kHeatCap = std::uint64_t{1} << 40;
 
-  /// Bytes of bookkeeping charged per key in addition to the payload.
-  static constexpr Bytes kPerKeyOverhead = 64;
-
  private:
-  using Map = std::unordered_map<std::string, Blob>;
+  struct Entry {
+    Blob blob;
+    std::uint32_t owner = 0;
+  };
+  using Map = std::unordered_map<std::string, Entry>;
 
   Status check(std::string_view token) const;
   /// get()'s checks and stats; the resident value on a hit.
   Result<const Blob*> lookup(std::string_view token, std::string_view key);
-  /// Insert `value` at `it` (map_.end() = new key), overwriting in
-  /// place when the resident buffer can be reused.
-  void assign(Map::iterator it, std::string_view key, Blob value);
+  /// The Delta of writing a `size`-byte value at `it` (end() = new key).
+  Delta delta_at(Map::const_iterator it, Bytes size) const;
+  /// put()'s and restore()'s core: charge against the cap, then write,
+  /// overwriting in place when the resident buffer can be reused.
+  Status install(std::string_view key, Blob value, std::uint32_t owner,
+                 Delta* delta);
+  /// del()'s and drain()'s core: release the entry and return its value.
+  Blob erase(Map::iterator it, Delta* delta);
 
   struct HeatEntry {
     std::uint64_t counter = 0;  ///< decayed-to-`epoch` heat value

@@ -1,75 +1,13 @@
 #include "kvstore/tier.hpp"
 
+#include <algorithm>
+
 namespace memfss::kvstore {
 
-ColdTier::ColdTier(Bytes capacity, TierCosts costs)
-    : capacity_(capacity), costs_(costs) {}
-
-Status ColdTier::put(std::string_view key, Blob value) {
-  ++stats_.puts;
-  const Bytes incoming = value.size() + Store::kPerKeyOverhead;
-  Bytes outgoing = 0;
-  auto it = map_.find(key);
-  if (it != map_.end()) outgoing = it->second.size() + Store::kPerKeyOverhead;
-  if (used_ - outgoing + incoming > capacity_)
-    return {Errc::out_of_memory, "cold tier capacity exceeded"};
-  stats_.bytes_in += value.size();
-  used_ = used_ - outgoing + incoming;
-  if (it != map_.end())
-    it->second = std::move(value);
-  else
-    map_.emplace(std::string(key), std::move(value));
-  return {};
-}
-
-Result<Blob> ColdTier::get(std::string_view key) const {
-  ++stats_.gets;
-  auto it = map_.find(key);
-  if (it == map_.end()) return Error{Errc::not_found, std::string(key)};
-  stats_.bytes_out += it->second.size();
-  return it->second;
-}
-
-std::optional<Blob> ColdTier::take(std::string_view key) {
-  auto it = map_.find(key);
-  if (it == map_.end()) return std::nullopt;
-  Blob b = std::move(it->second);
-  used_ -= b.size() + Store::kPerKeyOverhead;
-  map_.erase(it);
-  return b;
-}
-
-Status ColdTier::del(std::string_view key) {
-  ++stats_.dels;
-  auto it = map_.find(key);
-  if (it == map_.end()) return {Errc::not_found, std::string(key)};
-  used_ -= it->second.size() + Store::kPerKeyOverhead;
-  map_.erase(it);
-  return {};
-}
-
-bool ColdTier::contains(std::string_view key) const {
-  return map_.find(key) != map_.end();
-}
-
-Result<Bytes> ColdTier::value_size(std::string_view key) const {
-  auto it = map_.find(key);
-  if (it == map_.end()) return Error{Errc::not_found, std::string(key)};
-  return it->second.size();
-}
-
 std::vector<std::string> ColdTier::keys() const {
-  std::vector<std::string> out;
-  out.reserve(map_.size());
-  for (const auto& [k, v] : map_) out.push_back(k);
+  auto out = Store::keys();
+  std::sort(out.begin(), out.end());
   return out;
-}
-
-Bytes ColdTier::clear() {
-  const Bytes freed = used_;
-  map_.clear();
-  used_ = 0;
-  return freed;
 }
 
 SimTime ColdTier::read_cost(Bytes n) const {

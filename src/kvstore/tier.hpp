@@ -1,31 +1,24 @@
-// StorageTier: pluggable slow-tier backend for the hot/cold memory
-// hierarchy (DESIGN.md §16).
+// ColdTier: the slow tier of the hot/cold memory hierarchy (DESIGN.md
+// §16).
 //
-// The hot tier is the node's in-memory Store; a StorageTier is the place
+// The hot tier is the node's in-memory Store; the cold tier is the place
 // cold data is demoted to -- a simulated local disk or far-memory segment
-// with its own capacity and a bandwidth/latency cost model. The tier is a
-// pure data structure like Store (no simulation dependencies): it reports
-// device *costs* in seconds and the owner (kvstore::Server) charges them
-// against simulated time. Tier-resident bytes are deliberately NOT part
-// of the node's MemoryPool: demotion is what gives reclaimed RAM back to
-// the tenant.
-//
-// Accounting matches the hot store byte-for-byte (payload plus
-// Store::kPerKeyOverhead per key) so the tiering conservation invariant
-// -- hot_bytes + cold_bytes == accounted bytes -- holds at every event
-// boundary.
+// with its own capacity and a bandwidth/latency cost model. It *is* a
+// Store, built with no token (callers pass an empty one) and never
+// closed, so it holds and charges bytes by the same rule as the hot
+// store (Store::charge) and the tiering conservation invariant --
+// hot_bytes + cold_bytes == accounted bytes -- holds at every event
+// boundary without a second charge rule. Like Store it has no simulation
+// dependencies: it reports device *costs* in seconds and the owner
+// (kvstore::Server) charges them against simulated time. Tier-resident
+// bytes are deliberately NOT part of the node's MemoryPool: demotion is
+// what gives reclaimed RAM back to the tenant.
 #pragma once
 
-#include <map>
-#include <memory>
-#include <optional>
 #include <string>
-#include <string_view>
 #include <vector>
 
-#include "common/result.hpp"
 #include "common/types.hpp"
-#include "kvstore/blob.hpp"
 #include "kvstore/store.hpp"
 
 namespace memfss::kvstore {
@@ -38,78 +31,22 @@ struct TierCosts {
   SimTime access_latency = 200e-6;  ///< fixed per-operation latency (s)
 };
 
-struct TierStats {
-  std::uint64_t puts = 0;
-  std::uint64_t gets = 0;
-  std::uint64_t dels = 0;
-  Bytes bytes_in = 0;
-  Bytes bytes_out = 0;
-};
-
-class StorageTier {
+class ColdTier : public Store {
  public:
-  virtual ~StorageTier() = default;
+  explicit ColdTier(Bytes capacity, TierCosts costs = {})
+      : Store(capacity), costs_(costs) {}
 
-  virtual std::string_view name() const = 0;
-  virtual Bytes capacity() const = 0;
-  virtual Bytes used() const = 0;
-  virtual std::size_t key_count() const = 0;
-  Bytes available() const { return capacity() - used(); }
-
-  /// Store a value; out_of_memory past the capacity (no partial writes).
-  virtual Status put(std::string_view key, Blob value) = 0;
-  /// Copy of a resident value; not_found if absent.
-  virtual Result<Blob> get(std::string_view key) const = 0;
-  /// Remove and return a value (promotion / migration path).
-  virtual std::optional<Blob> take(std::string_view key) = 0;
-  virtual Status del(std::string_view key) = 0;
-  virtual bool contains(std::string_view key) const = 0;
-  virtual Result<Bytes> value_size(std::string_view key) const = 0;
-  /// Resident keys in deterministic (sorted) order.
-  virtual std::vector<std::string> keys() const = 0;
-  /// Drop everything; returns the bytes that were accounted.
-  virtual Bytes clear() = 0;
+  /// Resident keys in sorted order (this hides Store::keys(), which is in
+  /// hash order), so every scan over the tier -- evacuation among them --
+  /// is deterministic without a sort at the call site.
+  std::vector<std::string> keys() const;
 
   /// Device time to read / write a payload of `n` bytes.
-  virtual SimTime read_cost(Bytes n) const = 0;
-  virtual SimTime write_cost(Bytes n) const = 0;
-
-  virtual const TierStats& stats() const = 0;
-};
-
-/// The default StorageTier: an in-process map behind the TierCosts model.
-class ColdTier final : public StorageTier {
- public:
-  explicit ColdTier(Bytes capacity, TierCosts costs = {});
-
-  std::string_view name() const override { return "cold"; }
-  Bytes capacity() const override { return capacity_; }
-  Bytes used() const override { return used_; }
-  std::size_t key_count() const override { return map_.size(); }
-
-  Status put(std::string_view key, Blob value) override;
-  Result<Blob> get(std::string_view key) const override;
-  std::optional<Blob> take(std::string_view key) override;
-  Status del(std::string_view key) override;
-  bool contains(std::string_view key) const override;
-  Result<Bytes> value_size(std::string_view key) const override;
-  std::vector<std::string> keys() const override;
-  Bytes clear() override;
-
-  SimTime read_cost(Bytes n) const override;
-  SimTime write_cost(Bytes n) const override;
-
-  const TierStats& stats() const override { return stats_; }
-  const TierCosts& costs() const { return costs_; }
+  SimTime read_cost(Bytes n) const;
+  SimTime write_cost(Bytes n) const;
 
  private:
-  Bytes capacity_;
   TierCosts costs_;
-  Bytes used_ = 0;
-  // std::map: keys() iterates in sorted order, so every scan over the
-  // tier is deterministic without an explicit sort.
-  std::map<std::string, Blob, std::less<>> map_;
-  mutable TierStats stats_;
 };
 
 }  // namespace memfss::kvstore

@@ -8,7 +8,9 @@
 namespace memfss::rt {
 
 ShardedStore::ShardedStore(Options opt)
-    : capacity_(opt.capacity), tenants_(opt.tenants) {
+    : capacity_(opt.capacity),
+      token_(opt.auth_token),
+      tenants_(opt.tenants) {
   const std::size_t n = opt.shards ? opt.shards : 1;
   shards_.reserve(n);
   // Each shard's own Store is created with the *aggregate* cap so the
@@ -23,14 +25,9 @@ std::size_t ShardedStore::shard_of(std::string_view key) const {
 }
 
 Status ShardedStore::check_token(std::string_view token) const {
-  // Tokens are immutable after construction; probe shard 0 without
-  // touching any key. exists() on a never-stored key runs the store's
-  // auth check first.
-  auto& sh = *shards_[0];
-  std::lock_guard lk(sh.mu);
-  auto r = sh.store.exists(token, "");
-  if (!r.ok() && r.code() == Errc::permission) return r.error();
-  return {};
+  if (token_.empty() || token == token_) return {};
+  auth_refusals_.fetch_add(1, std::memory_order_relaxed);
+  return {Errc::permission, "bad auth token"};
 }
 
 bool ShardedStore::try_reserve(Bytes n) {
@@ -48,35 +45,23 @@ Status ShardedStore::put(std::string_view token, std::string_view key,
   auto& sh = shard(key);
   std::lock_guard lk(sh.mu);
   if (seq) *seq = ++sh.seq;
-  const Bytes incoming = value.size() + kvstore::Store::kPerKeyOverhead;
-  const bool existed = sh.store.peek(key) != nullptr;
-  Bytes outgoing = 0;
-  if (existed)
-    outgoing = sh.store.peek(key)->size() + kvstore::Store::kPerKeyOverhead;
-  const Bytes grow = incoming > outgoing ? incoming - outgoing : 0;
+  const auto d = sh.store.quote_put(key, value.size());
+  const Bytes grow = d.charged > d.released ? d.charged - d.released : 0;
+  const Bytes shrink = d.released > d.charged ? d.released - d.charged : 0;
 
   // Per-tenant quota gate first (charge-before-insert, like the
   // aggregate gate below): a same-owner overwrite charges only the
   // growth; a fresh key or cross-tenant overwrite charges the full
   // incoming size (the old owner's bytes are released after success).
-  std::uint32_t old_owner = 0;
-  bool same_owner = false;
-  Bytes charged = 0;
-  if (tenants_) {
-    if (existed) {
-      const auto it = sh.owner.find(std::string(key));
-      old_owner = it == sh.owner.end() ? 0 : it->second;
-    }
-    same_owner = existed && old_owner == tenant;
-    charged = same_owner ? grow : incoming;
-    if (charged > 0 && !tenants_->try_charge_memory(tenant, charged))
-      return {Errc::out_of_memory, "tenant memory quota exceeded"};
-  }
+  const bool same_owner = d.released > 0 && d.prev_owner == tenant;
+  const Bytes charged = !tenants_ ? 0 : same_owner ? grow : d.charged;
+  if (charged > 0 && !tenants_->try_charge_memory(tenant, charged))
+    return {Errc::out_of_memory, "tenant memory quota exceeded"};
   if (grow > 0 && !try_reserve(grow)) {
     if (charged > 0) tenants_->release_memory(tenant, charged);
     return {Errc::out_of_memory, "aggregate capacity exceeded"};
   }
-  auto st = sh.store.put(token, key, std::move(value));
+  auto st = sh.store.put(token, key, std::move(value), tenant);
   if (!st.ok()) {
     if (grow > 0) release(grow);
     if (charged > 0) tenants_->release_memory(tenant, charged);
@@ -84,15 +69,13 @@ Status ShardedStore::put(std::string_view token, std::string_view key,
   }
   // Overwrite by a smaller value: the shard shrank, return the slack
   // (aggregate before per-tenant, preserving sum-over-tenants >= used).
-  if (incoming < outgoing) release(outgoing - incoming);
+  if (shrink > 0) release(shrink);
   if (tenants_) {
     if (same_owner) {
-      if (incoming < outgoing)
-        tenants_->release_memory(tenant, outgoing - incoming);
-    } else if (existed) {
-      tenants_->release_memory(old_owner, outgoing);
+      if (shrink > 0) tenants_->release_memory(tenant, shrink);
+    } else if (d.released > 0) {
+      tenants_->release_memory(d.prev_owner, d.released);
     }
-    sh.owner[std::string(key)] = tenant;
   }
   return st;
 }
@@ -111,20 +94,9 @@ Status ShardedStore::del(std::string_view token, std::string_view key,
   auto& sh = shard(key);
   std::lock_guard lk(sh.mu);
   if (seq) *seq = ++sh.seq;
-  Bytes held = 0;
-  if (const auto* prev = sh.store.peek(key))
-    held = prev->size() + kvstore::Store::kPerKeyOverhead;
-  auto st = sh.store.del(token, key);
-  if (st.ok()) {
-    release(held);
-    if (tenants_) {
-      const auto it = sh.owner.find(std::string(key));
-      if (it != sh.owner.end()) {
-        tenants_->release_memory(it->second, held);
-        sh.owner.erase(it);
-      }
-    }
-  }
+  kvstore::Store::Delta d;
+  auto st = sh.store.del(token, key, &d);
+  if (st.ok()) release_held(d);
   return st;
 }
 
@@ -139,18 +111,9 @@ std::optional<kvstore::Blob> ShardedStore::evict(std::string_view key) {
   auto& sh = shard(key);
   std::lock_guard lk(sh.mu);
   ++sh.seq;
-  auto b = sh.store.drain(key);
-  if (b) {
-    const Bytes held = b->size() + kvstore::Store::kPerKeyOverhead;
-    release(held);
-    if (tenants_) {
-      const auto it = sh.owner.find(std::string(key));
-      if (it != sh.owner.end()) {
-        tenants_->release_memory(it->second, held);
-        sh.owner.erase(it);
-      }
-    }
-  }
+  kvstore::Store::Delta d;
+  auto b = sh.store.drain(key, &d);
+  if (b) release_held(d);
   return b;
 }
 
@@ -170,21 +133,19 @@ Bytes ShardedStore::clear_shard(std::size_t shard) {
   auto& sh = *shards_.at(shard);
   std::lock_guard lk(sh.mu);
   ++sh.seq;
-  // Capture per-owner tallies before the keys vanish; per-tenant
-  // releases follow the aggregate release (sum >= used is preserved).
-  std::vector<std::pair<std::uint32_t, Bytes>> owed;
-  if (tenants_) {
-    owed.reserve(sh.owner.size());
-    for (const auto& [key, owner] : sh.owner)
-      if (const auto* b = sh.store.peek(key))
-        owed.emplace_back(owner, b->size() + kvstore::Store::kPerKeyOverhead);
-    sh.owner.clear();
+  Bytes freed = 0;
+  for (const auto& key : sh.store.keys()) {
+    kvstore::Store::Delta d;
+    (void)sh.store.drain(key, &d);
+    release_held(d);
+    freed += d.released;
   }
-  const Bytes freed = sh.store.clear();
-  release(freed);
-  for (const auto& [owner, bytes] : owed)
-    tenants_->release_memory(owner, bytes);
   return freed;
+}
+
+void ShardedStore::release_held(const kvstore::Store::Delta& d) {
+  release(d.released);
+  if (tenants_) tenants_->release_memory(d.prev_owner, d.released);
 }
 
 Bytes ShardedStore::shard_used(std::size_t shard) const {
@@ -213,6 +174,7 @@ std::size_t ShardedStore::key_count() const {
 
 kvstore::StoreStats ShardedStore::stats() const {
   kvstore::StoreStats total;
+  total.auth_failures = auth_refusals_.load(std::memory_order_relaxed);
   for (const auto& shp : shards_) {
     std::lock_guard lk(shp->mu);
     const auto& s = shp->store.stats();

@@ -56,6 +56,19 @@ TEST(ShardedStore, AuthEnforcedPerOp) {
   EXPECT_TRUE(open.check_token("anything").ok());
 }
 
+// AUTH compares against the store's token, whatever state shard 0 is in,
+// and a refusal counts as an auth failure.
+TEST(ShardedStore, CheckTokenRefusesBadTokenWhileShardZeroIsClosed) {
+  ShardedStore st({2, 1 << 20, "tok"});
+  st.close_shard(0);
+  EXPECT_EQ(st.check_token("bad").code(), Errc::permission);
+  EXPECT_TRUE(st.check_token("tok").ok());
+  EXPECT_EQ(st.stats().auth_failures, 1u);
+  ShardedStore open({2, 1 << 20, ""});
+  open.close_shard(0);
+  EXPECT_TRUE(open.check_token("anything").ok());
+}
+
 TEST(ShardedStore, AggregateCapHeldAcrossShards) {
   // Cap fits exactly 4 values; per-shard caps never bind (they equal the
   // aggregate), so only the atomic gate can refuse the 5th.

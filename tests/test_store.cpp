@@ -202,6 +202,49 @@ TEST(Store, ClearReturnsAccountedBytes) {
   EXPECT_EQ(st.key_count(), 0u);
 }
 
+// Every mutation reports what it charged and released and whose bytes it
+// dropped; quote_put predicts put's report without writing.
+TEST(Store, MutationsReportTheirDelta) {
+  constexpr Bytes kOv = Store::kPerKeyOverhead;
+  Store st(1 << 20, "t");
+  const auto fresh = st.quote_put("k", 100);
+  EXPECT_EQ(fresh.charged, Store::charge(100));
+  EXPECT_EQ(fresh.released, 0u);
+  Store::Delta d;
+  ASSERT_TRUE(st.put("t", "k", Blob::ghost(100), 7, &d).ok());
+  EXPECT_EQ(d.charged, fresh.charged);
+  EXPECT_EQ(d.released, 0u);
+
+  const auto over = st.quote_put("k", 40);
+  ASSERT_TRUE(st.put("t", "k", Blob::ghost(40), 9, &d).ok());
+  EXPECT_EQ(d.charged, 40 + kOv);
+  EXPECT_EQ(d.released, 100 + kOv);
+  EXPECT_EQ(d.prev_owner, 7u);
+  EXPECT_EQ(over.charged, d.charged);
+  EXPECT_EQ(over.released, d.released);
+  EXPECT_EQ(over.prev_owner, d.prev_owner);
+  EXPECT_EQ(st.used(), 40 + kOv);
+
+  // A refused put reports nothing and changes nothing.
+  Store::Delta untouched{1, 2, 3};
+  EXPECT_EQ(st.put("t", "big", Blob::ghost(1 << 20), 1, &untouched).code(),
+            Errc::out_of_memory);
+  EXPECT_EQ(untouched.charged, 1u);
+  EXPECT_EQ(st.used(), 40 + kOv);
+
+  ASSERT_TRUE(st.drain("k", &d).has_value());
+  EXPECT_EQ(d.charged, 0u);
+  EXPECT_EQ(d.released, 40 + kOv);
+  EXPECT_EQ(d.prev_owner, 9u);
+  ASSERT_TRUE(st.restore("k", Blob::ghost(40), &d).ok());
+  EXPECT_EQ(d.charged, 40 + kOv);
+  EXPECT_EQ(d.released, 0u);
+  ASSERT_TRUE(st.del("t", "k", &d).ok());
+  EXPECT_EQ(d.released, 40 + kOv);
+  EXPECT_EQ(d.prev_owner, 0u);  // restore writes owner tag 0
+  EXPECT_EQ(st.used(), 0u);
+}
+
 TEST(Store, StatsAccumulate) {
   Store st(1 << 20, "t");
   ASSERT_TRUE(st.put("t", "a", Blob::ghost(10)).ok());
