@@ -486,13 +486,8 @@ DriverResult run_driver(const DriverOptions& opt) {
   const bool wire = opt.transport != TransportKind::inproc;
   const bool chaos = opt.transport == TransportKind::chaos;
 
-  // Per-tenant byte accounting costs the store an owner map, so it is
-  // on only when some tenant is registered.
   TenantRegistry registry(opt.tenants.size() + 1);
-  const bool named =
-      !std::all_of(opt.tenants.begin(), opt.tenants.end(), is_default);
-  ShardedStore store({opt.shards, opt.capacity, opt.auth_token,
-                      named ? &registry : nullptr});
+  ShardedStore store({opt.shards, opt.capacity, opt.auth_token, &registry});
   RuntimeServer::Options sopt;
   sopt.threads = opt.server_threads;
   sopt.queue_capacity = opt.queue_capacity;
@@ -618,8 +613,8 @@ DriverResult run_driver(const DriverOptions& opt) {
   }
 
   // Quiescent accounting: the shard accounting, the recomputed shard
-  // usage, the aggregate, and (when kept) the per-tenant counters must
-  // all agree exactly.
+  // usage, the aggregate and the per-tenant counters must all agree
+  // exactly.
   {
     const Bytes used = store.used();
     Bytes sum_acc = 0, sum_rec = 0;
@@ -632,7 +627,7 @@ DriverResult run_driver(const DriverOptions& opt) {
                " shard_sum=" + std::to_string(sum_acc) +
                " recomputed=" + std::to_string(sum_rec) +
                " capacity=" + std::to_string(store.capacity()));
-    if (named && registry.total_resident() != used)
+    if (registry.total_resident() != used)
       acc_fail("quiesce: per-tenant bytes do not sum to aggregate");
   }
 
