@@ -60,8 +60,10 @@
 # the faulted arm injected no faults, or ASan/UBSan reports anything.
 #
 # --tier runs the tiered hot/cold memory suite (DESIGN.md §16) under
-# the sanitizer build: the tiering invariant/property tests plus
-# bench/tier_pressure at three fixed seeds. The bench exits nonzero if
+# the sanitizer build: the tiering invariant/property tests, the Store
+# and Server suites (the cold tier is a kvstore::Store, and the Server
+# moves values between the two), plus bench/tier_pressure at three
+# fixed seeds. The bench exits nonzero if
 # any arm fails, a tiered arm records zero demotions, or the p99
 # victim-reclaim-stall reduction lands under 2x, so regressions in the
 # demote-coldest-first path fail the phase. (The tiering suites are
@@ -302,9 +304,10 @@ do_qos() {
 }
 
 do_tier() {
-  build_tree san test_tiering test_tiering_props tier_pressure
+  build_tree san test_tiering test_tiering_props test_store test_server \
+    tier_pressure
   env $envs ctest --test-dir "$dir" --output-on-failure \
-    -R 'Tiering|TieringFs|TierPressure|HeatDecay|HeatOrder'
+    -R 'Tiering|TieringFs|TierPressure|HeatDecay|HeatOrder|^Store\.|^Server\.'
   env $envs "$dir/bench/tier_pressure" 1 2 3
 }
 
