@@ -16,13 +16,15 @@
 //
 // Byte-pump benches (DESIGN.md §14 -- the SIMD-dispatched hot loops):
 //   - erasure.rs_encode_GBps / rs_decode_loss_GBps: RS(8, 3) over a 1 MiB
-//     payload on the active GF(2^8) kernel, plus *_scalar variants pinned
-//     to the portable backend (the dispatch win is the ratio between the
-//     two); decode runs with data shards {0, 2} and parity {9} lost, so it
-//     pays matrix inversion + reconstruction every stripe.
-//   - hash.crc32c_64k_MBps / crc32c_table_64k_MBps: hash::crc32c, the
+//     payload on the active GF(2^8) kernel, plus rs_encode_<arm>_GBps /
+//     rs_decode_loss_<arm>_GBps pinned to every backend this host runs
+//     (gfni, avx2, ssse3, scalar; the dispatch win is the ratio to the
+//     scalar row, and an arm keeps a number after it stops being
+//     selected); decode runs with data shards {0, 2} and parity {9}
+//     lost, so it pays matrix inversion + reconstruction every stripe.
+//   - hash.crc32c_64k_MBps / crc32c_<arm>_64k_MBps: hash::crc32c, the
 //     payload integrity checksum, over one 64 KiB value on the active
-//     arm (SSE4.2 where the host has it) and on the byte-table arm;
+//     arm and on every arm this host runs (vpclmulqdq, sse4.2, table);
 //   - hash.fnv_scalar_MBps: one fnv1a call per key over 4096
 //     placement-shaped keys (the digest HRW scoring consumes).
 //
@@ -93,13 +95,21 @@ namespace {
 std::atomic<std::uint64_t> g_allocations{0};
 }  // namespace
 
-void* operator new(std::size_t n) {
+// All three out of line, as the library's own are: where GCC inlines
+// only one side of a new/delete pair, it sees malloc() freed by
+// operator delete (or the reverse) and warns -Wmismatched-new-delete.
+__attribute__((noinline)) void* operator new(std::size_t n) {
   g_allocations.fetch_add(1, std::memory_order_relaxed);
   if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
   throw std::bad_alloc();
 }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+__attribute__((noinline)) void operator delete(void* p) noexcept {
+  std::free(p);
+}
+__attribute__((noinline)) void operator delete(void* p,
+                                               std::size_t) noexcept {
+  std::free(p);
+}
 
 namespace {
 
@@ -283,7 +293,9 @@ void bench_erasure_kernel(const char* suffix,
 
 void bench_erasure() {
   bench_erasure_kernel("", nullptr);  // active (dispatched) kernel
-  bench_erasure_kernel("_scalar", erasure::gf256_kernels_by_name("scalar"));
+  for (const char* name : erasure::gf256_kernel_names())
+    if (const erasure::GF256Kernels* kn = erasure::gf256_kernels_by_name(name))
+      bench_erasure_kernel((std::string("_") + name).c_str(), kn);
 }
 
 // --- hash: CRC32C payload checksum and FNV-1a key digest MB/s ----------------
@@ -301,8 +313,10 @@ void bench_hash() {
            static_cast<double>(value.size()) / 1e6;
   };
   emit("hash", "crc32c_64k_MBps", crc_rate(hash::crc32c), "MB/s");
-  emit("hash", "crc32c_table_64k_MBps",
-       crc_rate(hash::crc32c_kernel_by_name("table")), "MB/s");
+  for (const char* name : hash::crc32c_kernel_names())
+    if (hash::Crc32cFn fn = hash::crc32c_kernel_by_name(name))
+      emit("hash", std::string("crc32c_") + name + "_64k_MBps", crc_rate(fn),
+           "MB/s");
   (void)crc_sink;
 
   // Placement-shaped keys: the digests HRW scoring consumes.

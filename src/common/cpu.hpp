@@ -13,8 +13,15 @@ namespace memfss {
 /// fallback arms under the sanitizers.
 bool force_scalar();
 
-/// Whether this CPU runs `feature` ("ssse3", "sse4.2", "avx2"). Always
-/// false for other names and on non-x86 hosts.
+/// Whether this CPU runs `feature`. Known names: "ssse3", "sse4.2",
+/// "pclmul", "avx2", "avx512f", "avx512bw", "gfni" (GF2P8MULB) and
+/// "vpclmulqdq" (carry-less multiply on ymm/zmm lanes). Always false for
+/// other names and on non-x86 hosts.
 bool cpu_has(std::string_view feature);
+
+/// Whether this CPU runs every feature in the space-separated list
+/// `features` (each a cpu_has name); "" holds everywhere. A kernel arm
+/// names what it needs this way.
+bool cpu_has_all(std::string_view features);
 
 }  // namespace memfss

@@ -1,5 +1,6 @@
 #include "erasure/gf256_simd.hpp"
 
+#include <array>
 #include <cstring>
 
 #include "common/cpu.hpp"
@@ -19,9 +20,9 @@ namespace {
 // lo[c][b & 15] ^ hi[c][b >> 4]. 32 bytes per coefficient (one cache
 // line pair), 8 KiB total, constant-initialized at compile time, so a
 // lookup is a plain load with no static guard and no call -- which lets
-// the SIMD block loops keep their accumulators in registers. Both SIMD
-// backends shuffle straight out of this layout; the scalar row kernel
-// uses it too so every backend multiplies through the identical tables.
+// the SIMD block loops keep their accumulators in registers. The SSSE3
+// and AVX2 backends shuffle straight out of this layout, and the scalar
+// row kernel (also every SIMD backend's tail) uses it too.
 // ---------------------------------------------------------------------------
 
 /// Shift-and-add product over the AES polynomial 0x11b, the field
@@ -75,7 +76,7 @@ void scalar_mul_acc_range(std::uint8_t* dst, const std::uint8_t* src,
 }
 
 /// Shared scalar row pass over [from, to) -- also the tail handler for
-/// both SIMD backends, so remainders go through the exact same tables.
+/// every SIMD backend, so remainders go through the exact same tables.
 void scalar_row_range(std::uint8_t* dst, const std::uint8_t* const* srcs,
                       const std::uint8_t* coeffs, std::size_t k,
                       std::size_t from, std::size_t to, bool accumulate) {
@@ -204,14 +205,73 @@ __attribute__((target("avx2"))) void avx2_mul_row_acc(
 
 constexpr GF256Kernels kAvx2{"avx2", avx2_mul_row_acc};
 
+// ---------------------------------------------------------------------------
+// GFNI backend: GF2P8MULB multiplies 64 byte pairs per instruction in
+// the field of 0x11b, the polynomial const_mul and the log tables reduce
+// by, so a coefficient is one broadcast byte and needs no nibble tables.
+// ---------------------------------------------------------------------------
+
+__attribute__((target("avx512f,avx512bw,gfni"))) void gfni_mul_row_acc(
+    std::uint8_t* dst, const std::uint8_t* const* srcs,
+    const std::uint8_t* coeffs, std::size_t k, std::size_t n,
+    bool accumulate) {
+  std::size_t i = 0;
+  for (; i + 128 <= n; i += 128) {
+    __m512i a0 = _mm512_setzero_si512(), a1 = _mm512_setzero_si512();
+    if (accumulate) {
+      a0 = _mm512_loadu_si512(dst + i);
+      a1 = _mm512_loadu_si512(dst + i + 64);
+    }
+    for (std::size_t j = 0; j < k; ++j) {
+      const std::uint8_t c = coeffs[j];
+      if (c == 0) continue;
+      __m512i s0 = _mm512_loadu_si512(srcs[j] + i);
+      __m512i s1 = _mm512_loadu_si512(srcs[j] + i + 64);
+      if (c != 1) {  // c == 1 is a plain xor
+        const __m512i cv = _mm512_set1_epi8(static_cast<char>(c));
+        s0 = _mm512_gf2p8mul_epi8(s0, cv);
+        s1 = _mm512_gf2p8mul_epi8(s1, cv);
+      }
+      a0 = _mm512_xor_si512(a0, s0);
+      a1 = _mm512_xor_si512(a1, s1);
+    }
+    _mm512_storeu_si512(dst + i, a0);
+    _mm512_storeu_si512(dst + i + 64, a1);
+  }
+  scalar_row_range(dst, srcs, coeffs, k, i, n, accumulate);
+}
+
+constexpr GF256Kernels kGfni{"gfni", gfni_mul_row_acc};
+
 #endif  // MEMFSS_GF256_X86
+
+/// Every backend, in selection order, with the CPU features it needs
+/// (a cpu_has_all list).
+struct Arm {
+  const GF256Kernels* kernels;
+  std::string_view needs;
+};
+
+constexpr Arm kArms[] = {
+#ifdef MEMFSS_GF256_X86
+    {&kGfni, "gfni avx512f avx512bw"},
+    {&kAvx2, "avx2"},
+    {&kSsse3, "ssse3"},
+#endif
+    {&kScalar, ""},
+};
+
+constexpr auto kNames = [] {
+  std::array<const char*, std::size(kArms)> names{};
+  for (std::size_t i = 0; i < names.size(); ++i)
+    names[i] = kArms[i].kernels->name;
+  return names;
+}();
 
 const GF256Kernels& select_kernels() {
   if (force_scalar()) return kScalar;
-#ifdef MEMFSS_GF256_X86
-  if (cpu_has("avx2")) return kAvx2;
-  if (cpu_has("ssse3")) return kSsse3;
-#endif
+  for (const Arm& arm : kArms)
+    if (cpu_has_all(arm.needs)) return *arm.kernels;
   return kScalar;
 }
 
@@ -224,12 +284,12 @@ const GF256Kernels& gf256_active_kernels() {
 
 const char* gf256_kernel_name() { return gf256_active_kernels().name; }
 
+std::span<const char* const> gf256_kernel_names() { return kNames; }
+
 const GF256Kernels* gf256_kernels_by_name(std::string_view name) {
-  if (name == "scalar") return &kScalar;
-#ifdef MEMFSS_GF256_X86
-  if (name == "ssse3" && cpu_has("ssse3")) return &kSsse3;
-  if (name == "avx2" && cpu_has("avx2")) return &kAvx2;
-#endif
+  for (const Arm& arm : kArms)
+    if (name == arm.kernels->name && cpu_has_all(arm.needs))
+      return arm.kernels;
   return nullptr;
 }
 

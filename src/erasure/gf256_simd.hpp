@@ -6,9 +6,12 @@
 // and high nibble of every byte), applied with PSHUFB so one shuffle
 // pair multiplies 16/32 bytes at once. The 256 table pairs are
 // constant-initialized at compile time, so the block loops load them
-// with no call and no static guard.
+// with no call and no static guard. The GFNI backend needs no tables:
+// GF2P8MULB multiplies 64 bytes by a broadcast coefficient in the same
+// field (polynomial 0x11b).
 //
-// Selection happens once, at first use, from CPUID -- or is pinned to
+// Selection happens once, at first use, from CPUID (gfni + avx512bw,
+// then avx2, then ssse3, then scalar) -- or is pinned to
 // scalar by setting MEMFSS_FORCE_SCALAR to anything but "" / "0" (CI
 // uses this to exercise the fallback arm under the sanitizers); both
 // answers come from common/cpu.hpp, shared with hash::crc32c. Tests
@@ -18,6 +21,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <string_view>
 
 namespace memfss::erasure {
@@ -26,7 +30,7 @@ namespace memfss::erasure {
 /// sits outside the byte loops. It tolerates n == 0 and arbitrary
 /// (unaligned) pointers; dst and src ranges must not overlap.
 struct GF256Kernels {
-  const char* name;  ///< "scalar", "ssse3", "avx2"
+  const char* name;  ///< one of gf256_kernel_names()
 
   /// One stripe pass: fuse k source rows into one destination row,
   ///   accumulate == false:  dst[i]  = XOR_j coeffs[j] * srcs[j][i]
@@ -45,8 +49,14 @@ struct GF256Kernels {
 /// decided once on first call and stable afterwards).
 const GF256Kernels& gf256_active_kernels();
 
-/// Name of the active backend ("scalar", "ssse3", "avx2").
+/// Name of the active backend, one of gf256_kernel_names().
 const char* gf256_kernel_name();
+
+/// Every backend this build has, in selection order ("gfni", "avx2",
+/// "ssse3", "scalar" on x86; "scalar" elsewhere), whether or not this
+/// host can run it: tests and benches iterate it, so a new backend
+/// cannot go untested.
+std::span<const char* const> gf256_kernel_names();
 
 /// Fetch a backend by name, independent of the active selection.
 /// Returns nullptr if this host cannot run it (or the name is unknown),

@@ -16,6 +16,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <string_view>
 
 namespace memfss::hash {
@@ -53,15 +54,29 @@ std::uint32_t fold31(std::uint64_t x);
 /// CRC32C (Castagnoli: reflected polynomial 0x82F63B78, initial value
 /// and final xor 0xFFFFFFFF) of `n` bytes at `data`, which need no
 /// alignment; crc32c("123456789") == 0xE3069283 and zero bytes give 0.
-/// Two arms compute the identical value: SSE4.2 `crc32` over 8 bytes
-/// per step in three independent chains (lanes of 8192, then 256,
-/// bytes, spliced with zero-shift tables), and a 256-entry byte table.
+/// Three arms compute the identical value:
+///  - "vpclmulqdq": from 256 bytes up, carry-less multiplies fold
+///    256-byte blocks into four zmm accumulators (A * x^D mod P moves
+///    a 128-bit lane D bits forward; the multipliers x^(D+63) mod P and
+///    x^(D-1) mod P are computed at compile time from the polynomial),
+///    which collapse into one 128-bit lane that `crc32` finishes with
+///    the tail bytes; shorter inputs run the sse4.2 arm;
+///  - "sse4.2": `crc32` over 8 bytes per step in three independent
+///    chains (lanes of 8192, then 256, bytes, spliced with zero-shift
+///    tables);
+///  - "table": a 256-entry byte table.
 /// The arm is chosen once, at first use, from CPUID and
 /// MEMFSS_FORCE_SCALAR (common/cpu.hpp), as the GF(2^8) kernels are.
 std::uint32_t crc32c(const void* data, std::size_t n);
 
-/// Name of the active arm: "sse4.2" or "table".
+/// Name of the arm crc32c() runs, one of crc32c_kernel_names().
 const char* crc32c_kernel_name();
+
+/// Every arm this build has, in selection order ("vpclmulqdq",
+/// "sse4.2", "table" on x86-64; "table" elsewhere), whether or not this
+/// host can run it: tests and benches iterate it, so a new arm cannot
+/// go untested.
+std::span<const char* const> crc32c_kernel_names();
 
 /// One arm by name, independent of the active selection, or nullptr if
 /// this host cannot run it (or the name is unknown), so tests can hold

@@ -6,8 +6,10 @@
 #include <array>
 #include <cstring>
 #include <string>
+#include <string_view>
 #include <vector>
 
+#include "common/cpu.hpp"
 #include "common/rng.hpp"
 #include "erasure/gf256_simd.hpp"
 
@@ -130,7 +132,8 @@ TEST(GF256, MulAccSpecialCoefficients) {
 
 std::vector<const GF256Kernels*> simd_backends() {
   std::vector<const GF256Kernels*> v;
-  for (const char* name : {"ssse3", "avx2"}) {
+  for (const char* name : gf256_kernel_names()) {
+    if (std::string_view(name) == "scalar") continue;
     if (const GF256Kernels* k = gf256_kernels_by_name(name)) v.push_back(k);
   }
   return v;
@@ -153,6 +156,36 @@ TEST(GF256Simd, ActiveKernelIsFetchableByName) {
   const GF256Kernels* by_name = gf256_kernels_by_name(active.name);
   ASSERT_NE(by_name, nullptr);
   EXPECT_EQ(by_name, &active);
+}
+
+TEST(GF256Simd, SelectsFirstBackendThisHostRuns) {
+  // Selection order is the order of gf256_kernel_names(); under
+  // MEMFSS_FORCE_SCALAR the scalar backend runs whatever the host has.
+  const auto names = gf256_kernel_names();
+  ASSERT_FALSE(names.empty());
+  EXPECT_STREQ(names.back(), "scalar");
+  const GF256Kernels* want = gf256_kernels_by_name("scalar");
+  if (!force_scalar()) {
+    for (const char* name : names) {
+      if (const GF256Kernels* k = gf256_kernels_by_name(name)) {
+        want = k;
+        break;
+      }
+    }
+  }
+  EXPECT_EQ(&gf256_active_kernels(), want) << gf256_kernel_name();
+}
+
+TEST(Cpu, UnknownFeatureNamesAreFalse) {
+  EXPECT_FALSE(cpu_has("not-a-feature"));
+  EXPECT_FALSE(cpu_has(""));
+  EXPECT_FALSE(cpu_has("AVX2"));  // names are lower case
+  EXPECT_FALSE(cpu_has("avx512vbmi"));  // a real feature no arm asks for
+  EXPECT_TRUE(cpu_has_all(""));
+  EXPECT_FALSE(cpu_has_all("sse4.2 not-a-feature"));
+  EXPECT_EQ(cpu_has_all("sse4.2"), cpu_has("sse4.2"));
+  EXPECT_EQ(cpu_has_all("gfni avx512bw"),
+            cpu_has("gfni") && cpu_has("avx512bw"));
 }
 
 TEST(GF256Simd, MulAccMatchesScalarAllLengthsAndOffsets) {
@@ -196,10 +229,12 @@ TEST(GF256Simd, MulAccMatchesScalarAllLengthsAndOffsets) {
         // A rotating offset across every length keeps the test fast...
         for (std::size_t len = 0; len <= 257; ++len)
           check(kn, k, len, len % 32, accumulate);
-        // ...and every offset at a length with a block and a 33-byte
-        // tail.
-        for (std::size_t off = 0; off <= 31; ++off)
+        // ...and every offset at lengths with a block and a 33-byte
+        // tail (64-byte blocks on avx2, 128-byte ones on gfni).
+        for (std::size_t off = 0; off <= 31; ++off) {
           check(kn, k, 97, off, accumulate);
+          check(kn, k, 161, off, accumulate);
+        }
       }
     }
   }

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "common/cpu.hpp"
+
 #include <set>
 #include <string>
 #include <string_view>
@@ -66,7 +68,7 @@ TEST(KeyDigest, MatchesFnv) {
 
 // CRC32C, bit at a time, straight from the definition: reflected
 // polynomial 0x82F63B78, register preset to all ones, final inversion.
-// It shares no code or table with the library's two arms.
+// It shares no code or table with the library's arms.
 // reference_step() takes one byte into a running register, so a prefix
 // walk costs one step per length.
 std::uint32_t reference_step(std::uint32_t reg, std::uint8_t byte) {
@@ -85,7 +87,7 @@ std::uint32_t reference_crc32c(const std::uint8_t* p, std::size_t n) {
 /// Every arm this host can run, the active one included.
 std::vector<std::pair<const char*, Crc32cFn>> crc32c_arms() {
   std::vector<std::pair<const char*, Crc32cFn>> arms;
-  for (const char* name : {"table", "sse4.2"})
+  for (const char* name : crc32c_kernel_names())
     if (Crc32cFn fn = crc32c_kernel_by_name(name)) arms.emplace_back(name, fn);
   return arms;
 }
@@ -117,9 +119,24 @@ TEST(Crc32c, ArmsAreNamedAndSelectable) {
   EXPECT_NE(crc32c_kernel_by_name("table"), nullptr);
   EXPECT_EQ(crc32c_kernel_by_name("pclmul"), nullptr);
   EXPECT_EQ(crc32c_kernel_by_name(""), nullptr);
+  const std::set<std::string_view> names(crc32c_kernel_names().begin(),
+                                         crc32c_kernel_names().end());
+  EXPECT_TRUE(names.count("table"));
   const std::string_view active = crc32c_kernel_name();
-  EXPECT_TRUE(active == "table" || active == "sse4.2") << active;
+  EXPECT_TRUE(names.count(active)) << active;
   EXPECT_NE(crc32c_kernel_by_name(active), nullptr);
+  // Selection takes the first arm this host runs, or the table arm
+  // under MEMFSS_FORCE_SCALAR, and reports that arm's own name.
+  std::string_view want = "table";
+  if (!force_scalar()) {
+    for (const char* name : crc32c_kernel_names()) {
+      if (crc32c_kernel_by_name(name) != nullptr) {
+        want = name;
+        break;
+      }
+    }
+  }
+  EXPECT_EQ(active, want);
 }
 
 /// `n` random bytes plus 8 spare, so every start offset 0..7 has an
@@ -135,13 +152,13 @@ std::vector<std::uint8_t> random_bytes(std::size_t n) {
 }
 
 /// fn over buf[off..off+n) equals the reference for every n in
-/// 0..max_len and every off in 0..7: each combination of unaligned
-/// start, 8-byte body and byte tail. The reference walks each prefix
-/// one byte further per length.
+/// 0..max_len and every off below `offsets` (at most 8, the default):
+/// each combination of unaligned start, 8-byte body and byte tail. The
+/// reference walks each prefix one byte further per length.
 void expect_matches_reference(const char* name, Crc32cFn fn,
-                              std::size_t max_len) {
+                              std::size_t max_len, std::size_t offsets = 8) {
   const auto buf = random_bytes(max_len);
-  for (std::size_t off = 0; off < 8; ++off) {
+  for (std::size_t off = 0; off < offsets; ++off) {
     const std::uint8_t* p = buf.data() + off;
     std::uint32_t reg = 0xffffffffu;  // reference register over p[0..n)
     for (std::size_t n = 0; n <= max_len; ++n) {
@@ -163,6 +180,23 @@ TEST(Crc32c, HardwareArmMatchesBitwiseReference) {
 // offset cover all of its paths.
 TEST(Crc32c, TableArmMatchesBitwiseReference) {
   expect_matches_reference("table", crc32c_kernel_by_name("table"), 4096);
+}
+
+// Every arm this host can run across the folding arm's boundaries:
+// every length 0..2100 (the sse4.2 hand-off below 256 bytes, up to eight
+// 256-byte blocks, every count of 16-byte folds and every byte tail) at
+// offsets 0..2, then 16 KiB and 64 KiB, each +-1, and 70,000 bytes.
+TEST(Crc32c, EveryArmMatchesBitwiseReferenceAcrossFoldBoundaries) {
+  const auto buf = random_bytes(70000);
+  for (const auto& [name, fn] : crc32c_arms()) {
+    expect_matches_reference(name, fn, 2100, 3);
+    for (const std::size_t n : {16383, 16384, 16385, 65535, 65536, 65537,
+                                70000})
+      for (std::size_t off = 0; off < 3; ++off)
+        ASSERT_EQ(fn(buf.data() + off, n),
+                  reference_crc32c(buf.data() + off, n))
+            << name << " offset " << off << " length " << n;
+  }
 }
 
 }  // namespace

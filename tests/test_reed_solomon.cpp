@@ -190,7 +190,7 @@ TEST(ReedSolomon, EveryBackendEncodesIdentically) {
   const GF256Kernels* sc = gf256_kernels_by_name("scalar");
   ASSERT_NE(sc, nullptr);
   Rng rng(29);
-  for (const char* name : {"ssse3", "avx2"}) {
+  for (const char* name : gf256_kernel_names()) {
     const GF256Kernels* kn = gf256_kernels_by_name(name);
     if (kn == nullptr) continue;  // host cannot run this backend
     for (int iter = 0; iter < 40; ++iter) {
@@ -209,7 +209,7 @@ TEST(ReedSolomon, EveryBackendDecodesIdentically) {
   const GF256Kernels* sc = gf256_kernels_by_name("scalar");
   ASSERT_NE(sc, nullptr);
   Rng rng(37);
-  for (const char* name : {"ssse3", "avx2"}) {
+  for (const char* name : gf256_kernel_names()) {
     const GF256Kernels* kn = gf256_kernels_by_name(name);
     if (kn == nullptr) continue;
     for (int iter = 0; iter < 40; ++iter) {
