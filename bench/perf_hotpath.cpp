@@ -22,6 +22,10 @@
 //     scalar row, and an arm keeps a number after it stops being
 //     selected); decode runs with data shards {0, 2} and parity {9}
 //     lost, so it pays matrix inversion + reconstruction every stripe.
+//   - erasure.rs42_encode_1000B_<arm>_GBps: RS(4,2) over a 1,000-byte
+//     payload on every arm this host runs. Its 250-byte shards end in a
+//     partial block on every SIMD arm, so the row prices the padded
+//     vector tail; reported only (no gate).
 //   - hash.crc32c_64k_MBps / crc32c_<arm>_64k_MBps: hash::crc32c, the
 //     payload integrity checksum, over one 64 KiB value on the active
 //     arm and on every arm this host runs (vpclmulqdq, sse4.2, table);
@@ -41,6 +45,10 @@
 //     per get on the same store, counted exactly by this binary's global
 //     operator new. They do not move with host load, so
 //     scripts/check.sh --perf gates them as fresh <= committed.
+//   - ec.{put,get}_64k_{fresh,reused}_takes: buffer-recycler takes per
+//     put and per get in the same pass (DESIGN.md §11): fresh ones were
+//     allocated, reused ones came back parked. The fresh rows are gated
+//     like the allocation rows.
 //
 // Serving-path allocation benches (DESIGN.md §11):
 //   - rt.put_1k_allocs / get_1k_allocs: heap allocations of one
@@ -70,6 +78,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/buffer_recycler.hpp"
 #include "common/rng.hpp"
 #include "erasure/gf256_simd.hpp"
 #include "erasure/reed_solomon.hpp"
@@ -291,11 +300,31 @@ void bench_erasure_kernel(const char* suffix,
        decodes * static_cast<double>(data.size()) / 1e9, "GB/s");
 }
 
+/// RS(4,2) encode of a 1,000-byte payload: 250-byte shards, so every
+/// row pass ends in a partial SIMD block.
+void bench_erasure_tail(const char* name, const erasure::GF256Kernels* kernels) {
+  const erasure::ReedSolomon rs(4, 2, kernels);
+  Rng rng(kSeed);
+  std::vector<std::uint8_t> data(1000);
+  for (auto& b : data) b = std::uint8_t(rng.next_u64());
+  const std::size_t ss = rs.shard_size(data.size());
+  std::vector<std::uint8_t> arena(rs.total_shards() * ss);
+  std::vector<std::uint8_t*> ptrs(rs.total_shards());
+  for (std::size_t i = 0; i < ptrs.size(); ++i) ptrs[i] = arena.data() + i * ss;
+  const double encodes = best_calls_per_sec([&](std::size_t) {
+    if (!rs.encode_into(data, ptrs.data(), ss).ok()) std::exit(1);
+  });
+  emit("erasure", std::string("rs42_encode_1000B_") + name + "_GBps",
+       encodes * static_cast<double>(data.size()) / 1e9, "GB/s");
+}
+
 void bench_erasure() {
   bench_erasure_kernel("", nullptr);  // active (dispatched) kernel
   for (const char* name : erasure::gf256_kernel_names())
-    if (const erasure::GF256Kernels* kn = erasure::gf256_kernels_by_name(name))
+    if (const erasure::GF256Kernels* kn = erasure::gf256_kernels_by_name(name)) {
       bench_erasure_kernel((std::string("_") + name).c_str(), kn);
+      bench_erasure_tail(name, kn);
+    }
 }
 
 // --- hash: CRC32C payload checksum and FNV-1a key digest MB/s ----------------
@@ -408,22 +437,30 @@ void bench_ec() {
        }),
        "get/s");
 
-  // Exact allocations per op over one pass of every key.
-  auto allocs_per_op = [&](auto&& op) {
+  // Exact allocations and recycler takes per op over one pass of every
+  // key.
+  auto counts_per_op = [&](const std::string& op_name, auto&& op) {
     const std::uint64_t before = g_allocations.load();
+    const RecyclerStats t0 = recycler_stats();
     for (std::size_t k = 0; k < kKeys; ++k) op(k);
-    return static_cast<double>(g_allocations.load() - before) / kKeys;
+    const std::uint64_t allocs = g_allocations.load() - before;
+    const RecyclerStats t1 = recycler_stats();
+    const auto per_op = [&](std::uint64_t n) {
+      return static_cast<double>(n) / kKeys;
+    };
+    emit("ec", op_name + "_64k_allocs", per_op(allocs), "count");
+    emit("ec", op_name + "_64k_fresh_takes",
+         per_op(t1.fresh_takes - t0.fresh_takes), "count");
+    emit("ec", op_name + "_64k_reused_takes",
+         per_op(t1.reused_takes - t0.reused_takes), "count");
   };
-  emit("ec", "put_64k_allocs", allocs_per_op([&](std::size_t k) {
-         if (!rt::ec::put(store, token, keys[k], pool[k % pool.size()], rs)
-                  .ok())
-           std::exit(1);
-       }),
-       "count");
-  emit("ec", "get_64k_allocs", allocs_per_op([&](std::size_t k) {
-         if (!rt::ec::get(store, token, keys[k]).ok()) std::exit(1);
-       }),
-       "count");
+  counts_per_op("put", [&](std::size_t k) {
+    if (!rt::ec::put(store, token, keys[k], pool[k % pool.size()], rs).ok())
+      std::exit(1);
+  });
+  counts_per_op("get", [&](std::size_t k) {
+    if (!rt::ec::get(store, token, keys[k]).ok()) std::exit(1);
+  });
 }
 
 // --- rt: in-process RuntimeServer round trips --------------------------

@@ -25,8 +25,9 @@
 # pre-SIMD scalar baseline (erasure_prepr) while a SIMD kernel is
 # selected. Only meaningful on the machine that produced the committed
 # numbers (wall-clock benches don't transfer across hosts). The exact
-# count rows (heap allocations per 64 KiB EC put and get) do transfer:
-# they fail on any fresh count above the committed one.
+# count rows (heap allocations and fresh buffer-recycler takes per
+# 64 KiB EC put and get) do transfer: they fail on any fresh count above
+# the committed one.
 #
 # --tsan builds with ThreadSanitizer (-DMEMFSS_SANITIZE=thread) in
 # build-tsan/ and runs only the `concurrency`-labeled ctest targets --
@@ -215,7 +216,8 @@ do_perf() {
   # A >20% drop against any committed number is a regression, and the
   # SIMD encode path must hold >= 5x the committed pre-SIMD scalar
   # baseline whenever a vector kernel is active. Exact counts (EC and
-  # in-process server allocations per op) must not rise at all.
+  # in-process server allocations per op, fresh recycler takes per EC
+  # op) must not rise at all.
   python3 - "$fresh" BENCH_hotpath.json <<'EOF'
 import json, re, sys
 def row(path, bench, metric):
@@ -265,6 +267,8 @@ for r in json.load(open(fresh_path)):
     if ratio < 0.8:
         failures.append(f"{name} dropped more than 20%")
 for bench, metric in [("ec", "put_64k_allocs"), ("ec", "get_64k_allocs"),
+                      ("ec", "put_64k_fresh_takes"),
+                      ("ec", "get_64k_fresh_takes"),
                       ("rt", "put_1k_allocs"), ("rt", "get_1k_allocs")]:
     fresh = row(fresh_path, bench, metric)
     committed = row(committed_path, bench, metric)

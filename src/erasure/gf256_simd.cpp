@@ -1,5 +1,6 @@
 #include "erasure/gf256_simd.hpp"
 
+#include <algorithm>
 #include <array>
 #include <cstring>
 
@@ -22,7 +23,7 @@ namespace {
 // lookup is a plain load with no static guard and no call -- which lets
 // the SIMD block loops keep their accumulators in registers. The SSSE3
 // and AVX2 backends shuffle straight out of this layout, and the scalar
-// row kernel (also every SIMD backend's tail) uses it too.
+// row kernel uses it too.
 // ---------------------------------------------------------------------------
 
 /// Shift-and-add product over the AES polynomial 0x11b, the field
@@ -63,38 +64,70 @@ inline const std::uint8_t* nibble_tables(std::uint8_t c) {
 // Scalar backend: the oracle. Byte-at-a-time through the nibble tables.
 // ---------------------------------------------------------------------------
 
-void scalar_mul_acc_range(std::uint8_t* dst, const std::uint8_t* src,
-                          std::size_t from, std::size_t to, std::uint8_t c) {
-  if (c == 0 || from >= to) return;  // c == 0 hoisted out of the table path
-  if (c == 1) {                      // c == 1 is a plain xor, no lookups
-    for (std::size_t i = from; i < to; ++i) dst[i] ^= src[i];
+void scalar_mul_acc(std::uint8_t* dst, const std::uint8_t* src, std::size_t n,
+                    std::uint8_t c) {
+  if (c == 0) return;  // c == 0 hoisted out of the table path
+  if (c == 1) {        // c == 1 is a plain xor, no lookups
+    for (std::size_t i = 0; i < n; ++i) dst[i] ^= src[i];
     return;
   }
   const std::uint8_t* tbl = nibble_tables(c);
-  for (std::size_t i = from; i < to; ++i)
+  for (std::size_t i = 0; i < n; ++i)
     dst[i] ^= tbl[src[i] & 0x0f] ^ tbl[16 + (src[i] >> 4)];
-}
-
-/// Shared scalar row pass over [from, to) -- also the tail handler for
-/// every SIMD backend, so remainders go through the exact same tables.
-void scalar_row_range(std::uint8_t* dst, const std::uint8_t* const* srcs,
-                      const std::uint8_t* coeffs, std::size_t k,
-                      std::size_t from, std::size_t to, bool accumulate) {
-  if (from >= to) return;
-  if (!accumulate) std::memset(dst + from, 0, to - from);
-  for (std::size_t j = 0; j < k; ++j)
-    scalar_mul_acc_range(dst, srcs[j], from, to, coeffs[j]);
 }
 
 void scalar_mul_row_acc(std::uint8_t* dst, const std::uint8_t* const* srcs,
                         const std::uint8_t* coeffs, std::size_t k,
                         std::size_t n, bool accumulate) {
-  scalar_row_range(dst, srcs, coeffs, k, 0, n, accumulate);
+  if (n == 0) return;
+  if (!accumulate) std::memset(dst, 0, n);
+  for (std::size_t j = 0; j < k; ++j) scalar_mul_acc(dst, srcs[j], n, coeffs[j]);
 }
 
 constexpr GF256Kernels kScalar{"scalar", scalar_mul_row_acc};
 
 #ifdef MEMFSS_GF256_X86
+
+// ---------------------------------------------------------------------------
+// Vector tails. A SIMD backend's block loop stops at its last whole
+// block of B bytes; the r < B bytes left run as one more block over
+// scratch rows: each source tail copied and zero-padded to B bytes, and
+// the destination tail likewise when accumulating. An output byte
+// depends only on the input bytes at its own offset, so the padding
+// never reaches the r bytes copied back and the result is bit-identical
+// to the scalar rows. Sources go through kTailRows at a time, so the
+// scratch stays on the stack whatever k is.
+// ---------------------------------------------------------------------------
+
+constexpr std::size_t kTailRows = 8;
+
+template <std::size_t B>
+void padded_tail(decltype(GF256Kernels::mul_row_acc) block, std::uint8_t* dst,
+                 const std::uint8_t* const* srcs, const std::uint8_t* coeffs,
+                 std::size_t k, std::size_t from, std::size_t n,
+                 bool accumulate) {
+  const std::size_t r = n - from;
+  if (r == 0) return;
+  alignas(64) std::uint8_t acc[B];
+  alignas(64) std::uint8_t rows[kTailRows][B];
+  const std::uint8_t* ptrs[kTailRows];
+  if (accumulate) {
+    std::memcpy(acc, dst + from, r);
+    std::memset(acc + r, 0, B - r);
+  }
+  std::size_t j0 = 0;
+  do {  // at least once: k == 0 still zero-fills a non-accumulating row
+    const std::size_t rows_n = std::min(kTailRows, k - j0);
+    for (std::size_t j = 0; j < rows_n; ++j) {
+      std::memcpy(rows[j], srcs[j0 + j] + from, r);
+      std::memset(rows[j] + r, 0, B - r);
+      ptrs[j] = rows[j];
+    }
+    block(acc, ptrs, coeffs + j0, rows_n, B, accumulate || j0 > 0);
+    j0 += rows_n;
+  } while (j0 < k);
+  std::memcpy(dst + from, acc, r);
+}
 
 // ---------------------------------------------------------------------------
 // SSSE3 backend: PSHUFB over 16-byte lanes.
@@ -145,7 +178,7 @@ __attribute__((target("ssse3"))) void ssse3_mul_row_acc(
     _mm_storeu_si128(reinterpret_cast<__m128i*>(dst + i), a0);
     _mm_storeu_si128(reinterpret_cast<__m128i*>(dst + i + 16), a1);
   }
-  scalar_row_range(dst, srcs, coeffs, k, i, n, accumulate);
+  padded_tail<32>(ssse3_mul_row_acc, dst, srcs, coeffs, k, i, n, accumulate);
 }
 
 constexpr GF256Kernels kSsse3{"ssse3", ssse3_mul_row_acc};
@@ -200,7 +233,7 @@ __attribute__((target("avx2"))) void avx2_mul_row_acc(
     _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst + i), a0);
     _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst + i + 32), a1);
   }
-  scalar_row_range(dst, srcs, coeffs, k, i, n, accumulate);
+  padded_tail<64>(avx2_mul_row_acc, dst, srcs, coeffs, k, i, n, accumulate);
 }
 
 constexpr GF256Kernels kAvx2{"avx2", avx2_mul_row_acc};
@@ -238,7 +271,7 @@ __attribute__((target("avx512f,avx512bw,gfni"))) void gfni_mul_row_acc(
     _mm512_storeu_si512(dst + i, a0);
     _mm512_storeu_si512(dst + i + 64, a1);
   }
-  scalar_row_range(dst, srcs, coeffs, k, i, n, accumulate);
+  padded_tail<128>(gfni_mul_row_acc, dst, srcs, coeffs, k, i, n, accumulate);
 }
 
 constexpr GF256Kernels kGfni{"gfni", gfni_mul_row_acc};

@@ -1,5 +1,6 @@
 #include "netio/frame.hpp"
 
+#include "common/buffer_recycler.hpp"
 #include "common/result.hpp"
 #include "hash/hashes.hpp"
 
@@ -134,6 +135,9 @@ Decode FrameDecoder::next(Frame& out) {
   const std::uint8_t* b = h + kHeaderLen;
   if (get_u32(h + 8) != body_checksum(b, body))
     return fail("body checksum mismatch");
+  // A value left in `out` (a caller reusing its Frame) goes back to the
+  // recycler, and values of 4 KiB or more are taken from it.
+  park_buffer(std::move(out.value));
   out = Frame{};
   if (request) {
     out.kind = Frame::Kind::request;
@@ -149,7 +153,7 @@ Decode FrameDecoder::next(Frame& out) {
     if (fixed + key_len + value_len != body)
       return fail("inconsistent request lengths");
     out.key.assign(reinterpret_cast<const char*>(b + fixed), key_len);
-    out.value.assign(b + fixed + key_len, b + fixed + key_len + value_len);
+    out.value = take_copy({b + fixed + key_len, value_len});
   } else {
     out.kind = Frame::Kind::response;
     out.status = b[0];
@@ -164,7 +168,7 @@ Decode FrameDecoder::next(Frame& out) {
     out.value_size = get_u32(b + 36);
     if (fixed + value_len != body)
       return fail("inconsistent response length");
-    out.value.assign(b + fixed, b + fixed + value_len);
+    out.value = take_copy({b + fixed, value_len});
   }
   off_ += kHeaderLen + body;
   return Decode::frame;

@@ -28,12 +28,19 @@
 //
 // Copies: get() and put() read through ShardedStore::read, so no
 // sibling or manifest Blob is copied out of the store. The manifest is
-// parsed in place and each data sibling is appended straight into the
-// payload (one allocation and one copy per byte on a clean get). A
-// degraded get reuses every sibling it has read: 1 + k + m store reads. The manifest field is u64 and holds the
-// zero-extended 32-bit CRC, so a torn read whose bytes differ from the
-// manifest's generation passes the check with probability 2^-32 per
-// read.
+// parsed in place and each data sibling is copied straight into the
+// payload (one copy per byte on a clean get). A degraded get reuses
+// every sibling it has read: 1 + k + m store reads. The manifest field
+// is u64 and holds the zero-extended 32-bit CRC, so a torn read whose
+// bytes differ from the manifest's generation passes the check with
+// probability 2^-32 per read.
+//
+// Buffers: put() takes its k+m sibling buffers and get() its payload
+// buffer from the process buffer recycler (common/buffer_recycler.hpp,
+// DESIGN.md §11), so once traffic is running neither allocates them.
+// A same-size overwrite copies each new sibling into its resident
+// buffer and parks the new sibling's own buffer; evicted siblings and
+// every payload a caller drops are parked too.
 //
 // Concurrency: one EC op issues several store ops, so composite ops are
 // not atomic. get() verifies the manifest checksum after reassembly

@@ -498,13 +498,17 @@ struct TcpServer::Reactor {
     for (;;) {
       epoll_event evs[64];
       const int n = ::epoll_wait(epfd, evs, 64, 50);
+      bool woken = false;
       for (int i = 0; i < n; ++i) {
         const std::uint64_t id = evs[i].data.u64;
         if (id == kListenId) {
           handle_accept();
           continue;
         }
-        if (id == kWakeId) continue;  // drained below
+        if (id == kWakeId) {  // drained below
+          woken = true;
+          continue;
+        }
         const auto it = conns.find(id);
         if (it == conns.end()) continue;  // closed earlier this batch
         Conn& c = *it->second;
@@ -529,10 +533,17 @@ struct TcpServer::Reactor {
           maybe_close(c);
         }
       }
-      drain_completions();
+      // The queue is drained only when its eventfd fired: a batch whose
+      // ops all ran inline would otherwise pay a read() that returns
+      // EAGAIN. A post after epoll_wait returned leaves the eventfd
+      // readable (post writes it on the empty -> non-empty edge, and
+      // drain_completions clears it under the same lock as the swap),
+      // so the next wait reports it.
+      const bool stop = stopping.load(std::memory_order_acquire);
+      if (woken || stop) drain_completions();
       reap_idle();
 
-      if (stopping.load(std::memory_order_acquire)) {
+      if (stop) {
         if (listen_fd >= 0) {  // stop accepting; drain what's connected
           ::epoll_ctl(epfd, EPOLL_CTL_DEL, listen_fd, nullptr);
           ::close(listen_fd);

@@ -190,9 +190,11 @@ TEST(Cpu, UnknownFeatureNamesAreFalse) {
 
 TEST(GF256Simd, MulAccMatchesScalarAllLengthsAndOffsets) {
   // The row kernel on every backend, against GF256::mul from the log
-  // tables, at every length up to 257 (SIMD blocks and every tail
-  // length) and at misaligned dst and source pointers, with one and
-  // three source rows, in both accumulate modes.
+  // tables, at every length up to 400 (SIMD blocks and every tail
+  // length, up to three 128-byte blocks) and at misaligned dst and
+  // source pointers, with 0, 1, 3, 6 (RS(4,2) decode-sized) and 11
+  // source rows (more than one tail group of 8), in both accumulate
+  // modes.
   const GF256Kernels* sc = gf256_kernels_by_name("scalar");
   ASSERT_NE(sc, nullptr);
   std::vector<const GF256Kernels*> all = simd_backends();
@@ -224,10 +226,10 @@ TEST(GF256Simd, MulAccMatchesScalarAllLengthsAndOffsets) {
                          << " off=" << off << " acc=" << accumulate;
   };
   for (const GF256Kernels* kn : all) {
-    for (const std::size_t k : {std::size_t{1}, std::size_t{3}}) {
+    for (const std::size_t k : {0, 1, 3, 6, 11}) {
       for (const bool accumulate : {false, true}) {
         // A rotating offset across every length keeps the test fast...
-        for (std::size_t len = 0; len <= 257; ++len)
+        for (std::size_t len = 0; len <= 400; ++len)
           check(kn, k, len, len % 32, accumulate);
         // ...and every offset at lengths with a block and a 33-byte
         // tail (64-byte blocks on avx2, 128-byte ones on gfni).
