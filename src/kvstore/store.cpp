@@ -12,7 +12,7 @@ Blob Blob::materialized(std::vector<std::uint8_t> bytes) {
   Blob b;
   b.size_ = bytes.size();
   b.checksum_ = memfss::hash::crc32c(bytes.data(), bytes.size());
-  b.data_ = std::move(bytes);
+  b.data_.vec = std::move(bytes);
   return b;
 }
 
@@ -24,14 +24,15 @@ Blob Blob::ghost(Bytes size, std::uint64_t tag) {
 }
 
 bool Blob::verify() const {
-  if (data_.empty()) return !corrupted_;
-  return memfss::hash::crc32c(data_.data(), data_.size()) == checksum_ &&
-         !corrupted_;
+  const auto& d = data_.vec;
+  if (d.empty()) return !corrupted_;
+  return memfss::hash::crc32c(d.data(), d.size()) == checksum_ && !corrupted_;
 }
 
 bool Blob::overwrite_same_size(const Blob& next) {
-  if (data_.empty() || next.data_.size() != data_.size()) return false;
-  std::copy(next.data_.begin(), next.data_.end(), data_.begin());
+  auto& d = data_.vec;
+  if (d.empty() || next.data_.vec.size() != d.size()) return false;
+  std::copy(next.data_.vec.begin(), next.data_.vec.end(), d.begin());
   checksum_ = next.checksum_;
   corrupted_ = next.corrupted_;
   return true;
@@ -39,7 +40,8 @@ bool Blob::overwrite_same_size(const Blob& next) {
 
 void Blob::corrupt_for_test() {
   corrupted_ = true;
-  if (!data_.empty()) data_[data_.size() / 2] ^= 0x5a;
+  auto& d = data_.vec;
+  if (!d.empty()) d[d.size() / 2] ^= 0x5a;
 }
 
 // --- Store ----------------------------------------------------------------
