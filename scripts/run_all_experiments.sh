@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
-# Regenerate every paper table/figure plus the ablations and
-# micro-benchmarks. Run from the repository root.
+# Regenerate every paper table/figure plus the ablations, the load
+# driver and the hot-path benchmark. Run from the repository root.
 #
 #   scripts/run_all_experiments.sh [--fast]
 #
@@ -26,7 +26,10 @@ ctest --test-dir build --timeout 300 | tee test_output.txt
 
 echo "== benches =="
 : > bench_output.txt
-for b in build/bench/*; do
+# One binary per bench/*.cpp: an existing build/ may still hold binaries
+# whose sources were deleted.
+for src in bench/*.cpp; do
+  b=build/bench/$(basename "$src" .cpp)
   [[ -x "$b" && -f "$b" ]] || continue
   echo "=== $(basename "$b") ===" | tee -a bench_output.txt
   "$b" 2>&1 | tee -a bench_output.txt

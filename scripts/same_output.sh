@@ -8,7 +8,7 @@
 # working tree into a fresh directory under ${TMPDIR:-/tmp} (removed at
 # exit), builds both Release trees, then runs every simulator bench and
 # example in each with MEMFSS_FAST=1:
-#   - every bench/*.cpp binary except loadgen, perf_hotpath and micro_*
+#   - every bench/*.cpp binary except loadgen and perf_hotpath
 #     (the serving path and the wall-clock benches); chaos_soak runs
 #     seeds 1-3; fig2_baseline and fault_recovery run with
 #     MEMFSS_TRACE_DIR set;
@@ -56,7 +56,7 @@ while IFS= read -r t; do targets+=("$t"); done < <(
     dir=${dir%%/*}
     name=$(basename "$f" .cpp)
     case $name in
-      loadgen|perf_hotpath|micro_*|rt_quickstart) continue ;;
+      loadgen|perf_hotpath|rt_quickstart) continue ;;
     esac
     echo "$dir/$name"
   done | sort -u)

@@ -9,6 +9,7 @@
 #include "common/log.hpp"
 #include "common/str.hpp"
 #include "fs/client.hpp"
+#include "hash/hashes.hpp"
 #include "hash/hrw.hpp"
 #include "hash/weight_solver.hpp"
 #include "sim/sync.hpp"
@@ -249,7 +250,7 @@ sim::Task<Status> FileSystem::migrate_out(NodeId node, std::uint32_t cls) {
   const auto pick = [&](const std::string& k) {
     const auto& targets =
         remaining.empty() ? membership_.members(kOwnClass) : remaining;
-    return hash::hrw_select(k, targets);
+    return hash::hrw_select(hash::key_digest(k), targets);
   };
   Status result{};
   std::set<std::string> attempted;
@@ -629,7 +630,7 @@ NodeId FileSystem::drain_target(const std::string& key, NodeId src) {
   // Foreign key: park it on the own class.
   const auto& own = membership_.members(kOwnClass);
   if (own.empty()) return kInvalidNode;
-  const NodeId n = hash::hrw_select(key, own);
+  const NodeId n = hash::hrw_select(hash::key_digest(key), own);
   return live(n) ? n : kInvalidNode;
 }
 

@@ -170,7 +170,7 @@ UniformHrwPolicy::UniformHrwPolicy(std::vector<NodeId> nodes)
 
 std::vector<NodeId> UniformHrwPolicy::place(std::string_view stripe_key,
                                             std::size_t copies) const {
-  return hash::hrw_top(stripe_key, nodes_, copies);
+  return hash::hrw_top(hash::key_digest(stripe_key), nodes_, copies);
 }
 
 std::string UniformHrwPolicy::describe() const {

@@ -13,11 +13,15 @@
 //
 // The scheme generalizes to any number of classes; weights for target data
 // fractions are produced by hash/weight_solver.hpp.
+//
+// Both layers score with mix64 (hashes.hpp), and every entry point takes
+// the key's 64-bit digest (hash::key_digest), so the key is hashed
+// exactly once per placement: the digest flows through the class layer
+// and the node layer (hrw.hpp).
 #pragma once
 
 #include <cstdint>
 #include <span>
-#include <string_view>
 #include <vector>
 
 #include "common/types.hpp"
@@ -39,49 +43,25 @@ struct Placement {
 
 /// Layer-1 score of a class for a key: H(class_id, key) - weight, with H
 /// uniform on [0, 1).
-///
-/// Every function below also takes a precomputed `key_digest` so the key
-/// is hashed exactly once per placement: the digest flows through both
-/// the class layer and the node layer (hrw.hpp digest overloads). The
-/// string forms digest and delegate.
-double class_score(const NodeClass& c, std::string_view key,
-                   ScoreFn fn = ScoreFn::mix64);
-double class_score(const NodeClass& c, std::uint64_t key_digest,
-                   ScoreFn fn = ScoreFn::mix64);
+double class_score(const NodeClass& c, std::uint64_t key_digest);
 
-/// Winning class index for `key` among `classes` (layer 1 only).
+/// Winning class index for the key among `classes` (layer 1 only).
 /// Classes with no nodes are skipped. Requires at least one non-empty class.
-std::size_t select_class(std::string_view key,
-                         std::span<const NodeClass> classes,
-                         ScoreFn fn = ScoreFn::mix64);
 std::size_t select_class(std::uint64_t key_digest,
-                         std::span<const NodeClass> classes,
-                         ScoreFn fn = ScoreFn::mix64);
+                         std::span<const NodeClass> classes);
 
 /// Full two-layer placement: class by weighted score, node by plain HRW.
-Placement place(std::string_view key, std::span<const NodeClass> classes,
-                ScoreFn fn = ScoreFn::mix64);
-Placement place(std::uint64_t key_digest, std::span<const NodeClass> classes,
-                ScoreFn fn = ScoreFn::mix64);
+Placement place(std::uint64_t key_digest, std::span<const NodeClass> classes);
 
 /// Primary + (count-1) replicas: the top-`count` nodes of the winning
 /// class (paper §III-E replication on 2nd/3rd highest scores).
-std::vector<Placement> place_replicas(std::string_view key,
-                                      std::span<const NodeClass> classes,
-                                      std::size_t count,
-                                      ScoreFn fn = ScoreFn::mix64);
 std::vector<Placement> place_replicas(std::uint64_t key_digest,
                                       std::span<const NodeClass> classes,
-                                      std::size_t count,
-                                      ScoreFn fn = ScoreFn::mix64);
+                                      std::size_t count);
 
 /// Descending node ranking within the winning class -- the probe order for
 /// lazy data movement after membership changes (paper §V-C).
-std::vector<NodeId> rank_in_winning_class(std::string_view key,
-                                          std::span<const NodeClass> classes,
-                                          ScoreFn fn = ScoreFn::mix64);
 std::vector<NodeId> rank_in_winning_class(std::uint64_t key_digest,
-                                          std::span<const NodeClass> classes,
-                                          ScoreFn fn = ScoreFn::mix64);
+                                          std::span<const NodeClass> classes);
 
 }  // namespace memfss::hash

@@ -2,14 +2,6 @@
 
 namespace memfss::hash {
 
-std::uint32_t tr_weight(std::uint32_t server, std::uint32_t key) {
-  constexpr std::uint32_t A = 1103515245u;
-  constexpr std::uint32_t B = 12345u;
-  constexpr std::uint32_t M = 0x7fffffffu;  // 2^31 - 1 mask
-  const std::uint32_t inner = (A * server + B) ^ key;
-  return (A * inner + B) & M;
-}
-
 std::uint64_t mix64(std::uint64_t a, std::uint64_t b) {
   // splitmix64 finalizer over the combination; passes avalanche tests.
   std::uint64_t z = a + 0x9e3779b97f4a7c15ull * (b + 1);
@@ -38,10 +30,6 @@ std::uint64_t fnv1a_decimal(std::uint64_t h, std::uint64_t value) {
   } while (value != 0);
   while (n > 0) h = fnv1a_byte(h, static_cast<unsigned char>(digits[--n]));
   return h;
-}
-
-std::uint32_t fold31(std::uint64_t x) {
-  return static_cast<std::uint32_t>((x ^ (x >> 31) ^ (x >> 62)) & 0x7fffffffu);
 }
 
 }  // namespace memfss::hash

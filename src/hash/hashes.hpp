@@ -1,13 +1,11 @@
 // Hash functions: placement scores and digests, and the payload
 // integrity checksum.
 //
-// Placement uses two families (FNV-1a digests of keys feed both):
-//  - tr_weight(): the 31-bit linear-congruential "random weight" function
-//    from Thaler & Ravishankar (1998), the function the MemFSS paper says
-//    it keeps for its weighted scheme.
-//  - mix64()/hash_bytes(): a 64-bit finalizer-based mixer (xxhash/splitmix
-//    style) used as the default score function; better dispersion, same
-//    API.
+// Placement hashes a string key once, with FNV-1a (key_digest()), and
+// scores every (server or class, digest) pair with mix64(), a 64-bit
+// splitmix finalizer. Both HRW layers (hrw.hpp, class_hrw.hpp) use that
+// one score; DESIGN.md §5 says why the Thaler-Ravishankar LCG score is
+// not offered.
 //
 // Integrity uses crc32c() alone: it is the checksum of every
 // materialized payload (kvstore::Blob), of the erasure-coded manifest
@@ -21,19 +19,13 @@
 
 namespace memfss::hash {
 
-/// Thaler-Ravishankar random-weight function:
-///   W(S, K) = (A * ((A * S + B) xor K) + B) mod 2^31
-/// with A = 1103515245, B = 12345 (the classic C LCG constants).
-/// `server` and `key` are 31-bit quantities; higher bits are folded in.
-std::uint32_t tr_weight(std::uint32_t server, std::uint32_t key);
-
 /// 64-bit mix of two values (server id, key digest) into a score.
 std::uint64_t mix64(std::uint64_t a, std::uint64_t b);
 
 /// FNV-1a over bytes; stable across platforms.
 std::uint64_t fnv1a(std::string_view bytes);
 
-/// Digest a string key for use with mix64/tr_weight.
+/// Digest a string key for use with mix64.
 std::uint64_t key_digest(std::string_view key);
 
 /// Incremental FNV-1a: start from fnv1a_seed(), fold bytes (or the decimal
@@ -47,9 +39,6 @@ constexpr std::uint64_t fnv1a_byte(std::uint64_t h, unsigned char c) {
 
 /// Fold the decimal digits of `value` (no sign, no padding) into `h`.
 std::uint64_t fnv1a_decimal(std::uint64_t h, std::uint64_t value);
-
-/// Fold a 64-bit digest to the 31-bit domain tr_weight expects.
-std::uint32_t fold31(std::uint64_t x);
 
 /// CRC32C (Castagnoli: reflected polynomial 0x82F63B78, initial value
 /// and final xor 0xFFFFFFFF) of `n` bytes at `data`, which need no

@@ -7,30 +7,17 @@
 
 namespace memfss::hash {
 
-std::uint64_t hrw_score(NodeId server, std::uint64_t key_digest, ScoreFn fn) {
-  switch (fn) {
-    case ScoreFn::mix64:
-      return mix64(server, key_digest);
-    case ScoreFn::thaler_ravishankar:
-      return tr_weight(server, fold31(key_digest));
-  }
-  return 0;
+std::uint64_t hrw_score(NodeId server, std::uint64_t key_digest) {
+  return mix64(server, key_digest);
 }
 
-std::uint64_t hrw_score(NodeId server, std::string_view key, ScoreFn fn) {
-  return hrw_score(server, key_digest(key), fn);
-}
-
-NodeId hrw_select(std::uint64_t key_digest, std::span<const NodeId> servers,
-                  ScoreFn fn) {
+NodeId hrw_select(std::uint64_t key_digest, std::span<const NodeId> servers) {
   assert(!servers.empty());
   NodeId best = servers[0];
   std::uint64_t best_score = 0;
   bool first = true;
   for (NodeId s : servers) {
-    const std::uint64_t score = fn == ScoreFn::mix64
-                                    ? mix64(s, key_digest)
-                                    : tr_weight(s, fold31(key_digest));
+    const std::uint64_t score = hrw_score(s, key_digest);
     // Deterministic tie-break on the lower node id keeps results stable
     // regardless of input ordering.
     if (first || score > best_score || (score == best_score && s < best)) {
@@ -42,24 +29,13 @@ NodeId hrw_select(std::uint64_t key_digest, std::span<const NodeId> servers,
   return best;
 }
 
-NodeId hrw_select(std::string_view key, std::span<const NodeId> servers,
-                  ScoreFn fn) {
-  return hrw_select(key_digest(key), servers, fn);
-}
-
 namespace {
 
 std::vector<std::pair<std::uint64_t, NodeId>> scored(
-    std::uint64_t digest, std::span<const NodeId> servers, std::size_t count,
-    ScoreFn fn) {
+    std::uint64_t digest, std::span<const NodeId> servers, std::size_t count) {
   std::vector<std::pair<std::uint64_t, NodeId>> v;
   v.reserve(servers.size());
-  for (NodeId s : servers) {
-    const std::uint64_t score = fn == ScoreFn::mix64
-                                    ? mix64(s, digest)
-                                    : tr_weight(s, fold31(digest));
-    v.emplace_back(score, s);
-  }
+  for (NodeId s : servers) v.emplace_back(hrw_score(s, digest), s);
   // Descending score, ascending id on ties -- a strict total order, so a
   // partial selection of the leading `count` entries matches the full sort
   // exactly when fewer than all ranks are requested.
@@ -79,9 +55,9 @@ std::vector<std::pair<std::uint64_t, NodeId>> scored(
 }  // namespace
 
 std::vector<NodeId> hrw_top(std::uint64_t key_digest,
-                            std::span<const NodeId> servers, std::size_t count,
-                            ScoreFn fn) {
-  auto v = scored(key_digest, servers, count, fn);
+                            std::span<const NodeId> servers,
+                            std::size_t count) {
+  auto v = scored(key_digest, servers, count);
   std::vector<NodeId> out;
   out.reserve(std::min(count, v.size()));
   for (std::size_t i = 0; i < v.size() && i < count; ++i)
@@ -89,20 +65,9 @@ std::vector<NodeId> hrw_top(std::uint64_t key_digest,
   return out;
 }
 
-std::vector<NodeId> hrw_top(std::string_view key,
-                            std::span<const NodeId> servers, std::size_t count,
-                            ScoreFn fn) {
-  return hrw_top(key_digest(key), servers, count, fn);
-}
-
 std::vector<NodeId> hrw_rank(std::uint64_t key_digest,
-                             std::span<const NodeId> servers, ScoreFn fn) {
-  return hrw_top(key_digest, servers, servers.size(), fn);
-}
-
-std::vector<NodeId> hrw_rank(std::string_view key,
-                             std::span<const NodeId> servers, ScoreFn fn) {
-  return hrw_rank(key_digest(key), servers, fn);
+                             std::span<const NodeId> servers) {
+  return hrw_top(key_digest, servers, servers.size());
 }
 
 }  // namespace memfss::hash

@@ -6,6 +6,7 @@
 #include <map>
 
 #include "common/str.hpp"
+#include "hash/hashes.hpp"
 #include "hash/weight_solver.hpp"
 
 namespace memfss::hash {
@@ -36,7 +37,7 @@ TEST_P(AlphaSweep, ClassFractionMatchesTarget) {
   const int keys = 40000;
   int own_hits = 0;
   for (int k = 0; k < keys; ++k) {
-    const auto p = place(strformat("stripe-%d", k), classes);
+    const auto p = place(key_digest(strformat("stripe-%d", k)), classes);
     if (p.class_id == 0) ++own_hits;
   }
   EXPECT_NEAR(own_hits / double(keys), alpha, 0.012) << "alpha=" << alpha;
@@ -49,7 +50,7 @@ TEST_P(AlphaSweep, NodeLayerBalancedWithinClasses) {
   std::map<NodeId, int> counts;
   const int keys = 60000;
   for (int k = 0; k < keys; ++k)
-    ++counts[place(strformat("s-%d", k), classes).node];
+    ++counts[place(key_digest(strformat("s-%d", k)), classes).node];
   const double own_total = alpha * keys;
   const double victim_total = (1 - alpha) * keys;
   for (const auto& [node, c] : counts) {
@@ -75,7 +76,7 @@ TEST(ClassHrw, EmptyClassesAreSkipped) {
       NodeClass{1, 0.0, {5, 6, 7}},
   };
   for (int k = 0; k < 100; ++k) {
-    const auto p = place(strformat("k%d", k), classes);
+    const auto p = place(key_digest(strformat("k%d", k)), classes);
     EXPECT_EQ(p.class_id, 1u);
   }
 }
@@ -83,7 +84,7 @@ TEST(ClassHrw, EmptyClassesAreSkipped) {
 TEST(ClassHrw, ReplicasStayInWinningClass) {
   const auto classes = paper_classes(0.5);
   for (int k = 0; k < 300; ++k) {
-    const std::string key = strformat("r%d", k);
+    const std::uint64_t key = key_digest(strformat("r%d", k));
     const auto reps = place_replicas(key, classes, 3);
     ASSERT_EQ(reps.size(), 3u);
     const auto cls = reps[0].class_id;
@@ -98,7 +99,7 @@ TEST(ClassHrw, ReplicasStayInWinningClass) {
 TEST(ClassHrw, RankInWinningClassStartsWithPrimary) {
   const auto classes = paper_classes(0.25);
   for (int k = 0; k < 200; ++k) {
-    const std::string key = strformat("x%d", k);
+    const std::uint64_t key = key_digest(strformat("x%d", k));
     const auto rank = rank_in_winning_class(key, classes);
     const auto p = place(key, classes);
     ASSERT_FALSE(rank.empty());
@@ -116,12 +117,15 @@ TEST(ClassHrw, ClassDecisionIndependentOfMembership) {
   std::vector<std::uint32_t> before;
   for (int k = 0; k < 500; ++k)
     before.push_back(
-        classes[select_class(strformat("m%d", k), classes)].class_id);
+        classes[select_class(key_digest(strformat("m%d", k)), classes)]
+            .class_id);
   classes[1].nodes.pop_back();
   classes[1].nodes.pop_back();
   for (int k = 0; k < 500; ++k) {
-    EXPECT_EQ(before[size_t(k)],
-              classes[select_class(strformat("m%d", k), classes)].class_id);
+    EXPECT_EQ(
+        before[size_t(k)],
+        classes[select_class(key_digest(strformat("m%d", k)), classes)]
+            .class_id);
   }
 }
 
@@ -136,23 +140,10 @@ TEST(ClassHrw, GeneralizesToThreeClasses) {
   std::map<std::uint32_t, int> hits;
   const int keys = 60000;
   for (int k = 0; k < keys; ++k)
-    ++hits[place(strformat("t%d", k), classes).class_id];
+    ++hits[place(key_digest(strformat("t%d", k)), classes).class_id];
   EXPECT_NEAR(hits[0] / double(keys), 0.5, 0.02);
   EXPECT_NEAR(hits[1] / double(keys), 0.3, 0.02);
   EXPECT_NEAR(hits[2] / double(keys), 0.2, 0.02);
-}
-
-TEST(ClassHrw, TrScoreFnAlsoTracksAlpha) {
-  const double alpha = 0.25;
-  const auto classes = paper_classes(alpha);
-  int own_hits = 0;
-  const int keys = 40000;
-  for (int k = 0; k < keys; ++k) {
-    if (place(strformat("tr%d", k), classes, ScoreFn::thaler_ravishankar)
-            .class_id == 0)
-      ++own_hits;
-  }
-  EXPECT_NEAR(own_hits / double(keys), alpha, 0.02);
 }
 
 }  // namespace

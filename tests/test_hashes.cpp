@@ -13,22 +13,6 @@
 namespace memfss::hash {
 namespace {
 
-TEST(TrWeight, DeterministicAnd31Bit) {
-  for (std::uint32_t s = 0; s < 100; ++s) {
-    for (std::uint32_t k = 0; k < 100; k += 7) {
-      const auto w1 = tr_weight(s, k);
-      const auto w2 = tr_weight(s, k);
-      EXPECT_EQ(w1, w2);
-      EXPECT_LT(w1, 1u << 31);
-    }
-  }
-}
-
-TEST(TrWeight, SensitiveToBothArguments) {
-  EXPECT_NE(tr_weight(1, 100), tr_weight(2, 100));
-  EXPECT_NE(tr_weight(1, 100), tr_weight(1, 101));
-}
-
 TEST(Fnv1a, KnownVectors) {
   // Standard FNV-1a 64-bit test vectors.
   EXPECT_EQ(fnv1a(""), 0xcbf29ce484222325ull);
@@ -54,12 +38,6 @@ TEST(Mix64, NoObviousCollisions) {
   std::set<std::uint64_t> seen;
   for (std::uint64_t i = 0; i < 10000; ++i) seen.insert(mix64(i, 7));
   EXPECT_EQ(seen.size(), 10000u);
-}
-
-TEST(Fold31, InRange) {
-  for (std::uint64_t x : {0ull, 1ull, ~0ull, 0xdeadbeefcafebabeull}) {
-    EXPECT_LT(fold31(x), 1u << 31);
-  }
 }
 
 TEST(KeyDigest, MatchesFnv) {

@@ -240,29 +240,22 @@ TEST(DigestEquivalence, StripeKeyDigestMatchesStringDigest) {
   }
 }
 
-TEST(DigestEquivalence, HrwDigestOverloadsMatchStringForms) {
+TEST(DigestEquivalence, HrwTopMatchesRankPrefix) {
   Rng rng(11);
   std::vector<NodeId> servers;
   for (NodeId n = 0; n < 25; ++n) servers.push_back(n * 3 + 1);
-  for (auto fn : {hash::ScoreFn::mix64, hash::ScoreFn::thaler_ravishankar}) {
-    for (int i = 0; i < 200; ++i) {
-      const std::string key =
-          fs::Namespace::stripe_key(rng.next_u64(), i);
-      const std::uint64_t d = hash::key_digest(key);
-      EXPECT_EQ(hash::hrw_select(key, servers, fn),
-                hash::hrw_select(d, servers, fn));
-      EXPECT_EQ(hash::hrw_rank(key, servers, fn),
-                hash::hrw_rank(d, servers, fn));
-      // Partial selection must equal the matching prefix of the full sort.
-      const auto full = hash::hrw_rank(d, servers, fn);
-      for (std::size_t count : {std::size_t{1}, std::size_t{3},
-                                std::size_t{24}, std::size_t{25},
-                                std::size_t{40}}) {
-        const auto top = hash::hrw_top(d, servers, count, fn);
-        ASSERT_EQ(top.size(), std::min(count, servers.size()));
-        for (std::size_t r = 0; r < top.size(); ++r)
-          EXPECT_EQ(top[r], full[r]) << "count=" << count << " rank=" << r;
-      }
+  for (int i = 0; i < 200; ++i) {
+    const std::uint64_t d =
+        hash::key_digest(fs::Namespace::stripe_key(rng.next_u64(), i));
+    // Partial selection must equal the matching prefix of the full sort.
+    const auto full = hash::hrw_rank(d, servers);
+    for (std::size_t count : {std::size_t{1}, std::size_t{3},
+                              std::size_t{24}, std::size_t{25},
+                              std::size_t{40}}) {
+      const auto top = hash::hrw_top(d, servers, count);
+      ASSERT_EQ(top.size(), std::min(count, servers.size()));
+      for (std::size_t r = 0; r < top.size(); ++r)
+        EXPECT_EQ(top[r], full[r]) << "count=" << count << " rank=" << r;
     }
   }
 }
