@@ -55,7 +55,11 @@
 //     in-process RuntimeServer::submit_async round trip (1 KiB put,
 //     then get) on the default tenant with one idle worker -- so each
 //     op runs to completion on the submitter -- counted exactly like
-//     the EC rows and gated the same way.
+//     the EC rows and gated the same way;
+//   - rt.ec_put_64k_allocs / ec_get_64k_allocs: the same round trip
+//     with 64 KiB values for an RS(4,2) tenant, which also runs on the
+//     submitter, so these rows equal the ec.*_64k_allocs rows: the
+//     server adds no allocation of its own.
 //
 // Every byte-pump, codec and EC row is the best of five trials
 // (best_calls_per_sec): on a shared host single trials swing 30-50%.
@@ -91,6 +95,7 @@
 #include "rt/ec.hpp"
 #include "rt/server.hpp"
 #include "rt/sharded_store.hpp"
+#include "rt/tenant_registry.hpp"
 #include "sim/simulator.hpp"
 
 using namespace memfss;
@@ -465,16 +470,31 @@ void bench_ec() {
 
 // --- rt: in-process RuntimeServer round trips --------------------------
 
-void bench_rt() {
-  // One worker, idle at every submit because the submitter waits for
-  // each completion: every op runs inline on the submitting thread
-  // (DESIGN.md §11), and the count is that whole path. Every key is put
-  // once first (store nodes, lanes and map entries exist before the
-  // count), and the ops are built before counting: the payload copy is
-  // the caller's, not the server's.
+/// Emits rt.<prefix>put_<size>_allocs and rt.<prefix>get_<size>_allocs:
+/// heap allocations per in-process submit_async round trip of a
+/// `value_bytes` put, then a get, on one worker, for the default tenant
+/// or (`coded`) an RS(4,2) tenant. The worker is idle at every submit
+/// because the submitter waits for each completion, so every op runs to
+/// completion on the submitting thread (DESIGN.md §11), and the count is
+/// that whole path. Every key is put once first (store nodes, lanes,
+/// map entries and parked buffers exist before the count), and the ops
+/// are built before counting: the payload copy is the caller's, not the
+/// server's.
+void bench_rt_round_trips(const std::string& prefix, const std::string& size,
+                          std::size_t value_bytes, bool coded) {
   constexpr std::size_t kKeys = 64;
+  rt::TenantRegistry tenants;
+  std::uint32_t tenant = 0;
+  if (coded) {
+    rt::TenantConfig cfg;
+    cfg.name = "ec";
+    cfg.rs = {4, 2};
+    tenant = tenants.register_tenant(cfg).value();
+  }
   rt::ShardedStore store({16, 64 * units::MiB, "perf"});
-  rt::RuntimeServer server(store, {1, 1024});
+  rt::RuntimeServer::Options opt;
+  opt.tenants = &tenants;
+  rt::RuntimeServer server(store, opt);
   std::atomic<bool> done{false};
   auto round_trip = [&](rt::Op op) {
     done.store(false);
@@ -484,14 +504,20 @@ void bench_rt() {
     });
     while (!done.load()) std::this_thread::yield();
   };
+  // Put values come from the buffer recycler, as the frame decoder takes
+  // a received value, so the parks of the values the server drops
+  // balance these takes instead of growing the recycler's lists.
   auto ops = [&](rt::Op::Type type) {
     std::vector<rt::Op> out;
-    for (std::size_t k = 0; k < kKeys; ++k)
-      out.push_back({type, "k" + std::to_string(k),
-                     type == rt::Op::Type::put
-                         ? kvstore::Blob::materialized(
-                               std::vector<std::uint8_t>(1024, std::uint8_t(k)))
-                         : kvstore::Blob{}});
+    for (std::size_t k = 0; k < kKeys; ++k) {
+      rt::Op op{type, "k" + std::to_string(k), {}, tenant};
+      if (type == rt::Op::Type::put) {
+        auto v = take_buffer(value_bytes);
+        std::fill(v.begin(), v.end(), std::uint8_t(k));
+        op.value = kvstore::Blob::materialized(std::move(v));
+      }
+      out.push_back(std::move(op));
+    }
     return out;
   };
   for (auto& op : ops(rt::Op::Type::put)) round_trip(std::move(op));
@@ -501,9 +527,16 @@ void bench_rt() {
     return static_cast<double>(g_allocations.load() - before) / kKeys;
   };
   auto puts = ops(rt::Op::Type::put);
-  emit("rt", "put_1k_allocs", allocs_per_op(std::move(puts)), "count");
+  emit("rt", prefix + "put_" + size + "_allocs",
+       allocs_per_op(std::move(puts)), "count");
   auto gets = ops(rt::Op::Type::get);
-  emit("rt", "get_1k_allocs", allocs_per_op(std::move(gets)), "count");
+  emit("rt", prefix + "get_" + size + "_allocs",
+       allocs_per_op(std::move(gets)), "count");
+}
+
+void bench_rt() {
+  bench_rt_round_trips("", "1k", 1024, false);
+  bench_rt_round_trips("ec_", "64k", 64 * 1024, true);
 }
 
 // --- macro: fig2-shaped dd bag -----------------------------------------------

@@ -26,8 +26,9 @@
 # selected. Only meaningful on the machine that produced the committed
 # numbers (wall-clock benches don't transfer across hosts). The exact
 # count rows (heap allocations and fresh buffer-recycler takes per
-# 64 KiB EC put and get) do transfer: they fail on any fresh count above
-# the committed one.
+# 64 KiB EC put and get, and heap allocations per in-process server
+# round trip: 1 KiB plain and 64 KiB RS(4,2) puts and gets) do
+# transfer: they fail on any fresh count above the committed one.
 #
 # --tsan builds with ThreadSanitizer (-DMEMFSS_SANITIZE=thread) in
 # build-tsan/ and runs only the `concurrency`-labeled ctest targets --
@@ -269,7 +270,9 @@ for r in json.load(open(fresh_path)):
 for bench, metric in [("ec", "put_64k_allocs"), ("ec", "get_64k_allocs"),
                       ("ec", "put_64k_fresh_takes"),
                       ("ec", "get_64k_fresh_takes"),
-                      ("rt", "put_1k_allocs"), ("rt", "get_1k_allocs")]:
+                      ("rt", "put_1k_allocs"), ("rt", "get_1k_allocs"),
+                      ("rt", "ec_put_64k_allocs"),
+                      ("rt", "ec_get_64k_allocs")]:
     fresh = row(fresh_path, bench, metric)
     committed = row(committed_path, bench, metric)
     print(f"{bench}.{metric}: fresh {fresh:g} vs committed {committed:g}")

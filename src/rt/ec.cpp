@@ -1,6 +1,7 @@
 #include "rt/ec.hpp"
 
 #include <algorithm>
+#include <array>
 #include <vector>
 
 #include "common/buffer_recycler.hpp"
@@ -22,6 +23,26 @@ std::uint64_t get_le64(const std::uint8_t* p) {
   for (int i = 0; i < 8; ++i) v |= static_cast<std::uint64_t>(p[i]) << (8 * i);
   return v;
 }
+
+/// Per-sibling arrays of one stripe with no heap allocation for the
+/// common widths; a wider stripe (k + m up to 255) allocates them.
+template <class T>
+class SiblingArray {
+ public:
+  explicit SiblingArray(std::size_t n) {
+    if (n > kFixed) wide_.resize(n);
+  }
+  SiblingArray(const SiblingArray&) = delete;
+  SiblingArray& operator=(const SiblingArray&) = delete;
+
+  T* data() { return wide_.empty() ? fixed_.data() : wide_.data(); }
+  T& operator[](std::size_t i) { return data()[i]; }
+
+ private:
+  static constexpr std::size_t kFixed = 16;
+  std::array<T, kFixed> fixed_{};
+  std::vector<T> wide_;
+};
 
 /// Best-effort sweep of shard siblings [from, to) -- rollback and
 /// stale-stripe cleanup. Errors ignored: the keys may never have been
@@ -99,8 +120,8 @@ Status put(ShardedStore& store, std::string_view token, std::string_view key,
     // Code straight into the k+m sibling buffers, taken from the
     // recycler (encode_into writes every byte), and move each into its
     // own sibling key.
-    std::vector<std::vector<std::uint8_t>> parts(total);
-    std::vector<std::uint8_t*> ptrs(total);
+    SiblingArray<std::vector<std::uint8_t>> parts(total);
+    SiblingArray<std::uint8_t*> ptrs(total);
     for (std::size_t i = 0; i < total; ++i) {
       parts[i] = take_buffer(ss);
       ptrs[i] = parts[i].data();
@@ -170,9 +191,10 @@ Result<kvstore::Blob> get(ShardedStore& store, std::string_view token,
     // Leading data siblings are copied straight from the store into
     // the payload, a recycled buffer taken at the first sibling that
     // fits (so a forged length allocates nothing). From the first
-    // missing one on, every sibling read is kept whole in `held` for the
-    // decode, as is a sibling whose tail is padding (the payload keeps
-    // only its first bytes).
+    // missing one on, every sibling read is copied whole into a recycled
+    // buffer in `held` for the decode, as is a sibling whose tail is
+    // padding (the payload keeps only its first bytes); `held` is parked
+    // once the attempt is done with it.
     std::vector<std::uint8_t> payload;
     auto append = [&](const std::uint8_t* src) {
       const std::size_t n =
@@ -183,6 +205,7 @@ Result<kvstore::Blob> get(ShardedStore& store, std::string_view token,
     };
     std::vector<std::vector<std::uint8_t>> held;
     std::size_t gathered = 0;  // data siblings appended to the payload
+    std::size_t survivors = 0;  // siblings read at the right size
     bool gap = false;
     auto fetch = [&](std::size_t i) {
       bool present = false;
@@ -193,11 +216,12 @@ Result<kvstore::Blob> get(ShardedStore& store, std::string_view token,
             const auto bytes = b.bytes();
             if (bytes.size() != ss) return;
             present = true;
+            ++survivors;
             // Bytes that go straight into the payload.
             const std::size_t n = gap ? 0 : append(bytes.data());
             if (n < ss) {
               held.resize(total);
-              held[i].assign(bytes.data(), bytes.data() + ss);
+              held[i] = take_copy(bytes);
             }
           });
       if (i < mf->k && !gap) {
@@ -211,23 +235,38 @@ Result<kvstore::Blob> get(ShardedStore& store, std::string_view token,
     for (std::size_t i = 0; i < mf->k; ++i)
       if (!fetch(i)) return Error{Errc::permission, "bad token"};
 
+    Status decoded;
     if (gap) {
       // Slow path: pull in parity and reconstruct from any k survivors,
-      // reusing the data siblings already read.
+      // reusing the data siblings already read. A missing sibling gets
+      // an empty recycled buffer, which reconstruct() still counts as
+      // missing and rebuilds into without allocating. Nothing is taken
+      // with fewer than k survivors, when no real sibling need bound
+      // `ss` (a forged length).
       for (std::size_t i = mf->k; i < total; ++i)
         if (!fetch(i)) return Error{Errc::permission, "bad token"};
-      held.resize(total);
-      for (std::size_t i = 0; i < gathered; ++i)
-        if (held[i].empty())
-          held[i].assign(payload.data() + i * ss,
-                         payload.data() + (i + 1) * ss);
-      const erasure::ReedSolomon coder(mf->k, mf->m);
-      if (auto st = coder.reconstruct(held); !st.ok()) {
-        last = st;
-        continue;
+      if (survivors < mf->k) {
+        decoded = {Errc::corruption, "fewer than k siblings survive"};
+      } else {
+        held.resize(total);
+        for (std::size_t i = 0; i < total; ++i)
+          if (held[i].empty())
+            held[i] = i < gathered
+                          ? take_copy({payload.data() + i * ss, ss})
+                          : take_reserved(ss);
+        const erasure::ReedSolomon coder(mf->k, mf->m);
+        decoded = coder.reconstruct(held);
       }
-      for (std::size_t i = gathered; i < mf->k; ++i) append(held[i].data());
-      if (reconstructed) *reconstructed = true;
+      if (decoded.ok()) {
+        for (std::size_t i = gathered; i < mf->k; ++i)
+          append(held[i].data());
+        if (reconstructed) *reconstructed = true;
+      }
+    }
+    for (auto& h : held) park_buffer(std::move(h));
+    if (!decoded.ok()) {
+      last = decoded;
+      continue;
     }
 
     // The one hash of the payload: materialized() computes it over the

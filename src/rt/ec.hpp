@@ -36,8 +36,11 @@
 // probability 2^-32 per read.
 //
 // Buffers: put() takes its k+m sibling buffers and get() its payload
-// buffer from the process buffer recycler (common/buffer_recycler.hpp,
-// DESIGN.md §11), so once traffic is running neither allocates them.
+// buffer, and a degraded get() the sibling copies it decodes from, from
+// the process buffer recycler (common/buffer_recycler.hpp, DESIGN.md
+// §11), so once traffic is running none of them is allocated; the
+// decode copies are parked again after the decode. put() keeps its
+// per-sibling arrays on the stack for stripes of up to 16 siblings.
 // A same-size overwrite copies each new sibling into its resident
 // buffer and parks the new sibling's own buffer; evicted siblings and
 // every payload a caller drops are parked too.

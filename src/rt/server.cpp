@@ -183,10 +183,9 @@ void RuntimeServer::submit_async(const std::string& token, Op op,
     }
   }
 
-  // Run to completion here when the op is cheap and plain and its
+  // Run to completion here when no service time is modeled and the
   // worker is idle (server.hpp); the claim holds the worker meanwhile.
   if (allow_inline && opt_.service_time.count() == 0 &&
-      tenants_->rs_coder(tid) == nullptr && payload <= kInlineMaxValue &&
       pool_.try_run_inline(worker, [&] {
         metrics_.count(Counter::inline_ops);
         finish(token, op, start, done);

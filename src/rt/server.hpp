@@ -28,16 +28,19 @@
 // other tenants' ops beyond its weight share.
 //
 // Run to completion: an admitted op executes on the submitting thread,
-// with no worker handoff, when all of these hold (DESIGN.md §11):
+// with no worker handoff, when both of these hold (DESIGN.md §11):
 //   - service_time is 0 (a modeled remote access stays on a worker);
-//   - the tenant has no RS policy (erasure coding stays on workers);
-//   - it is not a put of a value over kInlineMaxValue;
 //   - the owning worker is idle: nothing queued, nothing running
 //     (ThreadPool::try_run_inline claims it for the op's duration).
-// The last condition keeps per-shard FIFO order, the shard seq and DRR
-// fairness exactly as on the worker: an op runs inline only when no
-// queue exists to be fair about, and it holds the worker meanwhile.
-// Every other admitted op posts to the worker as before.
+// That covers erasure-coded ops and large puts too: an in-process
+// caller that waits for the result anyway may as well do the work
+// itself. A caller that must stay cheap per op passes allow_inline =
+// false for the ops it will not run; the TCP reactor does so for
+// erasure-coded tenants and large puts (tcp_server.hpp). The idle
+// condition keeps per-shard FIFO order, the shard seq and DRR fairness
+// exactly as on the worker: an op runs inline only when no queue exists
+// to be fair about, and it holds the worker meanwhile. Every other
+// admitted op posts to the worker as before.
 //
 // An optional per-op service time models the remote-access latency of a
 // disaggregated deployment (NIC + fabric round trip); workers sleep it
@@ -79,11 +82,6 @@ struct Op {
   kvstore::Blob value;         ///< put only
   std::uint32_t tenant = 0;    ///< TenantRegistry slot (0 = default)
 };
-
-/// Largest put value submit_async may execute on the submitting thread;
-/// a larger put always posts, so one big copy never runs on a caller
-/// (a reactor) that other connections share.
-inline constexpr Bytes kInlineMaxValue = 16 * 1024;
 
 constexpr bool op_is_write(Op::Type t) {
   return t == Op::Type::put || t == Op::Type::del;
@@ -135,12 +133,14 @@ class RuntimeServer {
 
   /// Callback-style submit: `done` runs exactly once -- on the
   /// submitter's thread, before submit_async returns, when admission
-  /// sheds the op or the op runs to completion inline (file comment;
-  /// `allow_inline` false forces the post path); otherwise later, on the
-  /// owning worker thread. A caller must therefore not hold, across the
-  /// call, a lock that `done` takes. This is the path the TCP front-end
-  /// uses: no future/promise allocation per network request, and a
-  /// reactor can write an inline result straight into its connection.
+  /// sheds the op or the op runs to completion inline (file comment:
+  /// no service time and an idle worker; `allow_inline` false forces
+  /// the post path, which is how a caller keeps an expensive op off its
+  /// own thread); otherwise later, on the owning worker thread. A caller
+  /// must therefore not hold, across the call, a lock that `done` takes.
+  /// This is the path the TCP front-end uses: no future/promise
+  /// allocation per network request, and a reactor can write an inline
+  /// result straight into its connection.
   void submit_async(const std::string& token, Op op, Completion done,
                     bool allow_inline = true);
 
@@ -151,6 +151,8 @@ class RuntimeServer {
 
   ServingMetrics& metrics() { return metrics_; }
   const ServingMetrics& metrics() const { return metrics_; }
+  /// The tenant table admission reads (Options::tenants or the owned one).
+  const TenantRegistry& tenants() const { return *tenants_; }
 
   /// Drain queues and join workers. Idempotent; the destructor calls it.
   /// Every already-queued op still executes and resolves its future;

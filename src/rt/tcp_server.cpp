@@ -36,11 +36,6 @@ constexpr std::uint64_t kFirstConnId = 8;
 // force-closing them.
 constexpr std::chrono::milliseconds kDrainTimeout{5000};
 
-// Ops one connection may complete in place per handle_read pass; its
-// later frames in that pass post to the workers, so a pipelining client
-// cannot keep the reactor from its other connections.
-constexpr std::size_t kInlineBudget = 64;
-
 int make_listen_socket(std::uint16_t port, std::uint16_t* bound_port,
                        std::string* err) {
   const int fd =
@@ -297,6 +292,14 @@ struct TcpServer::Reactor {
     ++c.pending;
     const bool is_get = op.type == Op::Type::get;
     const bool is_exists = op.type == Op::Type::exists;
+    // Only cheap ops may run on the reactor, which other connections
+    // share: none of an erasure-coded tenant's, no put over
+    // kInlineMaxValue, and at most kInlineBudget per read pass.
+    const TenantRegistry& tenants = owner->server_.tenants();
+    const bool allow_inline =
+        c.inline_ops < kInlineBudget &&
+        !(tenants.valid(op.tenant) && tenants.rs_coder(op.tenant)) &&
+        !(op.type == Op::Type::put && op.value.size() > kInlineMaxValue);
     InSubmit here{&c};
     tl_in_submit = &here;
     owner->server_.submit_async(
@@ -316,7 +319,7 @@ struct TcpServer::Reactor {
           netio::encode_response(head, value, bytes);
           q->post(cid, std::move(bytes));
         },
-        c.inline_ops < kInlineBudget);
+        allow_inline);
     tl_in_submit = nullptr;
     if (here.completed) {
       ++c.inline_ops;

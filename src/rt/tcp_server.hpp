@@ -10,14 +10,17 @@
 // thread, so per-connection state needs no locks. Frames decode into
 // rt::Op and dispatch through RuntimeServer::submit_async, which runs
 // the existing admission ladder (rate -> pressure -> lane, DESIGN.md
-// §12). A small plain op whose worker is idle runs to completion right
-// there on the reactor (server.hpp); its completion -- like an
-// admission shed's -- fires inside the reactor's own submit_async call,
-// so the response is encoded straight into the connection's write
-// buffer: no completion-queue push, no eventfd write. At most
-// kInlineBudget ops per connection complete in place per read pass;
-// later frames post, so one pipelining client cannot hold the reactor.
-// Every other op executes on its shard-pinned worker, whose completion
+// §12). A cheap op whose worker is idle runs to completion right there
+// on the reactor (server.hpp); its completion -- like an admission
+// shed's -- fires inside the reactor's own submit_async call, so the
+// response is encoded straight into the connection's write buffer: no
+// completion-queue push, no eventfd write. A reactor is shared by many
+// connections, so it keeps expensive ops off itself (allow_inline =
+// false): an erasure-coded tenant's ops and puts over kInlineMaxValue
+// always post, and at most kInlineBudget ops per connection complete in
+// place per read pass, later frames posting, so one client cannot hold
+// the reactor. Every other op executes on its shard-pinned worker,
+// whose completion
 // is encoded there and handed back to the owning reactor through a
 // mutex-guarded completion queue + eventfd wakeup. Responses leave from
 // the connection's write buffer, flushed once per read pass or per
@@ -68,6 +71,13 @@
 #include "rt/server.hpp"
 
 namespace memfss::rt {
+
+/// Ops one connection may complete on its reactor per read pass; its
+/// later frames in that pass post to the workers.
+inline constexpr std::size_t kInlineBudget = 64;
+/// Largest put value a reactor runs in place; a larger put posts, so one
+/// big copy never runs on a thread that other connections share.
+inline constexpr Bytes kInlineMaxValue = 16 * 1024;
 
 class TcpServer {
  public:

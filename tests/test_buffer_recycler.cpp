@@ -1,11 +1,11 @@
 // The process buffer recycler (common/buffer_recycler.hpp, DESIGN.md
 // §11): takes and parks across threads, size classes, the threshold and
 // the caps, eviction of classes no longer taken, Blob's copy/assign/
-// destroy contract, the frame decoder's take, and the no-stranding
-// fence -- erasure-coded traffic on two workers with evictions on a
-// third thread allocates only a handful of large buffers once the store
-// is preloaded, also after buffers of many sizes that are never asked
-// for again filled the recycler. Labelled `concurrency`, so the TSan
+// destroy contract, the frame decoder's take, degraded erasure-coded
+// gets, and the no-stranding fence -- erasure-coded traffic on two
+// workers with evictions on a third thread allocates only a handful of
+// large buffers once the store is preloaded, also after buffers of many
+// sizes that are never asked for again filled the recycler. Labelled `concurrency`, so the TSan
 // pass runs it.
 //
 // The recycler is one per process: every test starts by freeing what
@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "common/rng.hpp"
+#include "erasure/reed_solomon.hpp"
 #include "kvstore/blob.hpp"
 #include "netio/frame.hpp"
 #include "rt/ec.hpp"
@@ -261,6 +262,33 @@ TEST_F(BufferRecycler, FrameDecoderTakesLargeValues) {
   ASSERT_EQ(dec.next(out), netio::Decode::frame);
   EXPECT_EQ(out.value.data(), p);
   EXPECT_EQ(out, f);
+}
+
+// A degraded get copies the siblings it decodes from into recycled
+// buffers and parks them after the decode, so once warm, gets of a
+// stripe with a data sibling missing take no fresh buffer.
+TEST_F(BufferRecycler, DegradedGetsTakeNoFreshBuffersOnceWarm) {
+  const std::string token = "tok";
+  const erasure::ReedSolomon rs(4, 2);
+  rt::ShardedStore store({8, 16 * units::MiB, token});
+  const Blob value = filled_blob(64 * 1024, 0x6b);
+  ASSERT_TRUE(rt::ec::put(store, token, "k", value, rs).ok());
+  ASSERT_TRUE(store.del(token, rt::ec::shard_key("k", 1)).ok());
+  auto degraded_get = [&] {
+    bool reconstructed = false;
+    auto got = rt::ec::get(store, token, "k", nullptr, &reconstructed);
+    ASSERT_TRUE(got.ok());
+    EXPECT_TRUE(reconstructed);
+    EXPECT_TRUE(got.value() == value);
+  };
+  for (int i = 0; i < 4; ++i) ASSERT_NO_FATAL_FAILURE(degraded_get());
+  const auto s0 = recycler_stats();
+  constexpr int kGets = 50;
+  for (int i = 0; i < kGets; ++i) ASSERT_NO_FATAL_FAILURE(degraded_get());
+  const auto s1 = recycler_stats();
+  EXPECT_EQ(s1.fresh_takes, s0.fresh_takes);
+  // The payload and one buffer per sibling: five read, one rebuilt.
+  EXPECT_EQ(s1.reused_takes - s0.reused_takes, std::uint64_t{7} * kGets);
 }
 
 // The no-stranding fence. An RS(4,2) tenant is preloaded on this

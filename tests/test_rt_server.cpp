@@ -7,10 +7,12 @@
 #include <chrono>
 #include <future>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "common/rng.hpp"
 #include "rt/thread_pool.hpp"
 #include "worker_hold.hpp"
 
@@ -311,13 +313,17 @@ TEST(RuntimeServer, ConcurrentSnapshotsLeaveExactTotals) {
 
 /// Submit `op` and return the id of the thread its completion ran on.
 std::thread::id completing_thread(RuntimeServer& server, Op op,
-                                  Errc want = Errc::ok) {
+                                  Errc want = Errc::ok,
+                                  bool allow_inline = true) {
   std::promise<std::thread::id> ran_on;
   auto fut = ran_on.get_future();
-  server.submit_async("", std::move(op), [&](OpResult r) {
-    EXPECT_EQ(r.code, want);
-    ran_on.set_value(std::this_thread::get_id());
-  });
+  server.submit_async(
+      "", std::move(op),
+      [&](OpResult r) {
+        EXPECT_EQ(r.code, want);
+        ran_on.set_value(std::this_thread::get_id());
+      },
+      allow_inline);
   return fut.get();
 }
 
@@ -372,42 +378,131 @@ TEST(RuntimeServerInline, OpOnABusyWorkerPostsToTheWorker) {
   EXPECT_EQ(server.metrics().counter_value("rt.ops.inline"), 1u);
 }
 
-// Erasure-coded tenants, modeled service time and puts over
-// kInlineMaxValue always take the worker.
-TEST(RuntimeServerInline, CodedSlowAndLargeOpsNeverRunInline) {
+/// A registry holding the default tenant and an RS(4,2) tenant.
+struct CodedTenant {
   TenantRegistry reg;
-  TenantConfig coded_cfg;
-  coded_cfg.name = "coded";
-  coded_cfg.rs = {4, 2};
-  const auto coded = reg.register_tenant(coded_cfg).value();
+  std::uint32_t id = 0;
+  CodedTenant() {
+    TenantConfig cfg;
+    cfg.name = "coded";
+    cfg.rs = {4, 2};
+    id = reg.register_tenant(cfg).value();
+  }
+};
+
+// An in-process caller runs erasure-coded ops and large puts itself
+// when the worker is idle; allow_inline = false and a modeled service
+// time still send them to the worker. (The reactor keeps them off its
+// own thread: RtTcp.ReactorKeepsCodedAndLargeOpsOffItself.)
+TEST(RuntimeServerInline, CodedAndLargeOpsRunOnTheSubmitterWhenTheWorkerIsIdle) {
+  CodedTenant t;
   ShardedStore store({8, 16 << 20, ""});
   RuntimeServer::Options opt;
   opt.threads = 1;
-  opt.tenants = &reg;
+  opt.tenants = &t.reg;
   RuntimeServer server(store, opt);
   const auto me = std::this_thread::get_id();
-  EXPECT_NE(completing_thread(server,
-                              {Op::Type::put, "c", sized_blob(1024), coded}),
+  const auto value = sized_blob(64 * 1024);
+  EXPECT_EQ(completing_thread(server, {Op::Type::put, "c", value, t.id}), me);
+  std::optional<OpResult> got;
+  server.submit_async("", {Op::Type::get, "c", {}, t.id},
+                      [&](OpResult r) { got = std::move(r); });
+  ASSERT_TRUE(got.has_value());
+  EXPECT_EQ(got->code, Errc::ok);
+  EXPECT_TRUE(got->value == value);
+  EXPECT_EQ(completing_thread(server, {Op::Type::exists, "c", {}, t.id}), me);
+  EXPECT_EQ(completing_thread(server, {Op::Type::put, "big",
+                                       sized_blob(1 << 20)}),
             me);
-  EXPECT_NE(completing_thread(server, {Op::Type::get, "c", {}, coded}), me);
-  EXPECT_NE(completing_thread(server, {Op::Type::exists, "c", {}, coded}), me);
-  EXPECT_NE(completing_thread(server, {Op::Type::put, "big",
-                                       sized_blob(kInlineMaxValue + 1)}),
-            me);
-  EXPECT_EQ(server.metrics().counter_value("rt.ops.inline"), 0u);
-  // At the bound itself the put is still eligible. It goes to a server
-  // whose worker has never run a job: `server`'s worker clears its busy
-  // flag only after the previous completion has fired, so on a loaded
-  // host it can still count as running when the next op is submitted.
-  RuntimeServer idle(store, opt);
-  EXPECT_EQ(completing_thread(idle,
-                              {Op::Type::put, "edge", sized_blob(kInlineMaxValue)}),
-            me);
-  EXPECT_EQ(idle.metrics().counter_value("rt.ops.inline"), 1u);
+  const auto& m = server.metrics();
+  EXPECT_EQ(m.counter_value("rt.ops.inline"), 4u);
+  EXPECT_EQ(m.counter_value("rt.ec.puts"), 1u);
 
-  RuntimeServer slow(store, {1, 64, std::chrono::microseconds(100)});
-  EXPECT_NE(completing_thread(slow, {Op::Type::get, "edge", {}}), me);
+  // Posted ops leave the worker busy a moment after their completion
+  // fires, so these come last.
+  EXPECT_NE(completing_thread(server, {Op::Type::get, "c", {}, t.id},
+                              Errc::ok, /*allow_inline=*/false),
+            me);
+  EXPECT_NE(completing_thread(server, {Op::Type::put, "big",
+                                       sized_blob(1 << 20)},
+                              Errc::ok, /*allow_inline=*/false),
+            me);
+  EXPECT_EQ(m.counter_value("rt.ops.inline"), 4u);
+
+  opt.service_time = std::chrono::microseconds(100);
+  RuntimeServer slow(store, opt);
+  EXPECT_NE(completing_thread(slow, {Op::Type::get, "c", {}, t.id}), me);
+  EXPECT_NE(completing_thread(slow, {Op::Type::get, "big", {}}), me);
   EXPECT_EQ(slow.metrics().counter_value("rt.ops.inline"), 0u);
+}
+
+// Per-key order holds across inline and posted erasure-coded ops: one
+// submitter drives an RS(4,2) tenant on 2 workers, at most 8 ops in
+// flight, while a WorkerHold on one worker comes and goes so that its
+// ops queue and post for a while and then run inline again. Every get
+// returns the value a sequential model predicts at submit time.
+TEST(RuntimeServerInline, CodedOpsKeepPerKeyOrderAcrossInlineAndPosted) {
+  constexpr std::size_t kOps = 3000, kKeys = 32, kPool = 6;
+  constexpr std::uint32_t kWindow = 8;
+  CodedTenant t;
+  ShardedStore::Options sopt{8, 64 << 20, ""};
+  sopt.tenants = &t.reg;
+  ShardedStore store(sopt);
+  RuntimeServer::Options opt;
+  opt.threads = 2;
+  opt.tenants = &t.reg;
+  RuntimeServer server(store, opt);
+  std::vector<kvstore::Blob> pool;
+  for (std::size_t i = 0; i < kPool; ++i)
+    pool.push_back(sized_blob(8 * 1024 + 512 * i));
+  std::string hold_key = "hold";
+  while (store.shard_of(hold_key) % opt.threads != 0) hold_key += "+";
+
+  std::vector<std::size_t> model(kKeys, kPool);  // kPool: never put
+  std::atomic<std::uint32_t> inflight{0};
+  std::atomic<std::uint64_t> wrong{0};
+  std::optional<WorkerHold> hold;
+  Rng rng(17);
+  for (std::size_t i = 0; i < kOps; ++i) {
+    // Hold worker 0 for the first part of every 100 ops; a full window
+    // releases it, so its queued ops drain in order behind the hold.
+    if (i % 100 == 0) hold.emplace(server, hold_key);
+    for (auto n = inflight.load(); n >= kWindow; n = inflight.load()) {
+      hold.reset();
+      inflight.wait(n);
+    }
+    const std::size_t key = rng.uniform_u64(0, kKeys - 1);
+    const bool get = rng.uniform_u64(0, 9) < 6;
+    const std::size_t expect = model[key];
+    Op op{get ? Op::Type::get : Op::Type::put, "key" + std::to_string(key),
+          {}, t.id};
+    if (!get) {
+      model[key] = rng.uniform_u64(0, kPool - 1);
+      op.value = pool[model[key]];
+    }
+    inflight.fetch_add(1);
+    server.submit_async("", std::move(op),
+                        [&, get, expect](OpResult r) {
+                          const bool unset = get && expect == kPool;
+                          bool ok = r.code == (unset ? Errc::not_found
+                                                     : Errc::ok);
+                          if (ok && get && !unset)
+                            ok = r.value == pool[expect];
+                          if (!ok) wrong.fetch_add(1);
+                          inflight.fetch_sub(1);
+                          inflight.notify_one();
+                        });
+  }
+  hold.reset();
+  for (auto n = inflight.load(); n > 0; n = inflight.load()) inflight.wait(n);
+  EXPECT_EQ(wrong.load(), 0u);
+  // Both paths ran. kOps coded ops and kOps / 100 holds executed, so
+  // fewer than kOps inline means more than kOps / 100 posted: some coded
+  // ops did.
+  const std::uint64_t inlined =
+      server.metrics().counter_value("rt.ops.inline");
+  EXPECT_GT(inlined, 0u);
+  EXPECT_LT(inlined, kOps);
 }
 
 TEST(RuntimeServer, ServiceTimeIsApplied) {

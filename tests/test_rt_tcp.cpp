@@ -384,6 +384,55 @@ TEST(RtTcp, LargePutStreamDoesNotStallSmallGetsOnTheSameReactor) {
   streamer.join();
 }
 
+// The reactor runs only cheap ops in place: an erasure-coded tenant's
+// put, get and exists and a put over kInlineMaxValue always post to the
+// worker, so rt.ops.inline does not move for them, while a plain put at
+// the bound still completes on the reactor. (An in-process caller runs
+// all of them itself: RuntimeServerInline.
+// CodedAndLargeOpsRunOnTheSubmitterWhenTheWorkerIsIdle.)
+TEST(RtTcp, ReactorKeepsCodedAndLargeOpsOffItself) {
+  TenantRegistry reg;
+  TenantConfig cfg;
+  cfg.name = "coded";
+  cfg.rs = {4, 2};
+  const auto coded = reg.register_tenant(cfg).value();
+  RuntimeServer::Options sopt;
+  sopt.threads = 1;
+  sopt.tenants = &reg;
+  Fixture fx(sopt);
+  NetClient c;
+  ASSERT_TRUE(c.connect(fx.tcp.port()).ok());
+  ASSERT_TRUE(c.set_recv_timeout(10.0).ok());
+  auth_ok(c);
+  const auto inline_ops = [&] {
+    return fx.server.metrics().counter_value("rt.ops.inline");
+  };
+  auto ok = [&](const Frame& req) {
+    if (!c.send(req).ok()) return Frame{};
+    Frame f = expect_recv(c);
+    EXPECT_EQ(f.request_id, req.request_id);
+    EXPECT_EQ(f.status, static_cast<std::uint8_t>(Errc::ok));
+    return f;
+  };
+
+  // Nothing has posted yet, so the worker is idle: the put at the bound
+  // runs in place.
+  const std::uint64_t before = inline_ops();
+  ok(NetClient::make_put(2, 0, "edge",
+                         std::vector<std::uint8_t>(kInlineMaxValue, 7)));
+  EXPECT_EQ(inline_ops(), before + 1);
+
+  const std::vector<std::uint8_t> value(64 * 1024, 9);
+  ok(NetClient::make_put(3, coded, "c", value));
+  EXPECT_EQ(ok(NetClient::make_get(4, coded, "c")).value, value);
+  EXPECT_TRUE(ok(NetClient::make_exists(5, coded, "c")).flags &
+              netio::kFlagFound);
+  ok(NetClient::make_put(6, 0, "big",
+                         std::vector<std::uint8_t>(kInlineMaxValue + 1, 8)));
+  EXPECT_EQ(inline_ops(), before + 1);
+  EXPECT_EQ(fx.server.metrics().counter_value("rt.ec.puts"), 1u);
+}
+
 // shutdown() with pipelined frames in flight: every submitted frame is
 // answered before the connection closes, and the close is an orderly
 // EOF, not a reset with queued data.
