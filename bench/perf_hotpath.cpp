@@ -466,6 +466,17 @@ void bench_ec() {
   counts_per_op("get", [&](std::size_t k) {
     if (!rt::ec::get(store, token, keys[k]).ok()) std::exit(1);
   });
+  // Degraded: with one data sibling of every key evicted, the same pass
+  // of gets, decoding with the tenant's coder as RuntimeServer passes it.
+  for (std::size_t k = 0; k < kKeys; ++k)
+    (void)store.evict(rt::ec::shard_key(keys[k], k % rs.data_shards()));
+  counts_per_op("get_degraded", [&](std::size_t k) {
+    bool reconstructed = false;
+    if (!rt::ec::get(store, token, keys[k], nullptr, &reconstructed, &rs)
+             .ok() ||
+        !reconstructed)
+      std::exit(1);
+  });
 }
 
 // --- rt: in-process RuntimeServer round trips --------------------------

@@ -270,6 +270,8 @@ for r in json.load(open(fresh_path)):
 for bench, metric in [("ec", "put_64k_allocs"), ("ec", "get_64k_allocs"),
                       ("ec", "put_64k_fresh_takes"),
                       ("ec", "get_64k_fresh_takes"),
+                      ("ec", "get_degraded_64k_allocs"),
+                      ("ec", "get_degraded_64k_fresh_takes"),
                       ("rt", "put_1k_allocs"), ("rt", "get_1k_allocs"),
                       ("rt", "ec_put_64k_allocs"),
                       ("rt", "ec_get_64k_allocs")]:

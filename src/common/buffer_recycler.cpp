@@ -215,6 +215,111 @@ Recycler& recycler() {
   return *r;
 }
 
+// --- SharedBytes nodes --------------------------------------------------------
+//
+// Nodes are allocated kNodeSlab at a time and never freed. Each thread
+// keeps a private list of free nodes; it refills kNodeBatch at a time
+// from the shared list and spills kNodeBatch to it past kNodeCache, so
+// a thread that only takes (a reactor decoding puts) and one that only
+// drops (a worker overwriting values) meet under the lock once per
+// batch, and a thread that does both never does.
+
+using detail::ByteNode;
+
+constexpr std::size_t kNodeSlab = 64;
+constexpr std::size_t kNodeBatch = 32;
+constexpr std::size_t kNodeCache = 2 * kNodeBatch;
+
+struct NodeList {
+  ByteNode* head = nullptr;
+  std::size_t n = 0;
+
+  void push(ByteNode* node) {
+    node->next = head;
+    head = node;
+    ++n;
+  }
+  ByteNode* pop() {
+    ByteNode* node = head;
+    head = node->next;
+    --n;
+    return node;
+  }
+  /// Move up to `count` nodes from the front of `from` onto this list.
+  void take_from(NodeList& from, std::size_t count) {
+    while (count-- > 0 && from.n > 0) push(from.pop());
+  }
+};
+
+class NodePool {
+ public:
+  /// Move kNodeBatch free nodes onto `into`. A slab is allocated when
+  /// that would leave fewer than kNodeBatch on the list, so nodes are
+  /// allocated while free ones run low, not when a take finds none: a
+  /// stretch of traffic that returns as many nodes as it takes
+  /// allocates none.
+  void refill(NodeList& into) {
+    std::lock_guard lk(mu_);
+    if (free_.n < 2 * kNodeBatch) {
+      auto* slab = new Slab;
+      slab->next = slabs_;
+      slabs_ = slab;
+      for (ByteNode& node : slab->nodes) free_.push(&node);
+      nodes_.fetch_add(kNodeSlab, std::memory_order_relaxed);
+    }
+    into.take_from(free_, kNodeBatch);
+  }
+
+  /// Move `count` nodes of `from` onto the shared list.
+  void spill(NodeList& from, std::size_t count) {
+    std::lock_guard lk(mu_);
+    free_.take_from(from, count);
+  }
+
+  std::uint64_t nodes() const { return nodes_.load(std::memory_order_relaxed); }
+
+ private:
+  struct Slab {
+    Slab* next = nullptr;
+    ByteNode nodes[kNodeSlab];
+  };
+
+  std::mutex mu_;
+  NodeList free_;           // guarded by mu_
+  Slab* slabs_ = nullptr;   // guarded by mu_; keeps every node reachable
+  std::atomic<std::uint64_t> nodes_{0};
+};
+
+NodePool& node_pool() {
+  static NodePool* const p = new NodePool;  // never destroyed
+  return *p;
+}
+
+/// A thread's free nodes. Trivially destructible, so a node dropped
+/// after NodeFlush ran (by a later thread_local destructor, or during
+/// static destruction) still has a list to go to; it is only lost for
+/// reuse.
+struct LocalNodes {
+  NodeList list;
+  bool armed = false;  ///< NodeFlush constructed for this thread
+};
+thread_local LocalNodes t_nodes;
+
+/// Hands a thread's free nodes to the shared list when the thread exits.
+struct NodeFlush {
+  ~NodeFlush() { node_pool().spill(t_nodes.list, t_nodes.list.n); }
+  bool touched = false;
+};
+thread_local NodeFlush t_flush;
+
+NodeList& local_nodes() {
+  if (!t_nodes.armed) {
+    t_flush.touched = true;  // constructs t_flush, so its destructor runs
+    t_nodes.armed = true;
+  }
+  return t_nodes.list;
+}
+
 }  // namespace
 
 namespace detail {
@@ -227,9 +332,30 @@ void park_large(std::vector<std::uint8_t>& buf) noexcept {
   recycler().park(buf);
 }
 
+ByteNode* take_node(std::vector<std::uint8_t>&& bytes) {
+  NodeList& local = local_nodes();
+  if (local.n == 0) node_pool().refill(local);
+  ByteNode* node = local.pop();
+  node->refs.store(1, std::memory_order_relaxed);
+  node->vec = std::move(bytes);
+  return node;
+}
+
+void recycle_node(ByteNode* node) noexcept {
+  park_buffer(std::move(node->vec));
+  std::vector<std::uint8_t>().swap(node->vec);  // frees what was not parked
+  NodeList& local = local_nodes();
+  local.push(node);
+  if (local.n > kNodeCache) node_pool().spill(local, kNodeBatch);
+}
+
 }  // namespace detail
 
-RecyclerStats recycler_stats() { return recycler().stats(); }
+RecyclerStats recycler_stats() {
+  RecyclerStats st = recycler().stats();
+  st.share_nodes = node_pool().nodes();
+  return st;
+}
 
 void recycler_trim() noexcept { recycler().trim(); }
 

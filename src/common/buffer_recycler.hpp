@@ -35,8 +35,18 @@
 // created on first use and never destroyed, so a buffer dropped during
 // static destruction still has somewhere to go. Nothing here is
 // configurable.
+//
+// SharedBytes is the immutable, reference-counted buffer behind every
+// materialized kvstore::Blob. Its count lives in a small node next to
+// the buffer; the share that drops the count to zero parks the buffer
+// here, on whatever thread it runs, and keeps the node in that thread's
+// free list for the next SharedBytes. Nodes are allocated in slabs and
+// never freed, so a share costs no allocation once the lists are warm,
+// whatever the value's size, and the nodes kept are bounded by the
+// most values ever alive at once.
 #pragma once
 
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <span>
@@ -101,33 +111,72 @@ inline void park_buffer(std::vector<std::uint8_t>&& buf) noexcept {
   if (buf.capacity() >= kRecycleMinBytes) detail::park_large(buf);
 }
 
-/// A byte vector that goes through the recycler for its owner: a copy
-/// takes its buffer from it, and destruction and copy or move
-/// assignment park the buffer being dropped. Under kRecycleMinBytes it
-/// behaves as the plain vector.
-struct RecycledBytes {
+namespace detail {
+/// What a SharedBytes points to: the bytes and the count of the shares
+/// that hold them. Nodes are recycled, never freed.
+struct ByteNode {
+  std::atomic<std::uint32_t> refs{0};
   std::vector<std::uint8_t> vec;
+  ByteNode* next = nullptr;  ///< free-list link while unowned
+};
+/// A node holding `bytes`, with one share.
+ByteNode* take_node(std::vector<std::uint8_t>&& bytes);
+/// The last share of `n` is gone: park its buffer and keep the node.
+void recycle_node(ByteNode* n) noexcept;
+}  // namespace detail
 
-  RecycledBytes() = default;
-  RecycledBytes(const RecycledBytes& o) : vec(take_copy(o.vec)) {}
-  RecycledBytes(RecycledBytes&& o) noexcept = default;
-  RecycledBytes& operator=(const RecycledBytes& o) {
-    if (this != &o) replace(take_copy(o.vec));
+/// An immutable byte buffer held by shares (DESIGN.md §11). Copying a
+/// SharedBytes adds a share of the same bytes; the last share to go
+/// parks the buffer (kRecycleMinBytes and up) and hands its node back
+/// for the next SharedBytes on any thread. The count lives in that
+/// node, next to the buffer, so a share costs no allocation once the
+/// node free lists are warm. Only the holder of the sole share may
+/// write the bytes (mutable_bytes()); every other holder sees them
+/// fixed for as long as it keeps its share. An empty SharedBytes owns
+/// nothing.
+class SharedBytes {
+ public:
+  SharedBytes() = default;
+  explicit SharedBytes(std::vector<std::uint8_t>&& bytes)
+      : node_(bytes.empty() ? nullptr : detail::take_node(std::move(bytes))) {}
+  SharedBytes(const SharedBytes& o) noexcept : node_(o.node_) {
+    if (node_) node_->refs.fetch_add(1, std::memory_order_relaxed);
+  }
+  SharedBytes(SharedBytes&& o) noexcept : node_(std::exchange(o.node_, nullptr)) {}
+  /// Copy and move assignment: the share this held is dropped.
+  SharedBytes& operator=(SharedBytes o) noexcept {
+    std::swap(node_, o.node_);
     return *this;
   }
-  RecycledBytes& operator=(RecycledBytes&& o) noexcept {
-    if (this != &o) replace(std::move(o.vec));
-    return *this;
+  ~SharedBytes() {
+    // acq_rel: this share's reads of the bytes happen before whoever
+    // next writes them, the sole holder or the next owner of the buffer.
+    if (node_ && node_->refs.fetch_sub(1, std::memory_order_acq_rel) == 1)
+      detail::recycle_node(node_);
   }
-  ~RecycledBytes() { park_buffer(std::move(vec)); }
 
-  bool operator==(const RecycledBytes& o) const { return vec == o.vec; }
+  bool empty() const { return node_ == nullptr; }
+  std::span<const std::uint8_t> view() const {
+    if (!node_) return {};
+    return node_->vec;
+  }
+
+  /// Whether this is the only share. The acquire load pairs with the
+  /// release of every dropped share, so once it reads true no other
+  /// holder's reads are still outstanding, and no new share can appear
+  /// unless this holder copies itself.
+  bool sole() const {
+    return node_ && node_->refs.load(std::memory_order_acquire) == 1;
+  }
+
+  /// The bytes, writable; only while sole().
+  std::span<std::uint8_t> mutable_bytes() {
+    if (!node_) return {};
+    return node_->vec;
+  }
 
  private:
-  void replace(std::vector<std::uint8_t>&& next) noexcept {
-    park_buffer(std::move(vec));
-    vec = std::move(next);
-  }
+  detail::ByteNode* node_ = nullptr;
 };
 
 struct RecyclerStats {
@@ -135,6 +184,7 @@ struct RecyclerStats {
   std::uint64_t reused_takes = 0;  ///< takes served from a parked buffer
   std::uint64_t parked_bytes = 0;  ///< capacity of every parked buffer
   std::uint64_t evicted = 0;  ///< parked buffers freed to make room for others
+  std::uint64_t share_nodes = 0;  ///< SharedBytes nodes allocated (kept for reuse)
 };
 
 /// Process-wide totals since start; a consistent snapshot when no other

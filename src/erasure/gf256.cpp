@@ -2,7 +2,8 @@
 
 #include <cassert>
 #include <utility>
-#include <vector>
+
+#include "common/small_array.hpp"
 
 namespace memfss::erasure {
 
@@ -56,7 +57,8 @@ std::uint8_t GF256::pow(std::uint8_t a, unsigned e) {
 bool gf256_invert_matrix(std::span<std::uint8_t> m, std::size_t k) {
   assert(m.size() == k * k);
   // Augment with identity, run Gauss-Jordan, read out the right half.
-  std::vector<std::uint8_t> aug(k * 2 * k, 0);
+  // Inline for k <= 16.
+  SmallArray<std::uint8_t, 2 * 16 * 16> aug(k * 2 * k);
   for (std::size_t r = 0; r < k; ++r) {
     for (std::size_t c = 0; c < k; ++c) aug[r * 2 * k + c] = m[r * k + c];
     aug[r * 2 * k + k + r] = 1;

@@ -4,12 +4,16 @@
 #include <cassert>
 #include <cstring>
 
+#include "common/small_array.hpp"
 #include "erasure/gf256.hpp"
 #include "erasure/gf256_simd.hpp"
 
 namespace memfss::erasure {
 
 namespace {
+
+/// Stripe width up to which reconstruct() keeps its arrays inline.
+constexpr std::size_t kInlineShards = 16;
 
 // Build the systematic encoding matrix: start from the (k+m) x k
 // Vandermonde V[r][c] = r^c (rows are distinct evaluation points, so every
@@ -87,36 +91,39 @@ std::vector<std::vector<std::uint8_t>> ReedSolomon::encode(
 }
 
 Status ReedSolomon::reconstruct(
-    std::vector<std::vector<std::uint8_t>>& shards) const {
+    std::span<std::vector<std::uint8_t>> shards) const {
   if (shards.size() != total_shards())
     return {Errc::invalid_argument, "wrong shard count"};
 
-  std::vector<std::size_t> present, missing;
+  // Scratch arrays stay off the heap for stripes of up to 16 shards.
+  SmallArray<std::size_t, kInlineShards> present(shards.size()),
+      missing(shards.size());
+  std::size_t n_present = 0, n_missing = 0;
   std::size_t ss = 0;
   for (std::size_t i = 0; i < shards.size(); ++i) {
     if (shards[i].empty()) {
-      missing.push_back(i);
+      missing[n_missing++] = i;
     } else {
       if (ss == 0) ss = shards[i].size();
       if (shards[i].size() != ss)
         return {Errc::invalid_argument, "inconsistent shard sizes"};
-      present.push_back(i);
+      present[n_present++] = i;
     }
   }
-  if (missing.empty()) return {};
-  if (present.size() < k_)
+  if (n_missing == 0) return {};
+  if (n_present < k_)
     return {Errc::corruption, "fewer than k shards survive"};
 
   // Decode matrix: k of the surviving rows; invert; recovered data shard d
   // = sum_j inv[d][j] * surviving_shard_j.
-  std::vector<std::uint8_t> sub(k_ * k_);
-  std::vector<const std::uint8_t*> srcs(k_);
+  SmallArray<std::uint8_t, kInlineShards * kInlineShards> sub(k_ * k_);
+  SmallArray<const std::uint8_t*, kInlineShards> srcs(k_);
   for (std::size_t j = 0; j < k_; ++j) {
     const std::uint8_t* r = row(present[j]);
     for (std::size_t c = 0; c < k_; ++c) sub[j * k_ + c] = r[c];
     srcs[j] = shards[present[j]].data();
   }
-  if (!gf256_invert_matrix(sub, k_))
+  if (!gf256_invert_matrix(sub.span(), k_))
     return {Errc::corruption, "decode matrix singular"};
 
   // Recover missing *data* shards first: one fused row pass per missing
@@ -131,9 +138,10 @@ Status ReedSolomon::reconstruct(
   }
 
   // Re-encode any missing parity shards from the (now complete) data.
-  std::vector<const std::uint8_t*> data_ptrs(k_);
+  SmallArray<const std::uint8_t*, kInlineShards> data_ptrs(k_);
   for (std::size_t d = 0; d < k_; ++d) data_ptrs[d] = shards[d].data();
-  for (std::size_t i : missing) {
+  for (std::size_t j = 0; j < n_missing; ++j) {
+    const std::size_t i = missing[j];
     if (i < k_) continue;
     shards[i].resize(ss);
     kernels_->mul_row_acc(shards[i].data(), data_ptrs.data(), row(i), k_, ss,

@@ -74,7 +74,9 @@ class ReedSolomon {
 
   /// Rebuild every missing shard in place (for repairing a lost node
   /// without reassembling the whole payload). Fails if < k present.
-  Status reconstruct(std::vector<std::vector<std::uint8_t>>& shards) const;
+  /// Allocates nothing beyond the rebuilt shards' growth for stripes of
+  /// up to 16 shards.
+  Status reconstruct(std::span<std::vector<std::uint8_t>> shards) const;
 
  private:
   std::size_t k_, m_;

@@ -11,14 +11,15 @@
 // instead of hashing the bytes again. A ghost's checksum is
 // hash::mix64(size, tag): there are no bytes to hash.
 //
-// The bytes are a RecycledBytes, so buffers of at least
-// kRecycleMinBytes (4 KiB) go through the process buffer recycler
-// (common/buffer_recycler.hpp, DESIGN.md §11): a copy takes its buffer
-// from it, and destruction and copy or move assignment park the buffer
-// being dropped there. A buffer freed on one thread is then the next one
-// taken on any thread, instead of a hole stranded in that thread's
-// malloc arena. Smaller buffers and ghosts (which own no bytes) never
-// reach it.
+// The bytes are immutable and shared (SharedBytes,
+// common/buffer_recycler.hpp, DESIGN.md §11): copying a Blob hands out
+// another share of the same buffer, so a store get or a put of a
+// caller's Blob copies no bytes. Whoever drops the last share parks the
+// buffer in the process recycler (4 KiB and up) and keeps its node for
+// the next Blob. Nothing changes bytes a share can see:
+// overwrite_same_size() writes in place only through the sole share,
+// and corrupt_for_test() clones a shared buffer before it flips a bit.
+// Ghosts own no bytes and no share.
 #pragma once
 
 #include <cstdint>
@@ -39,19 +40,20 @@ class Blob {
   static Blob ghost(Bytes size, std::uint64_t tag = 0);
 
   Bytes size() const { return size_; }
-  bool is_ghost() const { return data_.vec.empty() && size_ > 0; }
+  bool is_ghost() const { return data_.empty() && size_ > 0; }
   std::uint64_t checksum() const { return checksum_; }
-  std::span<const std::uint8_t> bytes() const { return data_.vec; }
+  std::span<const std::uint8_t> bytes() const { return data_.view(); }
 
-  bool operator==(const Blob& o) const {
-    return size_ == o.size_ && checksum_ == o.checksum_ && data_ == o.data_;
-  }
+  /// Same size, checksum and bytes (shares of one buffer compare equal
+  /// without reading it).
+  bool operator==(const Blob& o) const;
 
   /// Take `next`'s content into this blob's own buffer when both are
-  /// materialized and the same size, and return true; otherwise leave
-  /// this blob unchanged and return false (the caller then moves
-  /// `next` in). A store overwrite uses it so the resident buffer stays
-  /// where it was allocated (DESIGN.md §11).
+  /// materialized and the same size and this blob holds the only share
+  /// of its buffer, and return true; otherwise leave this blob
+  /// unchanged and return false (the caller then moves `next` in, and
+  /// a reader's share keeps the old bytes). A store overwrite uses it
+  /// so the resident buffer stays where it was allocated (DESIGN.md §11).
   bool overwrite_same_size(const Blob& next);
 
   /// Whether the stored checksum still matches the content. Ghost blobs
@@ -61,14 +63,14 @@ class Blob {
 
   /// Test hook: damage the blob (bit-flip for materialized data, checksum
   /// scramble for ghosts) so scrubbing/fault-injection tests have
-  /// something to find.
+  /// something to find. Other shares of the bytes stay intact.
   void corrupt_for_test();
 
  private:
   Bytes size_ = 0;
   std::uint64_t checksum_ = 0;
   bool corrupted_ = false;  ///< test-injection flag (ghost corruption)
-  RecycledBytes data_;
+  SharedBytes data_;
 };
 
 }  // namespace memfss::kvstore

@@ -12,7 +12,7 @@ Blob Blob::materialized(std::vector<std::uint8_t> bytes) {
   Blob b;
   b.size_ = bytes.size();
   b.checksum_ = memfss::hash::crc32c(bytes.data(), bytes.size());
-  b.data_.vec = std::move(bytes);
+  b.data_ = SharedBytes(std::move(bytes));
   return b;
 }
 
@@ -23,16 +23,26 @@ Blob Blob::ghost(Bytes size, std::uint64_t tag) {
   return b;
 }
 
+bool Blob::operator==(const Blob& o) const {
+  const auto a = bytes(), b = o.bytes();
+  return size_ == o.size_ && checksum_ == o.checksum_ &&
+         a.size() == b.size() &&
+         (a.data() == b.data() || std::equal(a.begin(), a.end(), b.begin()));
+}
+
 bool Blob::verify() const {
-  const auto& d = data_.vec;
+  const auto d = bytes();
   if (d.empty()) return !corrupted_;
   return memfss::hash::crc32c(d.data(), d.size()) == checksum_ && !corrupted_;
 }
 
 bool Blob::overwrite_same_size(const Blob& next) {
-  auto& d = data_.vec;
-  if (d.empty() || next.data_.vec.size() != d.size()) return false;
-  std::copy(next.data_.vec.begin(), next.data_.vec.end(), d.begin());
+  // Copy on write: a reader holding a share must never see its bytes
+  // change, so only the sole share is written in place.
+  if (next.data_.empty() || next.size_ != size_ || !data_.sole())
+    return false;
+  const auto src = next.bytes();
+  std::copy(src.begin(), src.end(), data_.mutable_bytes().begin());
   checksum_ = next.checksum_;
   corrupted_ = next.corrupted_;
   return true;
@@ -40,8 +50,10 @@ bool Blob::overwrite_same_size(const Blob& next) {
 
 void Blob::corrupt_for_test() {
   corrupted_ = true;
-  auto& d = data_.vec;
-  if (!d.empty()) d[d.size() / 2] ^= 0x5a;
+  if (data_.empty()) return;
+  if (!data_.sole()) data_ = SharedBytes(take_copy(bytes()));
+  const auto d = data_.mutable_bytes();
+  d[d.size() / 2] ^= 0x5a;
 }
 
 // --- Store ----------------------------------------------------------------

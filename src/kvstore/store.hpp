@@ -81,10 +81,13 @@ class Store {
   /// out_of_memory past the cap and permission on a bad token. A
   /// same-size overwrite of a materialized value by a materialized value
   /// copies the bytes into the resident buffer instead of replacing it
+  /// when the store holds the buffer's only share
   /// (Blob::overwrite_same_size), so a rewrite on another thread never
   /// frees the buffer into one malloc arena and allocates its successor
-  /// in another (DESIGN.md §11). On success `*delta` (if given) says what
-  /// the put charged and released.
+  /// in another (DESIGN.md §11); a resident someone else still shares is
+  /// replaced, and the sharer keeps the old bytes. The charge is per
+  /// key, whoever else shares the bytes. On success `*delta` (if given)
+  /// says what the put charged and released.
   Status put(std::string_view token, std::string_view key, Blob value,
              std::uint32_t owner = 0, Delta* delta = nullptr);
 
@@ -92,10 +95,10 @@ class Store {
   /// report, without writing (for owners that charge before the insert).
   Delta quote_put(std::string_view key, Bytes size) const;
 
-  /// Fetch a value.
+  /// Fetch a value: a share of the resident bytes, not a copy.
   Result<Blob> get(std::string_view token, std::string_view key);
 
-  /// get() without the copy: on a hit `fn(const Blob&)` sees the
+  /// get() without taking a share: on a hit `fn(const Blob&)` sees the
   /// resident value in place, valid only for the call. Same auth,
   /// closed-store and not_found errors and the same stats as get().
   template <class Fn>

@@ -5,6 +5,7 @@
 #include <chrono>
 #include <cmath>
 #include <cstring>
+#include <optional>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <sys/socket.h>
@@ -98,10 +99,9 @@ Result<Frame> NetClient::recv() {
       return st.error();
   }
   const bool bounded = recv_timeout_s_ > 0;
-  const auto deadline =
-      std::chrono::steady_clock::now() +
-      std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-          std::chrono::duration<double>(bounded ? recv_timeout_s_ : 0));
+  // Read when the call first has to wait: a frame already buffered
+  // costs no clock read.
+  std::optional<std::chrono::steady_clock::time_point> deadline;
   Frame f;
   for (;;) {
     switch (decoder_.next(f)) {
@@ -112,8 +112,12 @@ Result<Frame> NetClient::recv() {
       case Decode::need_more:
         break;
     }
-    std::uint8_t buf[64 * 1024];
-    const ssize_t r = ::recv(fd_, buf, sizeof(buf), 0);
+    if (bounded && !deadline)
+      deadline = std::chrono::steady_clock::now() +
+                 std::chrono::duration_cast<std::chrono::steady_clock::duration>(
+                     std::chrono::duration<double>(recv_timeout_s_));
+    const auto room = decoder_.tail(kRecvChunk);
+    const ssize_t r = ::recv(fd_, room.data(), room.size(), 0);
     if (r == 0) return {Errc::unavailable, "connection closed by server"};
     if (r < 0) {
       if (errno == EINTR || errno == EAGAIN || errno == EWOULDBLOCK) {
@@ -128,7 +132,7 @@ Result<Frame> NetClient::recv() {
         // would both fire premature timeouts (EAGAIN after a shortened
         // sleep) and extend the bound indefinitely (EINTR restarts).
         const double remaining =
-            std::chrono::duration<double>(deadline -
+            std::chrono::duration<double>(*deadline -
                                           std::chrono::steady_clock::now())
                 .count();
         if (remaining <= 0) return {Errc::timeout, "recv timed out"};
@@ -139,7 +143,7 @@ Result<Frame> NetClient::recv() {
       }
       return {Errc::io_error, "recv: " + std::string(strerror(errno))};
     }
-    decoder_.feed(buf, static_cast<std::size_t>(r));
+    decoder_.commit(static_cast<std::size_t>(r));
   }
 }
 

@@ -1,5 +1,9 @@
 #include "netio/frame.hpp"
 
+#include <algorithm>
+#include <cstring>
+#include <utility>
+
 #include "common/buffer_recycler.hpp"
 #include "common/result.hpp"
 #include "hash/hashes.hpp"
@@ -99,15 +103,46 @@ std::vector<std::uint8_t> encode(const Frame& f) {
   return out;
 }
 
-void FrameDecoder::feed(const std::uint8_t* data, std::size_t n) {
-  if (failed_) return;  // the stream is already dead; don't hoard bytes
-  // Compact once the consumed prefix dominates, so a long-lived
-  // connection's buffer doesn't grow without bound.
-  if (off_ > 0 && (off_ == buf_.size() || off_ >= (1u << 20))) {
-    buf_.erase(buf_.begin(), buf_.begin() + static_cast<std::ptrdiff_t>(off_));
+FrameDecoder& FrameDecoder::operator=(FrameDecoder&& o) noexcept {
+  max_body_ = o.max_body_;
+  buf_ = std::move(o.buf_);
+  cap_ = std::exchange(o.cap_, 0);
+  off_ = std::exchange(o.off_, 0);
+  end_ = std::exchange(o.end_, 0);
+  failed_ = std::exchange(o.failed_, false);
+  error_ = std::move(o.error_);
+  return *this;
+}
+
+std::span<std::uint8_t> FrameDecoder::tail(std::size_t n) {
+  if (off_ == end_) off_ = end_ = 0;  // all consumed: start over, no copy
+  if (cap_ - end_ < n) {
+    // Move the unconsumed bytes (at most one partial frame) to the
+    // front, into a larger buffer when they and `n` do not fit.
+    const std::size_t live = end_ - off_;
+    if (live + n > cap_) {
+      const std::size_t cap = std::max(2 * cap_, live + n);
+      auto grown = std::make_unique_for_overwrite<std::uint8_t[]>(cap);
+      if (live > 0) std::memcpy(grown.get(), buf_.get() + off_, live);
+      buf_ = std::move(grown);
+      cap_ = cap;
+    } else if (live > 0) {
+      std::memmove(buf_.get(), buf_.get() + off_, live);
+    }
     off_ = 0;
+    end_ = live;
   }
-  buf_.insert(buf_.end(), data, data + n);
+  return {buf_.get() + end_, n};
+}
+
+void FrameDecoder::commit(std::size_t n) {
+  if (!failed_) end_ += n;  // the stream is already dead: don't hoard bytes
+}
+
+void FrameDecoder::feed(const std::uint8_t* data, std::size_t n) {
+  if (failed_ || n == 0) return;
+  std::memcpy(tail(n).data(), data, n);
+  commit(n);
 }
 
 Decode FrameDecoder::fail(const std::string& why) {
@@ -121,7 +156,7 @@ Decode FrameDecoder::next(Frame& out) {
   // Magic and body_len (the first 8 header bytes) decide whether the
   // stream is bad, so reject it before the CRC field arrives.
   if (buffered() < 8) return Decode::need_more;
-  const std::uint8_t* h = buf_.data() + off_;
+  const std::uint8_t* h = buf_.get() + off_;
   const std::uint32_t magic = get_u32(h);
   if (magic != kRequestMagic && magic != kResponseMagic)
     return fail("bad magic");

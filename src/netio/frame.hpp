@@ -18,7 +18,7 @@
 // as size + checksum with no payload).
 //
 // The decoder is incremental and byte-exact: feed() any split of the
-// stream, next() yields need_more, one decoded frame, or a sticky
+// stream (or recv() straight into its tail() and commit() it), next() yields need_more, one decoded frame, or a sticky
 // error (bad magic, oversized body, short body, unknown opcode/status,
 // inconsistent lengths, body checksum mismatch). It never throws and
 // never reads past its buffer -- the fuzz suite
@@ -37,6 +37,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <string>
 #include <vector>
@@ -105,6 +106,9 @@ struct Frame {
   bool operator==(const Frame&) const = default;
 };
 
+/// Room a socket reader asks FrameDecoder::tail() for per recv().
+inline constexpr std::size_t kRecvChunk = 64 * 1024;
+
 inline constexpr std::size_t kHeaderLen = 12;  ///< magic + body_len + body_crc
 inline constexpr std::size_t kRequestFixedLen = 24;  ///< body before key
 inline constexpr std::size_t kResponseFixedLen = 40;  ///< body before value
@@ -136,8 +140,19 @@ class FrameDecoder {
  public:
   explicit FrameDecoder(std::size_t max_body = kDefaultMaxBody)
       : max_body_(max_body) {}
+  FrameDecoder(FrameDecoder&& o) noexcept { *this = std::move(o); }
+  FrameDecoder& operator=(FrameDecoder&& o) noexcept;
 
-  /// Append raw stream bytes in any split.
+  /// Writable room for at least `n` more stream bytes, after the ones
+  /// buffered: a reader recv()s straight into it and then commit()s
+  /// what arrived, so each received byte is copied once, into the
+  /// value it belongs to. Valid until the next call on the decoder.
+  std::span<std::uint8_t> tail(std::size_t n);
+  /// Append the first `n` bytes written into the last tail() (n no
+  /// more than its size).
+  void commit(std::size_t n);
+
+  /// Append raw stream bytes in any split (a copy into tail()).
   void feed(const std::uint8_t* data, std::size_t n);
   void feed(const std::vector<std::uint8_t>& data) {
     feed(data.data(), data.size());
@@ -151,14 +166,18 @@ class FrameDecoder {
   bool failed() const { return failed_; }
   const std::string& error() const { return error_; }
   /// Bytes buffered but not yet consumed by a decoded frame.
-  std::size_t buffered() const { return buf_.size() - off_; }
+  std::size_t buffered() const { return end_ - off_; }
 
  private:
   Decode fail(const std::string& why);
 
-  std::size_t max_body_;
-  std::vector<std::uint8_t> buf_;
+  std::size_t max_body_ = kDefaultMaxBody;
+  /// Stream bytes [off_, end_) of cap_; not zeroed, so room that tail()
+  /// hands out costs no page until a byte lands in it.
+  std::unique_ptr<std::uint8_t[]> buf_;
+  std::size_t cap_ = 0;
   std::size_t off_ = 0;  ///< consumed prefix of buf_
+  std::size_t end_ = 0;
   bool failed_ = false;
   std::string error_;
 };

@@ -1,10 +1,10 @@
 #include "rt/ec.hpp"
 
 #include <algorithm>
-#include <array>
 #include <vector>
 
 #include "common/buffer_recycler.hpp"
+#include "common/small_array.hpp"
 
 namespace memfss::rt::ec {
 
@@ -27,22 +27,7 @@ std::uint64_t get_le64(const std::uint8_t* p) {
 /// Per-sibling arrays of one stripe with no heap allocation for the
 /// common widths; a wider stripe (k + m up to 255) allocates them.
 template <class T>
-class SiblingArray {
- public:
-  explicit SiblingArray(std::size_t n) {
-    if (n > kFixed) wide_.resize(n);
-  }
-  SiblingArray(const SiblingArray&) = delete;
-  SiblingArray& operator=(const SiblingArray&) = delete;
-
-  T* data() { return wide_.empty() ? fixed_.data() : wide_.data(); }
-  T& operator[](std::size_t i) { return data()[i]; }
-
- private:
-  static constexpr std::size_t kFixed = 16;
-  std::array<T, kFixed> fixed_{};
-  std::vector<T> wide_;
-};
+using SiblingArray = SmallArray<T, 16>;
 
 /// Best-effort sweep of shard siblings [from, to) -- rollback and
 /// stale-stripe cleanup. Errors ignored: the keys may never have been
@@ -163,7 +148,7 @@ Status put(ShardedStore& store, std::string_view token, std::string_view key,
 
 Result<kvstore::Blob> get(ShardedStore& store, std::string_view token,
                           std::string_view key, std::uint64_t* seq,
-                          bool* reconstructed) {
+                          bool* reconstructed, const erasure::ReedSolomon* rs) {
   if (reconstructed) *reconstructed = false;
   // A get racing a put can observe a torn stripe (manifest of one
   // generation, shards of another); the manifest checksum catches that
@@ -203,7 +188,7 @@ Result<kvstore::Blob> get(ShardedStore& store, std::string_view token,
       payload.insert(payload.end(), src, src + n);
       return n;
     };
-    std::vector<std::vector<std::uint8_t>> held;
+    SiblingArray<std::vector<std::uint8_t>> held(total);
     std::size_t gathered = 0;  // data siblings appended to the payload
     std::size_t survivors = 0;  // siblings read at the right size
     bool gap = false;
@@ -219,10 +204,7 @@ Result<kvstore::Blob> get(ShardedStore& store, std::string_view token,
             ++survivors;
             // Bytes that go straight into the payload.
             const std::size_t n = gap ? 0 : append(bytes.data());
-            if (n < ss) {
-              held.resize(total);
-              held[i] = take_copy(bytes);
-            }
+            if (n < ss) held[i] = take_copy(bytes);
           });
       if (i < mf->k && !gap) {
         if (present)
@@ -248,14 +230,19 @@ Result<kvstore::Blob> get(ShardedStore& store, std::string_view token,
       if (survivors < mf->k) {
         decoded = {Errc::corruption, "fewer than k siblings survive"};
       } else {
-        held.resize(total);
         for (std::size_t i = 0; i < total; ++i)
           if (held[i].empty())
             held[i] = i < gathered
                           ? take_copy({payload.data() + i * ss, ss})
                           : take_reserved(ss);
-        const erasure::ReedSolomon coder(mf->k, mf->m);
-        decoded = coder.reconstruct(held);
+        // The caller's coder, unless the stripe was written under
+        // another policy.
+        std::optional<erasure::ReedSolomon> own;
+        const erasure::ReedSolomon* coder = rs;
+        if (!coder || coder->data_shards() != mf->k ||
+            coder->parity_shards() != mf->m)
+          coder = &own.emplace(mf->k, mf->m);
+        decoded = coder->reconstruct(held.span());
       }
       if (decoded.ok()) {
         for (std::size_t i = gathered; i < mf->k; ++i)
@@ -263,7 +250,7 @@ Result<kvstore::Blob> get(ShardedStore& store, std::string_view token,
         if (reconstructed) *reconstructed = true;
       }
     }
-    for (auto& h : held) park_buffer(std::move(h));
+    for (auto& h : held.span()) park_buffer(std::move(h));
     if (!decoded.ok()) {
       last = decoded;
       continue;

@@ -102,12 +102,16 @@ Status put(ShardedStore& store, std::string_view token, std::string_view key,
 /// Read back the logical value: fast path gathers the k data siblings
 /// into the payload; missing data siblings trigger reconstruction from
 /// any k survivors. A manifest whose length no resident sibling can
-/// hold (e.g. forged) reads as corruption. Falls back to a plain get when no manifest exists (keys
-/// written before the tenant's policy was enabled). `reconstructed`
-/// (optional) reports whether the slow path ran.
+/// hold (e.g. forged) reads as corruption. Falls back to a plain get
+/// when no manifest exists (keys written before the tenant's policy was
+/// enabled). `reconstructed` (optional) reports whether the slow path
+/// ran. The slow path decodes with `rs` (the tenant's coder) when the
+/// stripe's (k, m) matches it, and builds a coder for the stripe only
+/// when it does not or `rs` is null.
 Result<kvstore::Blob> get(ShardedStore& store, std::string_view token,
                           std::string_view key, std::uint64_t* seq = nullptr,
-                          bool* reconstructed = nullptr);
+                          bool* reconstructed = nullptr,
+                          const erasure::ReedSolomon* rs = nullptr);
 
 /// Delete the manifest, every shard sibling, and any plain-stored value
 /// under `key`. not_found only if none of them existed.

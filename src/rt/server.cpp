@@ -66,7 +66,7 @@ OpResult RuntimeServer::execute(const std::string& token, Op& op) {
     case Op::Type::get: {
       if (rs != nullptr) {
         bool reconstructed = false;
-        auto got = ec::get(store_, token, op.key, &seq, &reconstructed);
+        auto got = ec::get(store_, token, op.key, &seq, &reconstructed, rs);
         r.code = got.code();
         if (got.ok()) r.value = std::move(got).value();
         if (reconstructed) metrics_.count(Counter::ec_reconstructed_gets);
@@ -150,7 +150,8 @@ void RuntimeServer::submit_async(const std::string& token, Op op,
   // Gate 1: the tenant's own rate limits. Over-rate bursters are shed
   // here regardless of load, so they can never displace other tenants.
   const Bytes payload = op.type == Op::Type::put ? op.value.size() : 0;
-  const auto adm = tenants_->admit(tid, payload, now_s());
+  const auto adm = tenants_->admit(
+      tid, payload, std::chrono::duration<double>(start - epoch_).count());
   if (adm.code != Errc::ok) {
     complete_now(Errc::overloaded, adm.retry_after_s, Counter::overloaded);
     return;

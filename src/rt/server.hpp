@@ -165,16 +165,12 @@ class RuntimeServer {
   void finish(const std::string& token, Op& op,
               std::chrono::steady_clock::time_point start,
               const Completion& done);
-  double now_s() const {
-    return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                         epoch_).count();
-  }
 
   ShardedStore& store_;
   Options opt_;
   std::unique_ptr<TenantRegistry> owned_tenants_;  ///< when opt.tenants null
   TenantRegistry* tenants_;
-  std::chrono::steady_clock::time_point epoch_;
+  std::chrono::steady_clock::time_point epoch_;  ///< origin of admission times
   ServingMetrics metrics_;
   ThreadPool pool_;  // last member: workers die before anything they use
 };

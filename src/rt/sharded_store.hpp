@@ -6,8 +6,11 @@
 // the aggregate `used()` never exceeds `capacity()` at any instant even
 // while shards mutate concurrently.
 //
-// read() is get() without the copy: a callback sees the resident value
-// under the shard mutex (the EC read path gathers siblings this way).
+// get() hands out a share of the resident bytes (kvstore::Blob), taken
+// under the shard mutex; an overwrite never writes bytes a share can
+// see. read() does not even take a share: a callback sees the resident
+// value under the shard mutex (the EC read path gathers siblings this
+// way).
 //
 // The shards hold all the state: the aggregate gate and the per-tenant
 // quotas mirror the Store::Delta each shard reports (quote_put before a
@@ -96,7 +99,7 @@ class ShardedStore {
              std::uint32_t tenant = 0);
   Result<kvstore::Blob> get(std::string_view token, std::string_view key,
                             std::uint64_t* seq = nullptr);
-  /// get() without the copy: on a hit `fn(const kvstore::Blob&)` runs
+  /// get() without the share: on a hit `fn(const kvstore::Blob&)` runs
   /// under the shard mutex and sees the resident value in place (the
   /// EC read path gathers siblings straight out of it). Same auth,
   /// closed-shard and not_found errors, stats and `seq` as get(). `fn`

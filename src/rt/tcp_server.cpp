@@ -369,14 +369,15 @@ struct TcpServer::Reactor {
   bool handle_read(Conn& c) {
     c.inline_ops = 0;
     while (c.read_open) {
-      std::uint8_t buf[64 * 1024];
-      const ssize_t r = ::recv(c.fd, buf, sizeof(buf), 0);
+      // Straight into the decoder's buffer: no copy before the decode.
+      const auto room = c.decoder.tail(netio::kRecvChunk);
+      const ssize_t r = ::recv(c.fd, room.data(), room.size(), 0);
       if (r > 0) {
+        c.decoder.commit(static_cast<std::size_t>(r));
         c.last_activity = Clock::now();
         metrics().count(Counter::net_bytes_in, static_cast<std::uint64_t>(r));
-        c.decoder.feed(buf, static_cast<std::size_t>(r));
         if (!process_frames(c)) return false;
-        if (static_cast<std::size_t>(r) < sizeof(buf)) break;
+        if (static_cast<std::size_t>(r) < room.size()) break;
         continue;
       }
       if (r == 0) {  // orderly EOF: answer what's in flight, then close

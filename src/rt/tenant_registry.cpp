@@ -34,6 +34,7 @@ Result<std::uint32_t> TenantRegistry::register_tenant(TenantConfig cfg) {
   auto st = std::make_unique<State>();
   st->ops = TokenBucket(cfg.ops_per_s, cfg.ops_burst);
   st->bytes = TokenBucket(cfg.bytes_per_s, cfg.bytes_burst);
+  st->unlimited = st->ops.unlimited() && st->bytes.unlimited();
   if (cfg.rs.enabled())
     st->rs = std::make_unique<const erasure::ReedSolomon>(cfg.rs.k, cfg.rs.m);
   st->cfg = std::move(cfg);
@@ -47,6 +48,7 @@ TenantRegistry::Admission TenantRegistry::admit(std::uint32_t id,
                                                 Bytes payload_bytes,
                                                 double now_s) {
   State& st = state(id);
+  if (st.unlimited) return {};  // limits are fixed at registration
   std::lock_guard lk(st.mu);
   // Oversized payloads cost one full bucket rather than being
   // unadmittable; delay_until applies the same clamp.

@@ -21,8 +21,9 @@
 // Registration is mutex-guarded and publication is release/acquire on
 // the slot count; the slot table never reallocates (fixed capacity at
 // construction), so readers index it lock-free. admit() serializes per
-// tenant -- contention is confined to one tenant's own submitters,
-// which is exactly the isolation boundary.
+// limited tenant -- contention is confined to one tenant's own
+// submitters, which is exactly the isolation boundary -- and returns at
+// once, with no lock, for a tenant with neither rate limit.
 #pragma once
 
 #include <array>
@@ -118,7 +119,8 @@ class TenantRegistry {
   /// or the op is shed with Errc::overloaded and a retry-after hint
   /// (the later of the two buckets' refill horizons). Payloads larger
   /// than the byte bucket's burst cost one full bucket, so oversized
-  /// ops drain the bucket instead of being unadmittable forever.
+  /// ops drain the bucket instead of being unadmittable forever. A
+  /// tenant with neither limit is admitted at once, with no lock.
   Admission admit(std::uint32_t id, Bytes payload_bytes, double now_s);
 
   // -- exact resident-memory accounting (called by ShardedStore) ------
@@ -148,6 +150,7 @@ class TenantRegistry {
     std::mutex mu;  ///< guards the two buckets
     TokenBucket ops;
     TokenBucket bytes;
+    bool unlimited = false;  ///< neither bucket limits: admit() takes no lock
     std::atomic<Bytes> resident{0};
     std::unique_ptr<const erasure::ReedSolomon> rs;  ///< set iff cfg.rs on
     /// Off the admit line: workers bump ops/bytes on every op.

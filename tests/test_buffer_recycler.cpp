@@ -1,12 +1,13 @@
 // The process buffer recycler (common/buffer_recycler.hpp, DESIGN.md
 // §11): takes and parks across threads, size classes, the threshold and
-// the caps, eviction of classes no longer taken, Blob's copy/assign/
-// destroy contract, the frame decoder's take, degraded erasure-coded
-// gets, and the no-stranding fence -- erasure-coded traffic on two
-// workers with evictions on a third thread allocates only a handful of
-// large buffers once the store is preloaded, also after buffers of many
-// sizes that are never asked for again filled the recycler. Labelled `concurrency`, so the TSan
-// pass runs it.
+// the caps, eviction of classes no longer taken, Blob's share/assign/
+// destroy contract, the reuse of SharedBytes nodes, the frame decoder's
+// take, degraded erasure-coded gets, and the no-stranding fence --
+// erasure-coded traffic on two workers with evictions on a third thread
+// allocates only a handful of large buffers once the store is
+// preloaded, also after buffers of many sizes that are never asked for
+// again filled the recycler. Labelled `concurrency`, so the TSan pass
+// runs it.
 //
 // The recycler is one per process: every test starts by freeing what
 // is parked and reads its counters as deltas.
@@ -148,7 +149,10 @@ TEST_F(BufferRecycler, SizeClassesServeNearbySizes) {
 // Values of a couple of hundred distinct sizes, copied and dropped on
 // two threads. Each thread holds one copy at a time, so at most two
 // buffers of a class are ever out at once and every other take is a
-// reuse -- the traffic a table keyed on exact sizes would miss on.
+// reuse -- the traffic a table keyed on exact sizes would miss on. A
+// Blob copy is a share and takes nothing, so the copies are made with
+// take_copy, as a received value is; dropping a copy's one share parks
+// its buffer.
 TEST_F(BufferRecycler, VariableSizeTrafficIsRecycled) {
   constexpr int kDoublings = 5, kCopies = 3000;  // sizes 4 KiB .. 128 KiB
   std::vector<Blob> values;
@@ -164,8 +168,10 @@ TEST_F(BufferRecycler, VariableSizeTrafficIsRecycled) {
     Rng r(seed);
     for (int i = 0; i < kCopies; ++i) {
       const Blob& v = values[r.uniform_u64(0, values.size() - 1)];
-      const Blob copy = v;  // a take; its destruction parks
-      if (!(copy == v)) ADD_FAILURE() << "copy differs";
+      const Blob share = v;  // no take
+      const Blob copy = Blob::materialized(take_copy(v.bytes()));  // a take
+      if (!(copy == v) || share.bytes().data() != v.bytes().data())
+        ADD_FAILURE() << "copy differs or share does not share";
     }
   };
   std::thread t1(copier, 1), t2(copier, 2);
@@ -177,22 +183,29 @@ TEST_F(BufferRecycler, VariableSizeTrafficIsRecycled) {
   EXPECT_LE(fresh, 2u * (kDoublings * kRecycleClassesPerDoubling + 1));
 }
 
+// A Blob copy is a share: it takes no buffer, and dropping it parks
+// nothing. The last share's destruction parks the buffer.
 TEST_F(BufferRecycler, BlobCopyTakesAndDestructionParks) {
   constexpr std::size_t n = 5 * kRecycleMinBytes;
-  const Blob b = filled_blob(n, 3);
-  const std::uint8_t* p = nullptr;
   const auto s0 = recycler_stats();
+  const std::uint8_t* p = nullptr;
   {
-    const Blob c = b;  // nothing of this size parked: a fresh take
-    p = c.bytes().data();
-    EXPECT_EQ(c, b);
-    EXPECT_EQ(recycler_stats().fresh_takes, s0.fresh_takes + 1);
-  }  // ~Blob parks
+    const Blob b = filled_blob(n, 3);
+    p = b.bytes().data();
+    {
+      const Blob c = b;  // a share: no take
+      EXPECT_EQ(c.bytes().data(), p);
+      EXPECT_EQ(c, b);
+      EXPECT_TRUE(c.verify());
+    }  // not the last share: nothing parked
+    const auto s1 = recycler_stats();
+    EXPECT_EQ(s1.fresh_takes, s0.fresh_takes);
+    EXPECT_EQ(s1.reused_takes, s0.reused_takes);
+    EXPECT_EQ(s1.parked_bytes, s0.parked_bytes);
+  }  // the last share parks
   EXPECT_EQ(recycler_stats().parked_bytes, s0.parked_bytes + n);
-  const Blob d = b;  // takes the buffer c parked
-  EXPECT_EQ(d.bytes().data(), p);
-  EXPECT_EQ(d, b);
-  EXPECT_TRUE(d.verify());
+  const auto d = take_buffer(n);  // takes the buffer the last share parked
+  EXPECT_EQ(d.data(), p);
   EXPECT_EQ(recycler_stats().reused_takes, s0.reused_takes + 1);
   EXPECT_EQ(recycler_stats().parked_bytes, s0.parked_bytes);
 }
@@ -201,15 +214,23 @@ TEST_F(BufferRecycler, BlobAssignmentParksTheDroppedBuffer) {
   constexpr std::size_t n = 6 * kRecycleMinBytes, m = 7 * kRecycleMinBytes;
   const Blob src = filled_blob(n, 1);
 
-  // Copy assignment: the old buffer is parked, the copy taken.
+  // Copy assignment: the old buffer's last share is dropped, so it is
+  // parked, and the blob shares src's bytes without a take.
   Blob a = filled_blob(m, 2);
   const std::uint8_t* old_a = a.bytes().data();
   const auto s0 = recycler_stats();
   a = src;
   EXPECT_EQ(a, src);
+  EXPECT_EQ(a.bytes().data(), src.bytes().data());
   EXPECT_EQ(recycler_stats().fresh_takes + recycler_stats().reused_takes,
-            s0.fresh_takes + s0.reused_takes + 1);
+            s0.fresh_takes + s0.reused_takes);
+  EXPECT_EQ(recycler_stats().parked_bytes, s0.parked_bytes + m);
   EXPECT_EQ(take_buffer(m).data(), old_a);
+
+  // Assigning over a share that is not the last parks nothing.
+  a = filled_blob(m, 3);
+  EXPECT_EQ(recycler_stats().parked_bytes, s0.parked_bytes);
+  EXPECT_EQ(src, filled_blob(n, 1));
 
   // Move assignment: the old buffer is parked, the moved one kept.
   Blob b = filled_blob(m, 4);
@@ -220,6 +241,42 @@ TEST_F(BufferRecycler, BlobAssignmentParksTheDroppedBuffer) {
   EXPECT_EQ(b.bytes().data(), moved);
   EXPECT_EQ(b, filled_blob(n, 5));
   EXPECT_EQ(take_buffer(m).data(), old_b);
+}
+
+// The nodes that hold a SharedBytes' count are reused, not allocated per
+// value: one thread makes values and another drops them, 100 at a
+// time, and the nodes allocated cover what is in flight and the two
+// threads' private lists. Each thread hands its list back when it
+// exits, so a second run allocates none.
+TEST_F(BufferRecycler, ShareNodesAreReusedAcrossThreads) {
+  constexpr int kRounds = 200, kBatch = 100;
+  auto run = [] {
+    std::vector<Blob> batch;
+    std::atomic<int> turn{0};  // 2r: the maker's turn, 2r+1: the dropper's
+    std::thread maker([&] {
+      for (int r = 0; r < kRounds; ++r) {
+        while (turn.load() != 2 * r) std::this_thread::yield();
+        for (int i = 0; i < kBatch; ++i)
+          batch.push_back(filled_blob(64, static_cast<std::uint8_t>(i)));
+        turn.store(2 * r + 1);
+      }
+    });
+    std::thread dropper([&] {
+      for (int r = 0; r < kRounds; ++r) {
+        while (turn.load() != 2 * r + 1) std::this_thread::yield();
+        batch.clear();
+        turn.store(2 * r + 2);
+      }
+    });
+    maker.join();
+    dropper.join();
+  };
+  const auto s0 = recycler_stats();
+  run();
+  const auto s1 = recycler_stats();
+  EXPECT_LE(s1.share_nodes - s0.share_nodes, 8u * 64);
+  run();
+  EXPECT_EQ(recycler_stats().share_nodes, s1.share_nodes);
 }
 
 TEST_F(BufferRecycler, SmallBlobsAndGhostsNeverReachTheRecycler) {

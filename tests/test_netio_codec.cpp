@@ -18,6 +18,7 @@
 //      request and one response frame encode to pinned bytes.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <utility>
 #include <vector>
@@ -284,6 +285,53 @@ TEST(NetioCodec, TornFrameEverySplitPointTwice) {
     EXPECT_FALSE(dec.failed());
     EXPECT_EQ(dec.buffered(), 0u);
   }
+}
+
+// The path a socket reader takes: recv() into tail() room, then
+// commit() what arrived. Every frame is split at every byte boundary,
+// behind a whole frame of the stream before it, and each piece lands in
+// room of its own size or larger (a short recv). One decoder carries
+// the unconsumed bytes across all of it, so its buffer is reused,
+// compacted behind a consumed frame and grown in turn.
+TEST(NetioCodec, TailCommitEverySplitOfEveryFrame) {
+  Rng rng(8);
+  FrameDecoder dec;
+  auto deliver = [&](const std::uint8_t* p, std::size_t n, std::size_t room) {
+    const auto t = dec.tail(std::max(n, room));
+    ASSERT_GE(t.size(), n);
+    if (n > 0) std::memcpy(t.data(), p, n);
+    dec.commit(n);
+  };
+  Frame prev = random_frame(rng);
+  for (int i = 0; i < 24; ++i) {
+    Frame f = random_frame(rng);
+    if (f.value.size() > 512) {
+      f.value.resize(512);
+      if (f.kind == Frame::Kind::response) f.value_size = 512;
+    }
+    std::vector<std::uint8_t> stream = encode(prev);
+    const std::size_t head = stream.size();
+    encode_frame(f, stream);
+    for (std::size_t split = 0; split <= stream.size() - head; ++split) {
+      const std::size_t room = split % 3 == 0 ? kRecvChunk : split % 7 + 1;
+      const std::size_t cut = head + split;
+      ASSERT_NO_FATAL_FAILURE(deliver(stream.data(), cut, room));
+      Frame out;
+      ASSERT_EQ(dec.next(out), Decode::frame) << i << " split " << split;
+      ASSERT_EQ(out, prev);
+      if (cut < stream.size()) {
+        ASSERT_EQ(dec.next(out), Decode::need_more);
+      }
+      ASSERT_NO_FATAL_FAILURE(
+          deliver(stream.data() + cut, stream.size() - cut, room));
+      ASSERT_EQ(dec.next(out), Decode::frame) << i << " split " << split;
+      ASSERT_EQ(out, f);
+      ASSERT_EQ(dec.next(out), Decode::need_more);
+    }
+    prev = f;
+  }
+  EXPECT_EQ(dec.buffered(), 0u);
+  EXPECT_FALSE(dec.failed());
 }
 
 // Integrity property behind the chaos layer: flipping any single bit of

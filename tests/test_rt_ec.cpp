@@ -197,6 +197,24 @@ TEST(RtEc, GetReconstructsAfterDataShardEviction) {
                          got.value().bytes().begin()));
 }
 
+// A degraded get decodes with the caller's coder when the stripe's
+// (k, m) matches it, and with a coder for the stripe's own policy when
+// it does not (a stripe written before the tenant's policy changed).
+TEST(RtEc, DegradedGetDecodesWithTheStripesOwnPolicy) {
+  const auto value = payload_blob(9999, 17);
+  const erasure::ReedSolomon rs42(4, 2), rs32(3, 2);
+  for (const erasure::ReedSolomon* coder : {&rs42, &rs32}) {
+    ShardedStore store(store_opts());
+    ASSERT_TRUE(ec::put(store, "tok", "obj", value, rs42).ok());
+    ASSERT_TRUE(store.evict(ec::shard_key("obj", 1)).has_value());
+    bool reconstructed = false;
+    auto got = ec::get(store, "tok", "obj", nullptr, &reconstructed, coder);
+    ASSERT_TRUE(got.ok()) << coder->data_shards();
+    EXPECT_TRUE(reconstructed);
+    EXPECT_EQ(got.value(), value) << coder->data_shards();
+  }
+}
+
 TEST(RtEc, GetReconstructsEveryLossPatternAtOddSizes) {
   // Sizes whose last data siblings end in padding (5 bytes over k = 4
   // leaves sibling 3 all padding), every pattern of one or two lost

@@ -196,6 +196,41 @@ TEST(TenantRegistry, AdmitWithStaleClockIsNotShed) {
   EXPECT_DOUBLE_EQ(late.retry_after_s, 0.0);
 }
 
+// Admission on a tenant with neither rate limit returns before the
+// tenant lock; concurrent admits, of any payload and at any time stamp,
+// all pass. A limited tenant sharing the registry and the threads still
+// sheds exactly as before: with no refill between the stamps, exactly
+// its burst is admitted, however the threads interleave.
+TEST(TenantRegistry, ConcurrentAdmitsOnAnUnlimitedTenantAllPass) {
+  constexpr int kThreads = 4, kAdmits = 5000;
+  TenantRegistry reg;
+  const auto open = reg.register_tenant({.name = "open"}).value();
+  TenantConfig cfg;
+  cfg.name = "limited";
+  cfg.ops_per_s = 1e-6;  // no refill within the stamps used here
+  cfg.ops_burst = 100.0;
+  const auto limited = reg.register_tenant(cfg).value();
+  std::atomic<int> refused{0}, admitted_limited{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t)
+    threads.emplace_back([&, t] {
+      for (int i = 0; i < kAdmits; ++i) {
+        const double now = 1e-3 * (i % 7) + t;  // stamps out of order too
+        for (std::uint32_t id : {0u, open})
+          if (reg.admit(id, static_cast<Bytes>(i) << 10, now).code != Errc::ok)
+            refused.fetch_add(1);
+        if (i < 100 && reg.admit(limited, 0, 0.0).code == Errc::ok)
+          admitted_limited.fetch_add(1);
+      }
+    });
+  for (auto& th : threads) th.join();
+  EXPECT_EQ(refused.load(), 0);
+  EXPECT_EQ(admitted_limited.load(), 100);
+  const auto shed = reg.admit(limited, 0, 0.0);
+  EXPECT_EQ(shed.code, Errc::overloaded);
+  EXPECT_GT(shed.retry_after_s, 0.0);
+}
+
 TEST(TenantRegistry, MemoryQuotaChargesAndReleases) {
   TenantRegistry reg;
   TenantConfig cfg;

@@ -2,11 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <set>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "common/buffer_recycler.hpp"
+#include "common/rng.hpp"
 #include "hash/hashes.hpp"
 
 namespace memfss::rt {
@@ -218,8 +221,8 @@ TEST(ShardedStoreRead, HitSeesTheResidentValueInPlace) {
                   }).ok());
   }
   EXPECT_EQ(calls, 2);
-  // get() hands out a copy in a buffer of its own.
-  EXPECT_NE(st.get("tok", "k").value().bytes().data(), first);
+  // get() hands out a share of the same resident bytes, not a copy.
+  EXPECT_EQ(st.get("tok", "k").value().bytes().data(), first);
 }
 
 TEST(ShardedStoreRead, ErrorsMatchGetAndNeverCallFn) {
@@ -294,6 +297,83 @@ TEST(ShardedStore, ConcurrentPutsKeepAccountingConsistent) {
   for (std::size_t s = 0; s < st.shard_count(); ++s) sum += st.shard_used(s);
   EXPECT_EQ(st.used(), sum);
   EXPECT_LE(st.used(), st.capacity());
+}
+
+// The share contract under races. A writer overwrites a few keys with
+// values of two sizes -- 1 KiB below the recycler's threshold and 6 KiB
+// through it -- as fresh buffers, some taken from the recycler, and as
+// shares of the pool's values, so overwrites of sole residents run in
+// place and overwrites of shared ones replace them. Two readers each
+// hold their last kHeld get results across those overwrites, and
+// every result, when read and again when dropped, must verify and
+// equal a value once written to its key. After quiesce each shard's
+// tally must equal a recount of its keys.
+TEST(ShardedStore, GetSharesSurviveConcurrentOverwrites) {
+  constexpr int kKeys = 8, kVariants = 4, kPuts = 20000, kHeld = 16;
+  ShardedStore st({4, 8 << 20, "tok"});
+  // values[k][v]: variant v of key k; odd variants are the large size.
+  std::vector<std::vector<kvstore::Blob>> values(kKeys);
+  for (int k = 0; k < kKeys; ++k)
+    for (int v = 0; v < kVariants; ++v)
+      values[k].push_back(kvstore::Blob::materialized(std::vector<std::uint8_t>(
+          v % 2 ? 6144 : 1024, static_cast<std::uint8_t>(k * kVariants + v))));
+  auto key = [](int k) { return "k" + std::to_string(k); };
+  for (int k = 0; k < kKeys; ++k)
+    ASSERT_TRUE(st.put("tok", key(k), values[k][0]).ok());
+
+  std::atomic<bool> done{false};
+  std::atomic<std::uint64_t> bad{0}, reads{0};
+  auto known = [&](int k, const kvstore::Blob& b) {
+    if (!b.verify()) return false;
+    for (const auto& v : values[k])
+      if (b == v) return true;
+    return false;
+  };
+  auto reader = [&](std::uint64_t seed) {
+    Rng rng(seed);
+    std::vector<std::pair<int, kvstore::Blob>> held(kHeld);
+    for (std::size_t i = 0; !done.load(std::memory_order_relaxed); ++i) {
+      auto& slot = held[i % kHeld];
+      if (!slot.second.bytes().empty() && !known(slot.first, slot.second))
+        bad.fetch_add(1);
+      const int k = static_cast<int>(rng.uniform_u64(0, kKeys - 1));
+      auto got = st.get("tok", key(k));
+      if (!got.ok() || !known(k, got.value())) bad.fetch_add(1);
+      slot = {k, std::move(got).value()};
+      reads.fetch_add(1, std::memory_order_relaxed);
+    }
+    for (const auto& [k, b] : held)
+      if (!b.bytes().empty() && !known(k, b)) bad.fetch_add(1);
+  };
+  std::thread r1(reader, 1), r2(reader, 2);
+  Rng rng(3);
+  for (int i = 0; i < kPuts; ++i) {
+    const int k = static_cast<int>(rng.uniform_u64(0, kKeys - 1));
+    const kvstore::Blob& v = values[k][rng.uniform_u64(0, kVariants - 1)];
+    kvstore::Blob next;
+    switch (i % 3) {
+      case 0: next = v; break;  // a share of the pool's value
+      case 1:
+        next = kvstore::Blob::materialized(
+            std::vector<std::uint8_t>(v.bytes().begin(), v.bytes().end()));
+        break;
+      default: next = kvstore::Blob::materialized(take_copy(v.bytes()));
+    }
+    if (!st.put("tok", key(k), std::move(next)).ok()) bad.fetch_add(1);
+  }
+  // Let the readers see the final values too before they stop.
+  for (const auto r0 = reads.load(); reads.load() < r0 + 1000;)
+    std::this_thread::yield();
+  done.store(true);
+  r1.join();
+  r2.join();
+  EXPECT_EQ(bad.load(), 0u);
+  EXPECT_GT(reads.load(), 1000u);
+  for (std::size_t s = 0; s < st.shard_count(); ++s)
+    EXPECT_EQ(st.shard_used(s), st.shard_recomputed_used(s)) << s;
+  // The pool's values were never written through a share.
+  for (const auto& per_key : values)
+    for (const auto& v : per_key) EXPECT_TRUE(v.verify());
 }
 
 }  // namespace

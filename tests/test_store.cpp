@@ -42,6 +42,98 @@ TEST(Blob, MaterializedChecksumIsCrc32cOfTheBytes) {
   EXPECT_EQ(Blob::ghost(1000, 5).checksum(), hash::mix64(1000, 5));
 }
 
+// --- the share contract ------------------------------------------------------
+
+TEST(Blob, ACopySharesItsBytes) {
+  const Blob b = bytes_blob("shared bytes");
+  Blob c = b;
+  EXPECT_EQ(c.bytes().data(), b.bytes().data());
+  EXPECT_EQ(c, b);
+  EXPECT_TRUE(c.verify());
+  // Moving a share moves it; the bytes stay where they are.
+  const Blob d = std::move(c);
+  EXPECT_EQ(d.bytes().data(), b.bytes().data());
+}
+
+TEST(Blob, OverwriteOfASharedResidentReplacesItAndKeepsTheShare) {
+  Store st(1 << 20, "t");
+  ASSERT_TRUE(st.put("t", "k", bytes_blob("aaaa")).ok());
+  const Bytes used = st.used();
+  const Blob held = st.get("t", "k").value();
+  const auto* resident = st.peek("k")->bytes().data();
+  EXPECT_EQ(held.bytes().data(), resident);
+  ASSERT_TRUE(st.put("t", "k", bytes_blob("bbbb")).ok());
+  // The store now holds the new value in another buffer; the share
+  // still sees the bytes it was handed.
+  EXPECT_NE(st.peek("k")->bytes().data(), resident);
+  EXPECT_EQ(*st.peek("k"), bytes_blob("bbbb"));
+  EXPECT_EQ(held.bytes().data(), resident);
+  EXPECT_EQ(held, bytes_blob("aaaa"));
+  EXPECT_TRUE(held.verify());
+  EXPECT_EQ(st.used(), used);  // charged per key, not per buffer
+}
+
+TEST(Blob, OverwriteOfASoleResidentWritesInPlace) {
+  Blob a = bytes_blob("aaaa");
+  const auto* p = a.bytes().data();
+  EXPECT_TRUE(a.overwrite_same_size(bytes_blob("bbbb")));
+  EXPECT_EQ(a.bytes().data(), p);
+  EXPECT_EQ(a, bytes_blob("bbbb"));
+  EXPECT_TRUE(a.verify());
+  {
+    const Blob share = a;
+    EXPECT_FALSE(a.overwrite_same_size(bytes_blob("cccc")));
+    EXPECT_EQ(a, bytes_blob("bbbb"));
+    EXPECT_EQ(share, bytes_blob("bbbb"));
+  }
+  // The only share again: in place once more.
+  EXPECT_TRUE(a.overwrite_same_size(bytes_blob("cccc")));
+  EXPECT_EQ(a.bytes().data(), p);
+  EXPECT_EQ(a, bytes_blob("cccc"));
+  // Not the same size, or a ghost on either side: never in place.
+  EXPECT_FALSE(a.overwrite_same_size(bytes_blob("ddddd")));
+  EXPECT_FALSE(a.overwrite_same_size(Blob::ghost(4, 1)));
+  Blob g = Blob::ghost(4, 1);
+  EXPECT_FALSE(g.overwrite_same_size(bytes_blob("eeee")));
+}
+
+TEST(Blob, CorruptingOneShareLeavesTheOthersVerifying) {
+  const Blob a = bytes_blob("payload");
+  Blob b = a;
+  const Blob c = a;
+  b.corrupt_for_test();
+  EXPECT_FALSE(b.verify());
+  EXPECT_NE(b.bytes().data(), a.bytes().data());  // cloned before the flip
+  EXPECT_TRUE(a.verify());
+  EXPECT_TRUE(c.verify());
+  EXPECT_EQ(a, bytes_blob("payload"));
+  EXPECT_EQ(c.bytes().data(), a.bytes().data());
+  // The sole share of a buffer is flipped where it is.
+  Blob d = bytes_blob("payload");
+  const auto* p = d.bytes().data();
+  d.corrupt_for_test();
+  EXPECT_EQ(d.bytes().data(), p);
+  EXPECT_FALSE(d.verify());
+}
+
+TEST(Blob, EqualityAndVerifyCompareBytes) {
+  // Equal bytes in two buffers compare equal.
+  const Blob a = bytes_blob("same"), b = bytes_blob("same");
+  EXPECT_NE(a.bytes().data(), b.bytes().data());
+  EXPECT_EQ(a, b);
+  // Same size and checksum but other bytes: not equal, and the flipped
+  // one no longer verifies against its checksum.
+  Blob c = a;
+  c.corrupt_for_test();
+  EXPECT_EQ(c.size(), a.size());
+  EXPECT_EQ(c.checksum(), a.checksum());
+  EXPECT_FALSE(c == a);
+  EXPECT_FALSE(c.verify());
+  EXPECT_TRUE(a.verify());
+  // A ghost never equals the materialized value of its size.
+  EXPECT_FALSE(Blob::ghost(4, 0) == a);
+}
+
 TEST(Store, PutGetRoundtrip) {
   Store st(1 << 20, "tok");
   ASSERT_TRUE(st.put("tok", "k", bytes_blob("v")).ok());
